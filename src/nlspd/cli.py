@@ -232,13 +232,6 @@ def _load_povm_operand(path: str):
     )
 
 
-def _pad_click(povm: DiagonalPovm, length: int) -> np.ndarray:
-    out = np.empty(length)
-    out[: povm.truncation] = povm.click
-    out[povm.truncation :] = povm.click[-1]
-    return out
-
-
 @cli.command("compare")
 @click.argument("povm_a_json")
 @click.argument("povm_b_json")
@@ -268,7 +261,7 @@ def cmd_compare(povm_a_json, povm_b_json):
             err=True,
         )
     length = max(a.truncation, b.truncation)
-    gaps = np.abs(_pad_click(a, length) - _pad_click(b, length))
+    gaps = np.abs(a.padded(length) - b.padded(length))
     click.echo(f"fidelity={fidelity(a, b)!r}")
     click.echo(f"max_abs_gap={float(gaps.max())!r}")
     click.echo(f"mean_abs_gap={float(gaps.mean())!r}")

@@ -148,9 +148,7 @@ def unscale_povm(
             f"target truncation {n_out} is smaller than the input truncation "
             f"{povm.truncation}"
         )
-    scaled = np.empty(n_out)
-    scaled[: povm.truncation] = povm.click
-    scaled[povm.truncation :] = povm.click[-1]
+    scaled = povm.padded(n_out)
 
     channel = LossChannel(eta=eta, truncation=n_out)
     amplification = 3 * np.finfo(float).eps * ((2.0 - eta) / eta) ** (n_out - 1)

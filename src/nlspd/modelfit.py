@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import least_squares
 
-from ._pgd import PgdResult, minimize_projected
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
 from .numerics import binomial_exponents
 from .povm import DEFAULT_TAIL_MASS, NonlinearSpdParams, truncation_for
@@ -44,20 +44,22 @@ __all__ = [
 ]
 
 _H_FUZZ = 1e-12
-_FIT_TOL = 1e-9
-_FIT_MAX_ITERATIONS = 100_000
-_MAX_EQUILIBRATIONS = 4
+_FIT_MAX_EVALUATIONS = 100_000
+
+# Termination tolerances (ftol, xtol, gtol) of the trust-region reflective
+# least-squares solve.
+_TRF_TOL = 1e-15
 
 # Warm-start value for mechanisms with no dedicated estimate: barely inside
-# the feasible cone, so the first projected step can move either way.
+# the box, so the solver starts strictly feasible and can move either way.
 _NEAR_ZERO_H = -1e-6
 
-# Lower edge of the solver's search box. A saturated mechanism (p = 1)
-# corresponds to h = -inf, which no finite iterate reaches; without a
-# floor the solver can descend a flat ray forever. At h = -60 the
+# Lower bound of the solver's box. A saturated mechanism (p = 1)
+# corresponds to h = -inf, which no finite point reaches; without a
+# bound the solver can descend a flat ray forever. At h = -60 the
 # efficiency -expm1(-60) rounds to exactly 1.0 in double precision, so
-# the floor is invisible in the reported parameters while keeping the
-# box compact enough that stationarity is attainable on its boundary.
+# the bound is invisible in the reported parameters while keeping the
+# box compact enough that the optimum is attained on its boundary.
 _H_FLOOR = -60.0
 
 
@@ -230,18 +232,22 @@ def _fit_data(
     )
 
 
+def _residual(data: _FitData, h: np.ndarray) -> np.ndarray:
+    """Normalized residual (C - F (1 - exp(G h))) / C over the included probes."""
+    survival = np.exp(_log_survival_from_design(data.design, h))
+    model = data.probe_matrix @ (1.0 - survival)
+    return (data.frequencies - model) / data.frequencies
+
+
+def _jacobian(data: _FitData, h: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_residual`` in h: F diag(exp(G h)) G / C."""
+    survival = np.exp(_log_survival_from_design(data.design, h))
+    return (data.probe_matrix * survival) @ data.design / data.frequencies[:, None]
+
+
 def _objective_value(data: _FitData, h: np.ndarray) -> float:
-    survival = np.exp(_log_survival_from_design(data.design, h))
-    model = data.probe_matrix @ (1.0 - survival)
-    r = (data.frequencies - model) / data.frequencies
+    r = _residual(data, h)
     return float(r @ r)
-
-
-def _objective_gradient(data: _FitData, h: np.ndarray) -> np.ndarray:
-    survival = np.exp(_log_survival_from_design(data.design, h))
-    model = data.probe_matrix @ (1.0 - survival)
-    weights = (data.frequencies - model) / data.frequencies**2
-    return 2.0 * data.design.T @ (survival * (data.probe_matrix.T @ weights))
 
 
 def fit_objective(
@@ -270,7 +276,7 @@ def fit_objective_gradient(
 ) -> np.ndarray:
     """Analytic gradient of ``fit_objective`` with respect to h."""
     data = _fit_data(probes, record, h.binomial_design, tail_mass)
-    return _objective_gradient(data, h.h)
+    return 2.0 * _jacobian(data, h.h).T @ _residual(data, h.h)
 
 
 def _initial_h(data: _FitData, intensities: np.ndarray, order: int) -> np.ndarray:
@@ -296,91 +302,47 @@ def _initial_h(data: _FitData, intensities: np.ndarray, order: int) -> np.ndarra
     return h0
 
 
-def _equilibration_scales(data: _FitData, h: np.ndarray) -> np.ndarray:
-    """Jacobian column norms of the normalized residual at h (zeros -> 1)."""
-    survival = np.exp(_log_survival_from_design(data.design, h))
-    scales = np.empty(h.size)
-    for n in range(h.size):
-        column = data.probe_matrix @ (survival * data.design[:, n]) / data.frequencies
-        norm = float(np.linalg.norm(column))
-        scales[n] = norm if np.isfinite(norm) and norm > 0 else 1.0
-    return scales
+def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, max_evaluations: int):
+    """Bound-constrained least-squares fit of the free orders.
 
+    Orders flagged in ``pinned`` are held at h[n] = 0 exactly; the rest
+    live in the box [_H_FLOOR, 0] and are solved by scipy's trust-region
+    reflective method with the analytic Jacobian. The Jacobian columns
+    span many orders of magnitude (column n scales like the C(m, n)
+    moments, and collapses as its mechanism saturates), so the variables
+    are rescaled by the running column norms (``x_scale="jac"``).
 
-def _solve_round(
-    data: _FitData,
-    h0: np.ndarray,
-    pinned: np.ndarray,
-    scales: np.ndarray,
-    tol: float,
-    max_iterations: int,
-):
-    def fun(z: np.ndarray) -> float:
-        return _objective_value(data, z / scales)
-
-    def grad(z: np.ndarray) -> np.ndarray:
-        g = _objective_gradient(data, z / scales) / scales
-        g[pinned] = 0.0
-        return g
-
-    floor = _H_FLOOR * scales
-
-    def project(z: np.ndarray) -> np.ndarray:
-        out = np.clip(z, floor, 0.0)
-        out[pinned] = 0.0
-        return out
-
-    return minimize_projected(
-        fun, grad, project, scales * h0, tol=tol, max_iterations=max_iterations
-    )
-
-
-def _solve(
-    data: _FitData,
-    h0: np.ndarray,
-    pinned: np.ndarray,
-    tol: float,
-    max_iterations: int,
-):
-    """Projected-gradient solve in column-equilibrated variables.
-
-    The Jacobian columns of the normalized residual span many orders of
-    magnitude (column n scales like the C(m, n) moments), so each h[n] is
-    rescaled by its Jacobian column norm; the stationarity tolerance
-    applies to the equilibrated problem. A column collapses further when
-    its mechanism saturates (survival factors vanish as h[n] falls), so a
-    round that stalls triggers a re-equilibration at the current iterate
-    and a warm restart within the same iteration budget. Coordinates
-    flagged in ``pinned`` are held at h[n] = 0 exactly; the rest live in
-    the box [_H_FLOOR, 0].
+    Returns the solution and whether the solver met its tolerances within
+    ``max_evaluations`` residual evaluations.
     """
-    h = np.where(pinned, 0.0, np.maximum(h0, _H_FLOOR))
-    remaining = int(max_iterations)
-    spent = 0
-    result = None
-    for round_index in range(_MAX_EQUILIBRATIONS):
-        scales = _equilibration_scales(data, h)
-        if round_index == _MAX_EQUILIBRATIONS - 1:
-            budget = remaining
-        else:
-            budget = max(remaining // 2, 1)
-        result = _solve_round(data, h, pinned, scales, tol, budget)
-        spent += result.iterations
-        remaining -= result.iterations
-        h = result.x / scales
-        h[pinned] = 0.0
-        if result.converged or remaining <= 0:
-            break
-    result = PgdResult(result.x, result.objective, result.pg_norm, spent, result.converged)
-    return h, result
+    free = ~pinned
+
+    def expand(z: np.ndarray) -> np.ndarray:
+        h = np.zeros(pinned.size)
+        h[free] = z
+        return h
+
+    if not np.any(free):
+        return expand(()), True
+    result = least_squares(
+        lambda z: _residual(data, expand(z)),
+        np.clip(h0[free], _H_FLOOR, 0.0),
+        jac=lambda z: _jacobian(data, expand(z))[:, free],
+        bounds=(_H_FLOOR, 0.0),
+        method="trf",
+        x_scale="jac",
+        ftol=_TRF_TOL,
+        xtol=_TRF_TOL,
+        gtol=_TRF_TOL,
+        max_nfev=max_evaluations,
+    )
+    return expand(result.x), result.status != 0
 
 
 def _build_report(
     data: _FitData, h: np.ndarray, kept_orders, degenerate: bool = False
 ) -> FitReport:
-    survival = np.exp(_log_survival_from_design(data.design, h))
-    model = data.probe_matrix @ (1.0 - survival)
-    r = (data.frequencies - model) / data.frequencies
+    r = _residual(data, h)
     per_probe = np.zeros(data.included.size)
     per_probe[data.included] = r * r
     return FitReport(
@@ -399,17 +361,18 @@ def fit_params(
     max_order: int = 6,
     *,
     zero_orders=(),
-    tol: float = _FIT_TOL,
-    max_iterations: int = _FIT_MAX_ITERATIONS,
+    max_iterations: int = _FIT_MAX_EVALUATIONS,
     tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> FitReport:
     """Fit mechanism efficiencies P_0..P_{max_order-1} to click data.
 
-    Minimizes ``fit_objective`` over h <= 0 by projected-gradient descent
-    with a Barzilai-Borwein step and nonmonotone backtracking, run to
-    stationarity tolerance ``tol``. Each residual is convex in h and the
-    residual norm is convex wherever the model underpredicts the data;
-    the warm start is deterministic, so repeated fits agree bitwise.
+    Minimizes ``fit_objective`` over the box -60 <= h <= 0 with scipy's
+    trust-region reflective least-squares solver on the normalized
+    residual and its analytic Jacobian. The lower bound stands in for
+    saturation (P_n = 1 to double precision). Each residual is convex in
+    h and the residual norm is convex wherever the model underpredicts
+    the data; the warm start is deterministic, so repeated fits agree
+    bitwise.
 
     Parameters
     ----------
@@ -417,13 +380,15 @@ def fit_params(
         Number of mechanisms M; orders n = 0..M-1 are fitted.
     zero_orders:
         Orders constrained to P_n = 0 throughout (used by pruning).
+    max_iterations:
+        Budget of residual evaluations for the solver.
 
     Raises
     ------
     DegenerateDataError
         If no probe recorded any click.
     ConvergenceError
-        If the iteration cap is hit first; the error carries the
+        If the evaluation budget runs out first; the error carries the
         best-so-far ``FitReport`` as its ``result``.
     """
     if max_order < 1:
@@ -437,13 +402,13 @@ def fit_params(
     truncation = truncation_for(float(probes.intensities.max()), tail_mass)
     data = _fit_data(probes, record, design_matrix(truncation, max_order), tail_mass)
     h0 = _initial_h(data, probes.intensities, max_order)
-    h, result = _solve(data, h0, pinned, tol, max_iterations)
+    h, converged = _solve(data, h0, pinned, max_iterations)
     kept = [n for n in range(max_order) if not pinned[n]]
     report = _build_report(data, h, kept)
-    if not result.converged:
+    if not converged:
         raise ConvergenceError(
-            f"mechanism fit stopped at projected-gradient norm {result.pg_norm:.3g} "
-            f"after {result.iterations} iterations (tolerance {tol:g})",
+            f"mechanism fit used its {max_iterations} residual evaluations "
+            "before meeting its tolerances",
             result=report,
         )
     return report
@@ -455,8 +420,6 @@ def prune_mechanisms(
     record: ClickRecord,
     threshold: float = 0.01,
     *,
-    tol: float = _FIT_TOL,
-    max_iterations: int = _FIT_MAX_ITERATIONS,
     tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> FitReport:
     """Drop mechanisms whose removal barely changes the fit optimum.
@@ -484,11 +447,11 @@ def prune_mechanisms(
     base_norm = np.sqrt(report.objective)
 
     def refit(pinned: np.ndarray):
-        h, result = _solve(data, report.h.copy(), pinned, tol, max_iterations)
-        if not result.converged:
+        h, converged = _solve(data, report.h, pinned, _FIT_MAX_EVALUATIONS)
+        if not converged:
             raise ConvergenceError(
-                f"pruning refit stopped at projected-gradient norm "
-                f"{result.pg_norm:.3g} after {result.iterations} iterations",
+                f"pruning refit used its {_FIT_MAX_EVALUATIONS} residual "
+                "evaluations before meeting its tolerances",
                 result=_build_report(data, h, np.flatnonzero(~pinned)),
             )
         return h, _objective_value(data, h)

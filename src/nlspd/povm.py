@@ -99,6 +99,13 @@ class DiagonalPovm:
             raise DataFormatError(f"malformed POVM document: {err}") from err
         return cls(click=click, truncation=truncation)
 
+    def padded(self, length: int) -> np.ndarray:
+        """Click vector extended to ``length`` by repeating its trailing value."""
+        out = np.empty(length)
+        out[: self.truncation] = self.click
+        out[self.truncation :] = self.click[-1]
+        return out
+
 
 @dataclass(frozen=True)
 class NonlinearSpdParams:

@@ -35,7 +35,12 @@ from nlspd.povm import (
 )
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
-from nlspd.tomography import build_probe_matrix, fidelity, scaled_fit_workflow
+from nlspd.tomography import (
+    build_probe_matrix,
+    fidelity,
+    reconstruct_povm,
+    scaled_fit_workflow,
+)
 
 
 def _simulated(truth, probes, seed):
@@ -79,15 +84,17 @@ def test_a2_spd_analytic_oracle():
     print(f"A2 PASS: pipeline vs closed form, worst gap {worst:.2e} (bound 1e-10)")
 
 
-def test_a3_closed_loop_fidelity():
-    margins = {}
+def _a3_records():
     for bias in (25, 20, 16):
         truth = SCALED_PARAMS[bias]
         base = geometric_probe_grid(truth)
-        record = _simulated(truth, base, seed=101)
-        n = truncation_for(float(base.intensities.max()))
-        from nlspd.tomography import reconstruct_povm
+        yield bias, truth, base, _simulated(truth, base, seed=101)
 
+
+def test_a3_closed_loop_fidelity():
+    margins = {}
+    for bias, truth, base, record in _a3_records():
+        n = truncation_for(float(base.intensities.max()))
         recon = reconstruct_povm(base, record, n)
         f = fidelity(recon, nonlinear_povm(truth, n))
         assert f > 0.998
@@ -185,13 +192,17 @@ def test_a5_unscaling_validation():
     )
 
 
-def test_a6_loss_scaling_law():
+def _a6_records():
+    """Records of one detector behind four losses, with loss-corrected probes."""
     truth = NonlinearSpdParams([5e-3, 0.1, 0.3, 0.05])
     base = geometric_probe_grid(truth)
-    pairs, kept_sets = [], []
     for j, eta in enumerate((1.0, 0.5, 0.25, 0.1)):
-        record = _simulated(truth, base, seed=j)
-        stated = base.scaled_by(1.0 / eta)
+        yield eta, base.scaled_by(1.0 / eta), _simulated(truth, base, seed=j)
+
+
+def test_a6_loss_scaling_law():
+    pairs, kept_sets = [], []
+    for eta, stated, record in _a6_records():
         report = fit_params(stated, record, max_order=4)
         pruned = prune_mechanisms(report, stated, record)
         pairs.append((eta, pruned.params))
@@ -351,4 +362,61 @@ def test_a8_invariant_suite():
     print(
         "A8 PASS: monotonicity, bounds, dark-count independence, semigroup, "
         "loss equivalence, round trip, reproducibility"
+    )
+
+
+def _kkt_violation(x, gradient, lower, upper):
+    """Largest breach of the first-order optimality conditions on a box.
+
+    A minimizer has gradient >= 0 where x sits on its lower bound, <= 0 on
+    its upper bound and = 0 in between. Coordinates within 1e-12 of a
+    bound count as on it.
+    """
+    at_lower = x <= lower + 1e-12
+    at_upper = x >= upper - 1e-12
+    breach = np.where(at_lower, -gradient, np.where(at_upper, gradient, np.abs(gradient)))
+    return max(float(breach.max()), 0.0)
+
+
+def test_reconstruction_kkt_certificate():
+    # Gradient of ||F x - C||^2 + w ||D x||^2 built from the probe data
+    # alone, independent of the solver that produced x.
+    worst = 0.0
+    for _, _, base, record in _a3_records():
+        n = truncation_for(float(base.intensities.max()))
+        x = reconstruct_povm(base, record, n).click
+        matrix = build_probe_matrix(base, n).entries
+        first_diff = np.diff(np.eye(n), axis=0)
+        weight = 1e-3 * len(base)
+        gradient = 2.0 * (
+            matrix.T @ (matrix @ x - record.frequencies)
+            + weight * first_diff.T @ (first_diff @ x)
+        )
+        worst = max(worst, _kkt_violation(x, gradient, 0.0, 1.0))
+    assert worst <= 1e-9
+    print(f"KKT PASS (reconstruction, A3 records): worst breach {worst:.2e} (bound 1e-9)")
+
+
+def test_fit_kkt_certificate():
+    # fit_objective_gradient over the fitted (unpinned) orders on the box
+    # [-60, 0], at both the full fit and the pruned refit.
+    truth = SCALED_PARAMS[25]
+    base = geometric_probe_grid(truth)
+    instances = [(base, _simulated(truth, base, seed), 6) for seed in range(10)]
+    instances += [(stated, record, 4) for _, stated, record in _a6_records()]
+    worst = 0.0
+    for probes, record, max_order in instances:
+        n = truncation_for(float(probes.intensities.max()))
+        report = fit_params(probes, record, max_order=max_order)
+        for fitted in (report, prune_mechanisms(report, probes, record)):
+            gradient = fit_objective_gradient(
+                MechanismLogVector.at_truncation(fitted.h, n), probes, record
+            )
+            free = list(fitted.kept_orders)
+            breach = _kkt_violation(fitted.h[free], gradient[free], -60.0, 0.0)
+            worst = max(worst, breach)
+    assert worst <= 1e-5
+    print(
+        f"KKT PASS (fit, A4 25 uA seeds and A6 records): worst breach {worst:.2e} "
+        "(bound 1e-5)"
     )
