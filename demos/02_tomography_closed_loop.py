@@ -53,6 +53,6 @@ print(f"Fidelity between reconstruction and truth: {f:.6f}")
 # Poisson distribution, so neighboring photon numbers are blurred, and
 # the smoothing penalty picks the physical (slowly varying) solution.
 matrix = build_probe_matrix(probes, truncation)
-row_sums = matrix.entries.sum(axis=1)
+row_sums = matrix.sum(axis=1)
 print(f"Probe matrix rows capture {row_sums.min():.12f} of the Poisson mass "
       "at worst")

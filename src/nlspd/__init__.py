@@ -22,13 +22,13 @@ from .modelfit import (
     FitReport,
     MechanismLogVector,
     ScalingLawFit,
-    design_matrix,
     fit_objective,
     fit_objective_gradient,
     fit_params,
     loss_scaling_analysis,
     prune_mechanisms,
 )
+from .numerics import design_matrix
 from .povm import (
     DiagonalPovm,
     NonlinearSpdParams,
@@ -48,7 +48,6 @@ from .simulator import (
 )
 from .tomography import (
     ClickRecord,
-    ProbeMatrix,
     ProbeSet,
     build_probe_matrix,
     fidelity,
@@ -73,7 +72,6 @@ __all__ = [
     "LossChannel",
     "MechanismLogVector",
     "NonlinearSpdParams",
-    "ProbeMatrix",
     "ProbeSet",
     "SaturationCapError",
     "ScalingLawFit",

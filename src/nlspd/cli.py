@@ -36,6 +36,7 @@ from .povm import (
 from .simulator import ExperimentConfig, geometric_probe_grid
 from .simulator import simulate as run_simulation
 from .tomography import (
+    default_smoothing_weight,
     fidelity,
     read_click_data,
     reconstruct_povm,
@@ -161,7 +162,9 @@ def cmd_simulate(config_path, out_csv):
 @click.argument("data_csv")
 @click.argument("out_json")
 @click.option("--truncation", type=int, default=None, help="Photon-number cutoff.")
-@click.option("--smoothing", type=float, default=None, help="Smoothing weight.")
+@click.option(
+    "--smoothing", type=float, default=None, help="Smoothing weight [default: 1e-3 per probe]."
+)
 @click.option(
     "--scale-to-95",
     is_flag=True,
@@ -172,6 +175,8 @@ def cmd_simulate(config_path, out_csv):
 def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
     """Reconstruct a diagonal POVM from the click data in DATA_CSV."""
     probes, record = read_click_data(data_csv)
+    if smoothing is None:
+        smoothing = default_smoothing_weight(probes)
     if scale_to_95:
         if truncation is not None:
             raise ValueError("--truncation cannot be combined with --scale-to-95")

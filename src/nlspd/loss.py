@@ -26,7 +26,7 @@ from scipy.linalg import lstsq, solve_triangular
 from scipy.stats import binom
 
 from .exceptions import IllConditionedInversionError
-from .povm import DEFAULT_TAIL_MASS, DiagonalPovm, povm_click_probability
+from .povm import DiagonalPovm, povm_click_probability
 
 __all__ = [
     "LossChannel",
@@ -40,7 +40,10 @@ __all__ = [
 _DIRECT_SOLVE_TARGET = 1e-9
 
 # Weight of the second-difference penalty in the regularized inversion.
-_DEFAULT_STABILIZER = 1e-12
+_STABILIZER = 1e-12
+
+# Largest tolerated pre-clamp excursion of the solution outside [0, 1].
+_MAX_VIOLATION = 0.1
 
 
 def _validated_eta(eta: float) -> float:
@@ -99,8 +102,6 @@ def unscale_povm(
     eta: float,
     target_truncation: int | None = None,
     *,
-    stabilizer: float = _DEFAULT_STABILIZER,
-    max_violation: float = 0.1,
     return_violation: bool = False,
 ):
     """Remove a transmissivity-eta loss from a click vector.
@@ -109,13 +110,13 @@ def unscale_povm(
     vector x. When the worst-case rounding amplification of forward
     substitution, ``~eps * ((2 - eta)/eta)^(N-1)``, stays below 1e-9 the
     system is solved directly; otherwise a least-squares solve with a small
-    second-difference penalty (weight ``stabilizer``) suppresses the
+    second-difference penalty (weight 1e-12) suppresses the
     exponentially amplified high-frequency noise while leaving smooth,
     well-determined structure intact.
 
     The exact solution of a noisy input need not stay in [0, 1]; elements
     are clamped after solving and the largest pre-clamp excursion is the
-    conditioning diagnostic. If it exceeds ``max_violation`` the inversion
+    conditioning diagnostic. If it exceeds 0.1 the inversion
     is reported as ill-conditioned instead of returning a silently wrong
     result.
 
@@ -129,17 +130,13 @@ def unscale_povm(
         Truncation of the recovered vector; must be at least
         ``povm.truncation``. The input is extended with its trailing value
         before solving.
-    stabilizer:
-        Weight of the second-difference penalty in the regularized branch.
-    max_violation:
-        Largest tolerated pre-clamp excursion outside [0, 1].
     return_violation:
         When true, return ``(povm, violation)`` instead of the POVM alone.
 
     Raises
     ------
     IllConditionedInversionError
-        If the pre-clamp violation exceeds ``max_violation``.
+        If the pre-clamp violation exceeds 0.1.
     """
     eta = _validated_eta(eta)
     n_out = povm.truncation if target_truncation is None else int(target_truncation)
@@ -155,16 +152,16 @@ def unscale_povm(
     if amplification <= _DIRECT_SOLVE_TARGET or n_out < 3:
         solution = solve_triangular(channel.matrix, scaled, lower=True)
     else:
-        penalty = np.sqrt(stabilizer) * _second_difference(n_out)
+        penalty = np.sqrt(_STABILIZER) * _second_difference(n_out)
         stacked = np.vstack([channel.matrix, penalty])
         rhs = np.concatenate([scaled, np.zeros(n_out - 2)])
         solution, *_ = lstsq(stacked, rhs)
 
     violation = float(max(0.0, -solution.min(), solution.max() - 1.0))
-    if violation > max_violation:
+    if violation > _MAX_VIOLATION:
         raise IllConditionedInversionError(
             f"loss inversion at eta={eta} left elements outside [0, 1] by "
-            f"{violation:.3g} (bound {max_violation:.3g}); the attenuation is "
+            f"{violation:.3g} (bound {_MAX_VIOLATION:.3g}); the attenuation is "
             f"too strong for the recorded range",
             violation=violation,
         )
@@ -178,8 +175,6 @@ def lossy_click_probability(
     povm: DiagonalPovm,
     eta: float,
     mean_photons: float,
-    *,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> float:
     """Coherent response of the detector behind a transmissivity-eta loss.
 
@@ -187,4 +182,4 @@ def lossy_click_probability(
     the prediction is the bare detector's response at mean ``eta * mu``,
     with no matrix inversion involved.
     """
-    return povm_click_probability(povm, _validated_eta(eta) * mean_photons, tail_mass=tail_mass)
+    return povm_click_probability(povm, _validated_eta(eta) * mean_photons)

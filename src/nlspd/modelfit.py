@@ -27,15 +27,14 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
-from .numerics import binomial_exponents
-from .povm import DEFAULT_TAIL_MASS, NonlinearSpdParams, truncation_for
+from .numerics import design_matrix, log_survival_sum
+from .povm import NonlinearSpdParams, truncation_for
 from .tomography import ClickRecord, ProbeSet, build_probe_matrix, check_paired
 
 __all__ = [
     "FitReport",
     "MechanismLogVector",
     "ScalingLawFit",
-    "design_matrix",
     "fit_objective",
     "fit_objective_gradient",
     "fit_params",
@@ -61,21 +60,6 @@ _NEAR_ZERO_H = -1e-6
 # the bound is invisible in the reported parameters while keeping the
 # box compact enough that the optimum is attained on its boundary.
 _H_FLOOR = -60.0
-
-
-def design_matrix(truncation: int, order: int) -> np.ndarray:
-    """Binomial-coefficient design matrix G with G[m, n] = C(m, n).
-
-    Rows index photon number m = 0..truncation-1, columns mechanism order
-    n = 0..order-1. Column 0 is all ones (the dark-count mechanism sees
-    every Fock state once).
-    """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if order < 1:
-        raise ValueError(f"order count must be >= 1, got {order}")
-    m_values = np.arange(truncation)
-    return np.column_stack([binomial_exponents(m_values, n) for n in range(order)])
 
 
 @dataclass(frozen=True)
@@ -183,23 +167,6 @@ class FitReport:
         )
 
 
-def _log_survival_from_design(design: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """exp-safe G @ h: treats 0 * (-inf) contributions as 0."""
-    if np.all(np.isfinite(h)):
-        return design @ h
-    out = np.zeros(design.shape[0])
-    dead = np.zeros(design.shape[0], dtype=bool)
-    for n, hn in enumerate(h):
-        if hn == 0.0:
-            continue
-        if np.isfinite(hn):
-            out += design[:, n] * hn
-        else:
-            dead |= design[:, n] > 0
-    out[dead] = -np.inf
-    return out
-
-
 @dataclass(frozen=True)
 class _FitData:
     """Probe matrix and frequencies restricted to the included rows."""
@@ -214,7 +181,6 @@ def _fit_data(
     probes: ProbeSet,
     record: ClickRecord,
     design: np.ndarray,
-    tail_mass: float,
 ) -> _FitData:
     check_paired(probes, record)
     frequencies = record.frequencies
@@ -223,7 +189,7 @@ def _fit_data(
         raise DegenerateDataError(
             "every probe recorded zero clicks; the normalized objective is undefined"
         )
-    F = build_probe_matrix(probes, design.shape[0], tail_mass).entries
+    F = build_probe_matrix(probes, design.shape[0])
     return _FitData(
         probe_matrix=F[included],
         frequencies=frequencies[included],
@@ -234,14 +200,14 @@ def _fit_data(
 
 def _residual(data: _FitData, h: np.ndarray) -> np.ndarray:
     """Normalized residual (C - F (1 - exp(G h))) / C over the included probes."""
-    survival = np.exp(_log_survival_from_design(data.design, h))
+    survival = np.exp(log_survival_sum(data.design, h))
     model = data.probe_matrix @ (1.0 - survival)
     return (data.frequencies - model) / data.frequencies
 
 
 def _jacobian(data: _FitData, h: np.ndarray) -> np.ndarray:
     """Jacobian of ``_residual`` in h: F diag(exp(G h)) G / C."""
-    survival = np.exp(_log_survival_from_design(data.design, h))
+    survival = np.exp(log_survival_sum(data.design, h))
     return (data.probe_matrix * survival) @ data.design / data.frequencies[:, None]
 
 
@@ -254,8 +220,6 @@ def fit_objective(
     h: MechanismLogVector,
     probes: ProbeSet,
     record: ClickRecord,
-    *,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> float:
     """Squared norm of the normalized residual at the given parameters.
 
@@ -263,7 +227,7 @@ def fit_objective(
     residual is undefined); if every probe is excluded the data cannot
     score any parameter vector and ``DegenerateDataError`` is raised.
     """
-    data = _fit_data(probes, record, h.binomial_design, tail_mass)
+    data = _fit_data(probes, record, h.binomial_design)
     return _objective_value(data, h.h)
 
 
@@ -271,11 +235,9 @@ def fit_objective_gradient(
     h: MechanismLogVector,
     probes: ProbeSet,
     record: ClickRecord,
-    *,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> np.ndarray:
     """Analytic gradient of ``fit_objective`` with respect to h."""
-    data = _fit_data(probes, record, h.binomial_design, tail_mass)
+    data = _fit_data(probes, record, h.binomial_design)
     return 2.0 * _jacobian(data, h.h).T @ _residual(data, h.h)
 
 
@@ -362,7 +324,6 @@ def fit_params(
     *,
     zero_orders=(),
     max_iterations: int = _FIT_MAX_EVALUATIONS,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> FitReport:
     """Fit mechanism efficiencies P_0..P_{max_order-1} to click data.
 
@@ -399,8 +360,8 @@ def fit_params(
             raise ValueError(f"zero order {n} outside 0..{max_order - 1}")
         pinned[n] = True
 
-    truncation = truncation_for(float(probes.intensities.max()), tail_mass)
-    data = _fit_data(probes, record, design_matrix(truncation, max_order), tail_mass)
+    truncation = truncation_for(float(probes.intensities.max()))
+    data = _fit_data(probes, record, design_matrix(truncation, max_order))
     h0 = _initial_h(data, probes.intensities, max_order)
     h, converged = _solve(data, h0, pinned, max_iterations)
     kept = [n for n in range(max_order) if not pinned[n]]
@@ -419,8 +380,6 @@ def prune_mechanisms(
     probes: ProbeSet,
     record: ClickRecord,
     threshold: float = 0.01,
-    *,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> FitReport:
     """Drop mechanisms whose removal barely changes the fit optimum.
 
@@ -438,8 +397,8 @@ def prune_mechanisms(
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     order = report.params.order
-    truncation = truncation_for(float(probes.intensities.max()), tail_mass)
-    data = _fit_data(probes, record, design_matrix(truncation, order), tail_mass)
+    truncation = truncation_for(float(probes.intensities.max()))
+    data = _fit_data(probes, record, design_matrix(truncation, order))
 
     always_pinned = np.ones(order, dtype=bool)
     for n in report.kept_orders:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .exceptions import DataFormatError, TruncationError
-from .numerics import binomial_exponents, poisson_log_weights
+from .numerics import design_matrix, log_survival_sum, poisson_log_weights
 
 __all__ = [
     "DEFAULT_TAIL_MASS",
@@ -147,17 +147,13 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
     Returns ``sum_n C(m, n) * log(1 - p[n])`` for m = 0..truncation-1, with
     ``-inf`` wherever a unit-efficiency mechanism applies.
     """
-    m = np.arange(truncation)
-    out = np.zeros(truncation)
-    for n, pn in enumerate(np.asarray(p, dtype=float)):
-        if pn == 0.0:
-            continue
-        exponents = binomial_exponents(m, n)
-        if pn == 1.0:
-            out[exponents > 0] = -np.inf
-        else:
-            out += exponents * np.log1p(-pn)
-    return out
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore"):
+        h = np.log1p(-p)
+    # Orders with p[n] = 0 contribute nothing; dropping their columns keeps
+    # a C(m, n) that overflows to inf (n of about 70 and up) from giving nan.
+    used = p != 0
+    return log_survival_sum(design_matrix(truncation, p.size)[:, used], h[used])
 
 
 def spd_povm(p1: float, truncation: int) -> DiagonalPovm:
@@ -166,12 +162,7 @@ def spd_povm(p1: float, truncation: int) -> DiagonalPovm:
     Each photon independently triggers a click with efficiency ``p1``;
     there are no dark counts, so ``click[0] = 0``.
     """
-    if not 0 <= p1 <= 1:
-        raise ValueError(f"efficiency must lie in [0, 1], got {p1}")
-    return DiagonalPovm(
-        click=-np.expm1(log_survival(np.array([0.0, p1]), truncation)),
-        truncation=truncation,
-    )
+    return npd_povm(p1, 1, truncation)
 
 
 def npd_povm(pn: float, n: int, truncation: int) -> DiagonalPovm:
@@ -201,49 +192,40 @@ def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
     )
 
 
-def truncation_for(max_mean_photons: float, tail_mass: float = DEFAULT_TAIL_MASS) -> int:
-    """Smallest truncation N whose Poisson tail mass beyond N-1 is < tail_mass.
+def truncation_for(max_mean_photons: float) -> int:
+    """Smallest truncation N whose Poisson tail mass beyond N-1 is < DEFAULT_TAIL_MASS.
 
-    Guarantees ``sum_{m >= N} e^-mu mu^m / m! < tail_mass`` at
+    Guarantees ``sum_{m >= N} e^-mu mu^m / m! < DEFAULT_TAIL_MASS`` at
     ``mu = max_mean_photons``, so a photon-number expansion truncated at N
-    carries at most ``tail_mass`` of unaccounted probability.
+    carries at most that much unaccounted probability.
     """
     if max_mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {max_mean_photons}")
-    if not 0 < tail_mass < 1:
-        raise ValueError(f"tail mass must lie in (0, 1), got {tail_mass}")
     mu = float(max_mean_photons)
     # gammainc(N, mu) is the Poisson probability of N or more events.
-    if gammainc(1, mu) < tail_mass:
+    if gammainc(1, mu) < DEFAULT_TAIL_MASS:
         return 1
     hi = int(mu + 12.0 * (mu + 1.0) ** 0.5 + 40.0)
-    while gammainc(hi, mu) >= tail_mass:
+    while gammainc(hi, mu) >= DEFAULT_TAIL_MASS:
         hi *= 2
     lo = 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if gammainc(mid, mu) < tail_mass:
+        if gammainc(mid, mu) < DEFAULT_TAIL_MASS:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def coherent_click_probability(
-    params: NonlinearSpdParams,
-    mean_photons: float,
-    *,
-    truncation: int | None = None,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-) -> float:
+def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) -> float:
     """Click probability of the composite detector on a coherent probe.
 
     Poisson-averages the photon-number response::
 
         1 - sum_m e^-mu mu^m / m! * prod_n (1 - p[n]) ** C(m, n)
 
-    with the sum truncated at ``truncation_for(mean_photons, tail_mass)``
-    unless an explicit truncation is supplied.
+    with the sum truncated at ``truncation_for(mean_photons)``.
 
     Parameters
     ----------
@@ -251,34 +233,26 @@ def coherent_click_probability(
         Mechanism efficiencies of the detector.
     mean_photons:
         Mean photon number ``mu = |alpha|^2`` of the probe.
-    truncation:
-        Optional explicit number of photon-number terms.
-    tail_mass:
-        Poisson tail bound used when choosing the truncation automatically.
     """
     if mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    n_terms = truncation_for(mean_photons, tail_mass) if truncation is None else truncation
-    if n_terms < 1:
-        raise ValueError(f"truncation must be >= 1, got {n_terms}")
+    n_terms = truncation_for(mean_photons)
     weights = np.exp(poisson_log_weights(mean_photons, n_terms))
     survival = np.exp(log_survival(params.p, n_terms))
     return float(1.0 - weights @ survival)
 
 
-def povm_click_probability(
-    povm: DiagonalPovm, mean_photons: float, *, tail_mass: float = DEFAULT_TAIL_MASS
-) -> float:
+def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
     """Coherent-probe click probability of an explicit click vector.
 
     Computes ``sum_m e^-mu mu^m / m! * click[m]`` over the POVM's stored
     range. The truncation must dominate the probe: if the Poisson tail
-    beyond it exceeds ``tail_mass`` the result would silently miss
+    beyond it exceeds ``DEFAULT_TAIL_MASS`` the result would silently miss
     response, so a ``TruncationError`` is raised instead.
     """
     if mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    needed = truncation_for(mean_photons, tail_mass)
+    needed = truncation_for(mean_photons)
     if povm.truncation < needed:
         raise TruncationError(
             f"POVM truncation {povm.truncation} is too small for mean photon "

@@ -16,7 +16,6 @@ from scipy.stats import binom
 
 from .exceptions import DataFormatError, InternalConsistencyError, SaturationCapError
 from .povm import (
-    DEFAULT_TAIL_MASS,
     DiagonalPovm,
     NonlinearSpdParams,
     coherent_click_probability,
@@ -37,11 +36,11 @@ _DEFAULT_INTENSITY_CAP = 1e6
 _SWEEP_GROWTH = 1.2
 
 
-def _noiseless_click(truth, mean_photons: float, tail_mass: float) -> float:
+def _noiseless_click(truth, mean_photons: float) -> float:
     if isinstance(truth, DiagonalPovm):
-        return povm_click_probability(truth, mean_photons, tail_mass=tail_mass)
+        return povm_click_probability(truth, mean_photons)
     if isinstance(truth, NonlinearSpdParams):
-        return coherent_click_probability(truth, mean_photons, tail_mass=tail_mass)
+        return coherent_click_probability(truth, mean_photons)
     raise TypeError(
         f"truth must be a DiagonalPovm or NonlinearSpdParams, got {type(truth).__name__}"
     )
@@ -127,7 +126,7 @@ def _probe_uniform(seed: int, index: int) -> float:
     return float(stream.random())
 
 
-def simulate(config: ExperimentConfig, *, tail_mass: float = DEFAULT_TAIL_MASS) -> ClickRecord:
+def simulate(config: ExperimentConfig) -> ClickRecord:
     """Draw one click record for the configured detector and probes.
 
     Each probe's click count is Binomial(trials, q) sampled by inversion,
@@ -136,7 +135,7 @@ def simulate(config: ExperimentConfig, *, tail_mass: float = DEFAULT_TAIL_MASS) 
     """
     clicks = np.empty(len(config.probes), dtype=np.int64)
     for i, mu in enumerate(config.probes.intensities):
-        q = _noiseless_click(config.truth, float(mu), tail_mass)
+        q = _noiseless_click(config.truth, float(mu))
         if not -_PROBABILITY_FUZZ <= q <= 1 + _PROBABILITY_FUZZ:
             raise InternalConsistencyError(
                 f"click probability {q} at intensity {mu:g} is outside [0, 1]"
@@ -155,7 +154,6 @@ def sweep_probe_grid(
     *,
     trials: int = _DEFAULT_TRIALS,
     intensity_cap: float = _DEFAULT_INTENSITY_CAP,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> ProbeSet:
     """Geometric intensity sweep ending where the detector saturates.
 
@@ -179,7 +177,7 @@ def sweep_probe_grid(
     mu = float(start)
     while True:
         grid.append(mu)
-        if _noiseless_click(truth, mu, tail_mass) > 1 - saturation_tolerance:
+        if _noiseless_click(truth, mu) > 1 - saturation_tolerance:
             break
         mu *= _SWEEP_GROWTH
         if mu > intensity_cap:
@@ -198,7 +196,6 @@ def geometric_probe_grid(
     saturation_tolerance: float = 1e-3,
     trials: int = _DEFAULT_TRIALS,
     intensity_cap: float = _DEFAULT_INTENSITY_CAP,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> ProbeSet:
     """Fixed-size geometric grid from ``start`` to the saturation point.
 
@@ -216,7 +213,6 @@ def geometric_probe_grid(
         saturation_tolerance,
         trials=trials,
         intensity_cap=intensity_cap,
-        tail_mass=tail_mass,
     )
     endpoint = float(swept.intensities[-1])
     grid = np.geomspace(start, endpoint, points)

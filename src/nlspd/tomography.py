@@ -32,13 +32,12 @@ from .exceptions import (
     TruncationError,
     UndefinedFidelityError,
 )
-from .povm import DEFAULT_TAIL_MASS, DiagonalPovm, truncation_for
+from .povm import DiagonalPovm, truncation_for
 from .numerics import poisson_log_weights
 
 __all__ = [
     "CSV_HEADER",
     "ClickRecord",
-    "ProbeMatrix",
     "ProbeSet",
     "SCALED_TARGET_MEAN",
     "build_probe_matrix",
@@ -54,9 +53,6 @@ CSV_HEADER = ("mean_photons", "trials", "clicks")
 # Mean photon number at which the rescaled detector hits its target click
 # probability.
 SCALED_TARGET_MEAN = 30.0
-
-# Default smoothing weight is this constant times the number of probes.
-_SMOOTHING_PER_PROBE = 1e-3
 
 # Relative cost-change tolerance of the bounded-variable least-squares
 # solve. Looser values stop measurably short of the optimum: 1e-10 leaves
@@ -136,22 +132,6 @@ class ClickRecord:
         return self.clicks / self.trials
 
 
-@dataclass(frozen=True)
-class ProbeMatrix:
-    """Poisson weight matrix mapping a click vector to probe click probabilities."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("probe matrix must be two-dimensional")
-        if entries.size and entries.min() < 0:
-            raise ValueError("probe matrix entries must be nonnegative")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
 def check_paired(probes: ProbeSet, record: ClickRecord) -> None:
     """Validate that a click record belongs to a probe set."""
     if len(probes) != record.clicks.size:
@@ -164,23 +144,25 @@ def check_paired(probes: ProbeSet, record: ClickRecord) -> None:
         )
 
 
-def build_probe_matrix(
-    probes: ProbeSet, truncation: int, tail_mass: float = DEFAULT_TAIL_MASS
-) -> ProbeMatrix:
-    """Poisson probe matrix for the given intensities at a fixed truncation.
+def build_probe_matrix(probes: ProbeSet, truncation: int) -> np.ndarray:
+    """Poisson probe matrix ``F[i, m] = e^-mu_i mu_i^m / m!`` at a fixed truncation.
 
     Raises ``TruncationError`` when the truncation cannot carry the largest
-    probe's Poisson mass to within ``tail_mass``, since rows would then sum
-    to visibly less than one and bias any fit against them.
+    probe's Poisson mass to within ``DEFAULT_TAIL_MASS``, since rows would
+    then sum to visibly less than one and bias any fit against them.
     """
-    needed = truncation_for(float(probes.intensities.max()), tail_mass)
+    needed = truncation_for(float(probes.intensities.max()))
     if truncation < needed:
         raise TruncationError(
             f"truncation {truncation} too small for max intensity "
             f"{probes.intensities.max():g} (needs >= {needed})"
         )
-    rows = [np.exp(poisson_log_weights(mu, truncation)) for mu in probes.intensities]
-    return ProbeMatrix(entries=np.vstack(rows))
+    return np.exp(poisson_log_weights(probes.intensities, truncation))
+
+
+def default_smoothing_weight(probes: ProbeSet) -> float:
+    """Smoothing weight used when none is given: 1e-3 per probe."""
+    return 1e-3 * len(probes)
 
 
 def reconstruct_povm(
@@ -188,8 +170,6 @@ def reconstruct_povm(
     record: ClickRecord,
     truncation: int,
     smoothing_weight: float | None = None,
-    *,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> DiagonalPovm:
     """Reconstruct a diagonal POVM from coherent-probe click frequencies.
 
@@ -213,8 +193,8 @@ def reconstruct_povm(
         Photon-number cutoff of the reconstruction; must satisfy the probe
         matrix adequacy check.
     smoothing_weight:
-        Weight w of the neighboring-element penalty. Defaults to
-        ``1e-3`` per probe, i.e. ``1e-3 * len(probes)``.
+        Weight w of the neighboring-element penalty; finite and >= 0.
+        Defaults to ``default_smoothing_weight(probes)``.
 
     Raises
     ------
@@ -224,11 +204,13 @@ def reconstruct_povm(
     """
     check_paired(probes, record)
     if smoothing_weight is None:
-        smoothing_weight = _SMOOTHING_PER_PROBE * len(probes)
-    if smoothing_weight < 0:
-        raise ValueError(f"smoothing weight must be >= 0, got {smoothing_weight}")
+        smoothing_weight = default_smoothing_weight(probes)
+    if not 0 <= smoothing_weight < np.inf:
+        raise ValueError(
+            f"smoothing weight must be finite and >= 0, got {smoothing_weight}"
+        )
 
-    F = build_probe_matrix(probes, truncation, tail_mass).entries
+    F = build_probe_matrix(probes, truncation)
     # [F; sqrt(w) D] is filled in place: at raw-data truncations (N in the
     # thousands) every extra dense N x N temporary costs tens of MB.
     root_weight = np.sqrt(max(smoothing_weight, _TIE_BREAK_WEIGHT))
@@ -292,7 +274,6 @@ def scaled_fit_workflow(
     target_click_at_30: float = 0.95,
     *,
     smoothing_weight: float | None = None,
-    tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> tuple[float, DiagonalPovm]:
     """Rescale the probe intensities and reconstruct the effective POVM.
 
@@ -326,10 +307,8 @@ def scaled_fit_workflow(
     )
     k = SCALED_TARGET_MEAN / mu_star
     scaled_probes = probes.scaled_by(k)
-    truncation = truncation_for(float(scaled_probes.intensities.max()), tail_mass)
-    povm = reconstruct_povm(
-        scaled_probes, record, truncation, smoothing_weight, tail_mass=tail_mass
-    )
+    truncation = truncation_for(float(scaled_probes.intensities.max()))
+    povm = reconstruct_povm(scaled_probes, record, truncation, smoothing_weight)
     return k, povm
 
 

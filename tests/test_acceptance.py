@@ -74,7 +74,7 @@ def test_a2_spd_analytic_oracle():
     mu = np.linspace(0.0, 100.0, 41)
     probes = ProbeSet(intensities=mu, trials=1)
     n = truncation_for(100.0)
-    matrix = build_probe_matrix(probes, n).entries
+    matrix = build_probe_matrix(probes, n)
     worst = 0.0
     for p1 in (1e-4, 1e-2, 0.5):
         pipeline = matrix @ spd_povm(p1, n).click
@@ -226,7 +226,7 @@ def _a7_instance():
     base = geometric_probe_grid(truth)
     record = _simulated(truth, base, seed=0)
     n = truncation_for(float(base.intensities.max()))
-    matrix = build_probe_matrix(base, n).entries
+    matrix = build_probe_matrix(base, n)
     design = design_matrix(n, 4)
     freq = record.frequencies
     included = freq > 0
@@ -385,7 +385,7 @@ def test_reconstruction_kkt_certificate():
     for _, _, base, record in _a3_records():
         n = truncation_for(float(base.intensities.max()))
         x = reconstruct_povm(base, record, n).click
-        matrix = build_probe_matrix(base, n).entries
+        matrix = build_probe_matrix(base, n)
         first_diff = np.diff(np.eye(n), axis=0)
         weight = 1e-3 * len(base)
         gradient = 2.0 * (

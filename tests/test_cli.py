@@ -13,6 +13,7 @@ import pytest
 from nlspd import cli
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import geometric_probe_grid
+from nlspd.tomography import read_click_data
 
 
 def run_cli(args):
@@ -77,7 +78,10 @@ def test_reconstruct_default_truncation(tmp_path, data_csv):
     document = json.loads(out.read_text())
     assert set(document) == {"truncation", "click"}
     assert len(document["click"]) == document["truncation"]
-    assert (tmp_path / "povm.json.manifest.json").exists()
+    manifest = json.loads((tmp_path / "povm.json.manifest.json").read_text())
+    # The manifest records the default weight actually used: 1e-3 per probe.
+    probes, _ = read_click_data(data_csv)
+    assert manifest["parameters"]["smoothing"] == 1e-3 * len(probes)
 
 
 def test_reconstruct_scaled_records_k(tmp_path, data_csv):
@@ -86,6 +90,17 @@ def test_reconstruct_scaled_records_k(tmp_path, data_csv):
     document = json.loads(out.read_text())
     assert {"truncation", "click", "k"} <= set(document)
     assert document["k"] > 0
+    manifest = json.loads((tmp_path / "scaled.json.manifest.json").read_text())
+    probes, _ = read_click_data(data_csv)
+    assert manifest["parameters"]["smoothing"] == 1e-3 * len(probes)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_reconstruct_rejects_non_finite_smoothing(tmp_path, data_csv, capsys, weight):
+    out = tmp_path / "povm.json"
+    assert run_cli(["reconstruct", data_csv, out, "--smoothing", weight]) == 1
+    assert "smoothing weight" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_option_conflict(tmp_path, data_csv, capsys):

@@ -24,7 +24,7 @@ from nlspd.tomography import ClickRecord, ProbeSet, build_probe_matrix
 def _record_from_exact_model(probes, p, trials):
     """Click record sampled from the model itself at a common truncation."""
     n = truncation_for(float(probes.intensities.max()))
-    matrix = build_probe_matrix(probes, n).entries
+    matrix = build_probe_matrix(probes, n)
     design = design_matrix(n, len(p))
     survival = np.prod((1.0 - np.asarray(p))[None, :] ** design, axis=1)
     q = matrix @ (1.0 - survival)
@@ -34,7 +34,7 @@ def _record_from_exact_model(probes, p, trials):
 def _brute_objective(p, probes, record):
     """Direct per-row evaluation of the weighted residual sum."""
     n = truncation_for(float(probes.intensities.max()))
-    matrix = build_probe_matrix(probes, n).entries
+    matrix = build_probe_matrix(probes, n)
     total = 0.0
     for i, freq in enumerate(record.frequencies):
         if freq <= 0.0:
@@ -315,7 +315,7 @@ def test_seed_spread_is_consistent_with_sampling_theory():
 
     h_true = np.log1p(-truth.p)
     n = truncation_for(float(grid.intensities.max()))
-    matrix = build_probe_matrix(grid, n).entries
+    matrix = build_probe_matrix(grid, n)
     design = design_matrix(n, 2)
     survival = np.exp(design @ h_true)
     q = matrix @ (1.0 - survival)

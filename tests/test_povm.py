@@ -74,6 +74,16 @@ def test_npd_brute_force():
         np.testing.assert_allclose(povm.click, expected, atol=1e-12)
 
 
+def test_npd_ignores_overflowing_unused_orders():
+    # C(m, n) overflows to inf below m = 2000 for some n < 230; those
+    # orders have p = 0 and must not turn the overflow into nan.
+    with np.errstate(over="ignore"):
+        povm = npd_povm(0.5, 230, 2000)
+    assert np.all(povm.click[:230] == 0.0)
+    assert povm.click[230] == pytest.approx(0.5, rel=1e-12)
+    assert povm.click[-1] == 1.0
+
+
 def test_spd_is_order_one_npd():
     a = spd_povm(0.37, 25)
     b = npd_povm(0.37, 1, 25)

@@ -26,14 +26,14 @@ from nlspd.tomography import (
 
 
 def _noiseless_record(probes: ProbeSet, povm: DiagonalPovm) -> ClickRecord:
-    q = build_probe_matrix(probes, povm.truncation).entries @ povm.click
+    q = build_probe_matrix(probes, povm.truncation) @ povm.click
     clicks = np.rint(q * probes.trials).astype(np.int64)
     return ClickRecord(clicks=clicks, trials=probes.trials)
 
 
 def test_probe_matrix_rows_are_poisson():
     probes = ProbeSet(intensities=np.array([0.0, 0.8, 3.7]), trials=1000)
-    matrix = build_probe_matrix(probes, 25).entries
+    matrix = build_probe_matrix(probes, 25)
     assert matrix.shape == (3, 25)
     np.testing.assert_allclose(matrix[0], np.eye(25)[0], atol=1e-15)
     np.testing.assert_allclose(matrix[2], poisson.pmf(np.arange(25), 3.7), atol=1e-13)
@@ -63,7 +63,7 @@ def test_reconstruct_matches_independent_box_solver():
     n = truncation_for(7.0)
     truth = spd_povm(0.35, n)
     rng = np.random.default_rng(3)
-    q = build_probe_matrix(probes, n).entries @ truth.click
+    q = build_probe_matrix(probes, n) @ truth.click
     record = ClickRecord(clicks=rng.binomial(100_000, q), trials=100_000)
 
     povm = reconstruct_povm(probes, record, n)
@@ -73,7 +73,7 @@ def test_reconstruct_matches_independent_box_solver():
     idx = np.arange(n - 1)
     first_diff[idx, idx] = -1.0
     first_diff[idx, idx + 1] = 1.0
-    stacked = np.vstack([build_probe_matrix(probes, n).entries, np.sqrt(weight) * first_diff])
+    stacked = np.vstack([build_probe_matrix(probes, n), np.sqrt(weight) * first_diff])
     rhs = np.concatenate([record.frequencies, np.zeros(n - 1)])
     oracle = lsq_linear(stacked, rhs, bounds=(0.0, 1.0), tol=1e-14)
     assert np.max(np.abs(oracle.x - povm.click)) <= 1e-6
@@ -85,9 +85,9 @@ def test_smoothing_trades_data_fit_for_flatness():
     n = truncation_for(6.0)
     truth = nonlinear_povm(NonlinearSpdParams([0.01, 0.25]), n)
     rng = np.random.default_rng(8)
-    q = build_probe_matrix(probes, n).entries @ truth.click
+    q = build_probe_matrix(probes, n) @ truth.click
     record = ClickRecord(clicks=rng.binomial(50_000, q), trials=50_000)
-    matrix = build_probe_matrix(probes, n).entries
+    matrix = build_probe_matrix(probes, n)
 
     data_terms = []
     for weight in (0.0, 1e-4, 1e-2, 1.0):
@@ -95,6 +95,14 @@ def test_smoothing_trades_data_fit_for_flatness():
         residual = record.frequencies - matrix @ povm.click
         data_terms.append(float(residual @ residual))
     assert all(a <= b + 1e-12 for a, b in zip(data_terms, data_terms[1:]))
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+def test_reconstruct_rejects_bad_smoothing_weight(weight):
+    probes = ProbeSet(intensities=np.array([0.0, 1.0, 2.0]), trials=100)
+    record = ClickRecord(clicks=np.array([1, 40, 70]), trials=100)
+    with pytest.raises(ValueError, match="smoothing weight"):
+        reconstruct_povm(probes, record, truncation_for(2.0), smoothing_weight=weight)
 
 
 def test_scaled_workflow_matches_analytic_spd():
