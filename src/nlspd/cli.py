@@ -181,6 +181,7 @@ def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
         if truncation is not None:
             raise ValueError("--truncation cannot be combined with --scale-to-95")
         k, povm = scaled_fit_workflow(probes, record, smoothing_weight=smoothing)
+        truncation = povm.truncation
         document = povm.to_dict()
         document["k"] = float(k)
     else:

@@ -2,10 +2,14 @@
 
 One kernel per job: ``binomial_exponents`` (C(m, n) as a falling factorial,
 exact for m < 1142 at n <= 6 and within a few ulps beyond), stacked into
-the table G[m, n] = C(m, n) by ``design_matrix``; ``poisson_log_weights``
-(log Poisson weights, ``-inf`` for impossible photon numbers); and
-``log_survival_sum`` (G @ h with h[n] = ln(1 - p[n]), where a saturated
-mechanism, h = -inf, contributes ``-inf`` wherever C(m, n) > 0).
+tables of C(m, n) by ``binomial_table``; ``poisson_log_pmf`` (log Poisson
+weights, ``-inf`` for impossible photon numbers); and ``log_survival_sum``
+(G @ h with h[n] = ln(1 - p[n]), where a saturated mechanism, h = -inf,
+contributes ``-inf`` wherever C(m, n) > 0).
+
+The kernels take arbitrary photon numbers, so a caller can evaluate a
+window [m_lo, m_hi) only. ``design_matrix`` and ``poisson_log_weights``
+are their forms over the full range m = 0..truncation-1.
 """
 
 from __future__ import annotations
@@ -15,26 +19,33 @@ from scipy.special import gammaln, xlogy
 
 __all__ = [
     "binomial_exponents",
+    "binomial_table",
     "design_matrix",
     "log_survival_sum",
+    "poisson_log_pmf",
     "poisson_log_weights",
 ]
 
 
-def poisson_log_weights(mean_photons, truncation: int) -> np.ndarray:
-    """Log Poisson weights ``m ln(mu) - mu - ln(m!)`` for m = 0..truncation-1.
+def poisson_log_pmf(m_values: np.ndarray, mean_photons) -> np.ndarray:
+    """Log Poisson weights ``m ln(mu) - mu - ln(m!)`` at the given photon numbers.
 
-    A scalar mean gives a vector of length ``truncation``; an array of
-    means gives one such vector per mean along a new last axis.
+    A scalar mean gives one value per photon number; an array of means
+    gives one such vector per mean along a new last axis.
     """
     mu = np.asarray(mean_photons, dtype=float)
     if np.any(mu < 0):
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    m = np.arange(truncation)
+    m = np.asarray(m_values)
     mu = mu[..., None]
     return xlogy(m, mu) - mu - gammaln(m + 1)
+
+
+def poisson_log_weights(mean_photons, truncation: int) -> np.ndarray:
+    """``poisson_log_pmf`` over m = 0..truncation-1."""
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    return poisson_log_pmf(np.arange(truncation), mean_photons)
 
 
 def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
@@ -56,19 +67,22 @@ def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def design_matrix(truncation: int, order: int) -> np.ndarray:
-    """Binomial-coefficient design matrix G with G[m, n] = C(m, n).
+def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
+    """Table T[k, n] = C(m_values[k], n) for mechanism orders n = 0..order-1.
 
-    Rows index photon number m = 0..truncation-1, columns mechanism order
-    n = 0..order-1. Column 0 is all ones (the dark-count mechanism sees
-    every Fock state once).
+    Column 0 is all ones (the dark-count mechanism sees every Fock state
+    once).
     """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
     if order < 1:
         raise ValueError(f"order count must be >= 1, got {order}")
-    m_values = np.arange(truncation)
     return np.column_stack([binomial_exponents(m_values, n) for n in range(order)])
+
+
+def design_matrix(truncation: int, order: int) -> np.ndarray:
+    """``binomial_table`` over m = 0..truncation-1: G[m, n] = C(m, n)."""
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    return binomial_table(np.arange(truncation), order)
 
 
 def log_survival_sum(design: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from math import exp, isfinite
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from .exceptions import DataFormatError, TruncationError
-from .numerics import design_matrix, log_survival_sum, poisson_log_weights
+from .numerics import binomial_table, log_survival_sum, poisson_log_pmf, poisson_log_weights
 
 __all__ = [
     "DEFAULT_TAIL_MASS",
@@ -43,6 +43,11 @@ __all__ = [
 
 # Poisson probability mass allowed beyond the truncation point.
 DEFAULT_TAIL_MASS = 1e-12
+
+# Poisson probability mass a coherent-probe sum may drop below its window:
+# under the resolution of a double near one, so the click probability
+# cannot see it.
+_WINDOW_LOWER_MASS = 1e-16
 
 _BOUND_FUZZ = 1e-12
 
@@ -147,13 +152,20 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
     Returns ``sum_n C(m, n) * log(1 - p[n])`` for m = 0..truncation-1, with
     ``-inf`` wherever a unit-efficiency mechanism applies.
     """
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    return _log_survival_at(p, np.arange(truncation))
+
+
+def _log_survival_at(p: np.ndarray, m_values: np.ndarray) -> np.ndarray:
+    """``log_survival`` at the photon numbers ``m_values``."""
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore"):
         h = np.log1p(-p)
     # Orders with p[n] = 0 contribute nothing; dropping their columns keeps
     # a C(m, n) that overflows to inf (n of about 70 and up) from giving nan.
     used = p != 0
-    return log_survival_sum(design_matrix(truncation, p.size)[:, used], h[used])
+    return log_survival_sum(binomial_table(m_values, p.size)[:, used], h[used])
 
 
 def spd_povm(p1: float, truncation: int) -> DiagonalPovm:
@@ -208,10 +220,34 @@ def truncation_for(max_mean_photons: float) -> int:
     hi = int(mu + 12.0 * (mu + 1.0) ** 0.5 + 40.0)
     while gammainc(hi, mu) >= DEFAULT_TAIL_MASS:
         hi *= 2
-    lo = 1
+    return _first_true(lambda m: gammainc(m, mu) < DEFAULT_TAIL_MASS, 1, hi)
+
+
+def _poisson_window(mean_photons: float) -> tuple[int, int]:
+    """Photon numbers [m_lo, m_hi) that carry a coherent probe's Poisson mass.
+
+    ``m_hi = truncation_for(mean_photons)``; ``m_lo`` is the largest m with
+    P(M < m) < 1e-16, or 0 when already P(M = 0) = e^-mu >= 1e-16. The
+    window is about 15 standard deviations, O(sqrt(mu)) photon numbers wide.
+    """
+    mu = float(mean_photons)
+    m_hi = truncation_for(mu)
+    # gammaincc(m, mu) is the Poisson probability of fewer than m events.
+    if gammaincc(1, mu) >= _WINDOW_LOWER_MASS:
+        return 0, m_hi
+    # P(M < floor(mu)) is near 1/2 here (mu > 36), so the bracket holds.
+    first_kept = _first_true(lambda m: gammaincc(m, mu) >= _WINDOW_LOWER_MASS, 1, int(mu))
+    return first_kept - 1, m_hi
+
+
+def _first_true(predicate, lo: int, hi: int) -> int:
+    """Smallest m in (lo, hi] with ``predicate(m)``, by bisection.
+
+    ``predicate`` must be monotone in m, false at lo and true at hi.
+    """
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if gammainc(mid, mu) < DEFAULT_TAIL_MASS:
+        if predicate(mid):
             hi = mid
         else:
             lo = mid
@@ -225,7 +261,14 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
 
         1 - sum_m e^-mu mu^m / m! * prod_n (1 - p[n]) ** C(m, n)
 
-    with the sum truncated at ``truncation_for(mean_photons)``.
+    over the window ``[m_lo, m_hi)`` of photon numbers that carries all but
+    ``DEFAULT_TAIL_MASS`` above (``m_hi = truncation_for(mean_photons)``)
+    and 1e-16 below. The window is O(sqrt(mu)) wide, so a probe at
+    mu = 1e6 sums about 16,000 terms instead of a million. The window's
+    Poisson weights are divided by their sum: at large m the log weight
+    ``m ln(mu) - mu - ln(m!)`` loses digits to cancellation (the full
+    weights sum to 1 - 5.5e-10 at mu = 1e6), and the error is nearly
+    common to the window, so the normalization removes it.
 
     Parameters
     ----------
@@ -236,10 +279,10 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
     """
     if mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    n_terms = truncation_for(mean_photons)
-    weights = np.exp(poisson_log_weights(mean_photons, n_terms))
-    survival = np.exp(log_survival(params.p, n_terms))
-    return float(1.0 - weights @ survival)
+    m_values = np.arange(*_poisson_window(mean_photons))
+    weights = np.exp(poisson_log_pmf(m_values, mean_photons))
+    survival = np.exp(_log_survival_at(params.p, m_values))
+    return float(1.0 - weights @ survival / weights.sum())
 
 
 def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:

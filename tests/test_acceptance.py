@@ -33,7 +33,7 @@ from nlspd.povm import (
     spd_povm,
     truncation_for,
 )
-from nlspd.reference import SCALED_PARAMS
+from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
 from nlspd.tomography import (
     build_probe_matrix,
@@ -378,23 +378,50 @@ def _kkt_violation(x, gradient, lower, upper):
     return max(float(breach.max()), 0.0)
 
 
+def _reconstruction_kkt_breach(probes, record, weight=None):
+    """KKT breach of ``reconstruct_povm`` at the probe set's own truncation.
+
+    The gradient of ||F x - C||^2 + w ||D x||^2 is built from the probe
+    data alone, independent of the solver that produced x; D^T D x is
+    written out with ``np.diff``, so no dense N x N matrix is formed.
+    """
+    n = truncation_for(float(probes.intensities.max()))
+    x = reconstruct_povm(probes, record, n, smoothing_weight=weight).click
+    if weight is None:
+        weight = 1e-3 * len(probes)
+    matrix = build_probe_matrix(probes, n)
+    steps = np.diff(x)
+    roughness_gradient = np.concatenate([[-steps[0]], -np.diff(steps), [steps[-1]]])
+    gradient = 2.0 * (
+        matrix.T @ (matrix @ x - record.frequencies) + weight * roughness_gradient
+    )
+    return _kkt_violation(x, gradient, 0.0, 1.0)
+
+
 def test_reconstruction_kkt_certificate():
-    # Gradient of ||F x - C||^2 + w ||D x||^2 built from the probe data
-    # alone, independent of the solver that produced x.
-    worst = 0.0
-    for _, _, base, record in _a3_records():
-        n = truncation_for(float(base.intensities.max()))
-        x = reconstruct_povm(base, record, n).click
-        matrix = build_probe_matrix(base, n)
-        first_diff = np.diff(np.eye(n), axis=0)
-        weight = 1e-3 * len(base)
-        gradient = 2.0 * (
-            matrix.T @ (matrix @ x - record.frequencies)
-            + weight * first_diff.T @ (first_diff @ x)
-        )
-        worst = max(worst, _kkt_violation(x, gradient, 0.0, 1.0))
+    # A3's three records, whose box binds, and the raw 25 uA record
+    # (N = 3296), whose minimizer lies inside the box.
+    records = [(base, record) for _, _, base, record in _a3_records()]
+    raw_truth = UNSCALED_PARAMS[25]
+    raw_probes = geometric_probe_grid(raw_truth)
+    records.append((raw_probes, _simulated(raw_truth, raw_probes, seed=0)))
+    worst = max(_reconstruction_kkt_breach(probes, record) for probes, record in records)
     assert worst <= 1e-9
-    print(f"KKT PASS (reconstruction, A3 records): worst breach {worst:.2e} (bound 1e-9)")
+    print(
+        f"KKT PASS (reconstruction, A3 and raw 25 uA records): worst breach "
+        f"{worst:.2e} (bound 1e-9)"
+    )
+
+
+def test_reconstruction_without_smoothing_converges():
+    # At w = 0 the bounded solve of this record needs 115 iterations, more
+    # than scipy's default budget of one per unknown (N = 112).
+    truth = SCALED_PARAMS[20]
+    base = geometric_probe_grid(truth)
+    record = _simulated(truth, base, seed=7)
+    breach = _reconstruction_kkt_breach(base, record, weight=0.0)
+    assert breach <= 1e-9
+    print(f"KKT PASS (reconstruction at w = 0, 20 uA seed 7): breach {breach:.2e}")
 
 
 def test_fit_kkt_certificate():

@@ -93,6 +93,7 @@ def test_reconstruct_scaled_records_k(tmp_path, data_csv):
     manifest = json.loads((tmp_path / "scaled.json.manifest.json").read_text())
     probes, _ = read_click_data(data_csv)
     assert manifest["parameters"]["smoothing"] == 1e-3 * len(probes)
+    assert manifest["parameters"]["truncation"] == document["truncation"]
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf"])

@@ -7,16 +7,19 @@ import pytest
 from scipy.stats import poisson
 
 from nlspd.exceptions import DataFormatError, TruncationError
+from nlspd.numerics import poisson_log_weights
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
     coherent_click_probability,
+    log_survival,
     nonlinear_povm,
     npd_povm,
     povm_click_probability,
     spd_povm,
     truncation_for,
 )
+from nlspd.reference import UNSCALED_PARAMS
 
 # Extended-precision click probabilities for mechanisms (P0, P1, P2) =
 # (0.01, 0.2, 0.05): click[m] = 1 - 0.99 * 0.8^m * 0.95^C(m,2).
@@ -52,6 +55,28 @@ def test_coherent_click_is_poisson_average_of_povm():
     direct = float(poisson.pmf(np.arange(n), mean) @ povm.click)
     assert coherent_click_probability(PARAMS, mean) == pytest.approx(direct, abs=1e-12)
     assert povm_click_probability(povm, mean) == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("mean", [30.0, 1e4])
+def test_coherent_click_window_matches_full_sum(mean):
+    # The Poisson-window sum against the same normalized sum over every
+    # photon number 0..N-1; the raw 20 uA detector is far from saturation
+    # at both means.
+    params = UNSCALED_PARAMS[20]
+    n = truncation_for(mean)
+    weights = np.exp(poisson_log_weights(mean, n))
+    survival = np.exp(log_survival(params.p, n))
+    full = 1.0 - weights @ survival / weights.sum()
+    assert abs(coherent_click_probability(params, mean) - full) <= 1e-15
+
+
+@pytest.mark.parametrize("mean", [1e3, 1e6, 1e9])
+def test_coherent_click_dark_plus_linear_closed_form(mean):
+    # Dark counts plus a linear mechanism: 1 - (1 - p0) exp(-p1 mu).
+    p0, p1 = 1e-3, 1e-9
+    exact = 1.0 - (1.0 - p0) * math.exp(-p1 * mean)
+    got = coherent_click_probability(NonlinearSpdParams([p0, p1]), mean)
+    assert abs(got - exact) <= 1e-13
 
 
 def test_spd_closed_form():

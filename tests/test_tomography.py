@@ -12,6 +12,8 @@ from nlspd.exceptions import (
     UndefinedFidelityError,
 )
 from nlspd.povm import DiagonalPovm, nonlinear_povm, NonlinearSpdParams, spd_povm, truncation_for
+from nlspd.reference import SCALED_PARAMS
+from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
 from nlspd.tomography import (
     CSV_HEADER,
     ClickRecord,
@@ -77,6 +79,28 @@ def test_reconstruct_matches_independent_box_solver():
     rhs = np.concatenate([record.frequencies, np.zeros(n - 1)])
     oracle = lsq_linear(stacked, rhs, bounds=(0.0, 1.0), tol=1e-14)
     assert np.max(np.abs(oracle.x - povm.click)) <= 1e-6
+
+
+def test_reconstruct_interior_matches_dense_least_squares():
+    # The rescaled 25 uA record of seed 0 has its minimizer inside the box,
+    # so the closed-form solve answers; compare it with a dense SVD solve
+    # of the stacked system [F; sqrt(w) D] x = [C; 0].
+    truth = SCALED_PARAMS[25]
+    probes = geometric_probe_grid(truth)
+    record = simulate(
+        ExperimentConfig(truth=truth, probes=probes, seed=0, trials=probes.trials)
+    )
+    n = truncation_for(float(probes.intensities.max()))
+    povm = reconstruct_povm(probes, record, n)
+    assert np.all((povm.click > 0.0) & (povm.click < 1.0))
+
+    weight = 1e-3 * len(probes)
+    stacked = np.vstack(
+        [build_probe_matrix(probes, n), np.sqrt(weight) * np.diff(np.eye(n), axis=0)]
+    )
+    rhs = np.concatenate([record.frequencies, np.zeros(n - 1)])
+    dense = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+    assert np.max(np.abs(povm.click - dense)) <= 1e-12
 
 
 def test_smoothing_trades_data_fit_for_flatness():
