@@ -11,7 +11,6 @@ from .exceptions import (
     DataFormatError,
     DegenerateDataError,
     IllConditionedInversionError,
-    InternalConsistencyError,
     SaturationCapError,
     TargetUnreachableError,
     TruncationError,
@@ -23,7 +22,6 @@ from .modelfit import (
     MechanismLogVector,
     ScalingLawFit,
     fit_objective,
-    fit_objective_gradient,
     fit_params,
     loss_scaling_analysis,
     prune_mechanisms,
@@ -68,7 +66,6 @@ __all__ = [
     "ExperimentConfig",
     "FitReport",
     "IllConditionedInversionError",
-    "InternalConsistencyError",
     "LossChannel",
     "MechanismLogVector",
     "NonlinearSpdParams",
@@ -83,7 +80,6 @@ __all__ = [
     "design_matrix",
     "fidelity",
     "fit_objective",
-    "fit_objective_gradient",
     "fit_params",
     "geometric_probe_grid",
     "log_survival",

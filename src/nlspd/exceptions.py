@@ -51,7 +51,3 @@ class IllConditionedInversionError(RuntimeError):
 
 class SaturationCapError(RuntimeError):
     """Probe sweep hit the intensity cap before the detector saturated."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A model produced a probability outside [0, 1] beyond rounding fuzz."""

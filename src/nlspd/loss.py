@@ -23,7 +23,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lstsq, solve_triangular
-from scipy.stats import binom
+
+# The binomial pmf that scipy.stats.binom.pmf wraps, without importing
+# scipy.stats; tests pin it against binom.pmf.
+from scipy.special._ufuncs import _binom_pmf
 
 from .exceptions import IllConditionedInversionError
 from .povm import DiagonalPovm, povm_click_probability
@@ -69,7 +72,8 @@ class LossChannel:
         """Lower-triangular matrix L with ``L[n, m] = C(n, m) eta^m (1-eta)^{n-m}``."""
         n = np.arange(self.truncation)[:, None]
         m = np.arange(self.truncation)[None, :]
-        out = binom.pmf(m, n, self.eta)
+        # The ufunc gives nan above the diagonal (m > n), where binom.pmf gives 0.
+        out = np.where(m <= n, _binom_pmf(m, n, self.eta), 0.0)
         out.setflags(write=False)
         return out
 

@@ -1,9 +1,11 @@
 """The numerical kernels of ``click[m] = 1 - prod_n (1 - p[n]) ** C(m, n)``.
 
-One kernel per job: ``binomial_exponents`` (C(m, n) as a falling factorial,
-exact for m < 1142 at n <= 6 and within a few ulps beyond), stacked into
-tables of C(m, n) by ``binomial_table``; ``poisson_log_pmf`` (log Poisson
-weights, ``-inf`` for impossible photon numbers); and ``log_survival_sum``
+One kernel per job: the binomial coefficients C(m, n) as falling
+factorials, each order one step past the one before (exact for m < 1142
+at n <= 6 and within a few ulps beyond), as a table over orders
+(``binomial_table``) or one order (``binomial_exponents``);
+``poisson_log_pmf`` (log Poisson weights, ``-inf`` for impossible photon
+numbers, photon numbers and means broadcast); and ``log_survival_sum``
 (G @ h with h[n] = ln(1 - p[n]), where a saturated mechanism, h = -inf,
 contributes ``-inf`` wherever C(m, n) > 0).
 
@@ -28,24 +30,24 @@ __all__ = [
 
 
 def poisson_log_pmf(m_values: np.ndarray, mean_photons) -> np.ndarray:
-    """Log Poisson weights ``m ln(mu) - mu - ln(m!)`` at the given photon numbers.
-
-    A scalar mean gives one value per photon number; an array of means
-    gives one such vector per mean along a new last axis.
-    """
+    """Log Poisson weights ``m ln(mu) - mu - ln(m!)``, photon numbers and means broadcast."""
     mu = np.asarray(mean_photons, dtype=float)
-    if np.any(mu < 0):
+    if (mu < 0).any():
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
     m = np.asarray(m_values)
-    mu = mu[..., None]
     return xlogy(m, mu) - mu - gammaln(m + 1)
 
 
 def poisson_log_weights(mean_photons, truncation: int) -> np.ndarray:
-    """``poisson_log_pmf`` over m = 0..truncation-1."""
+    """``poisson_log_pmf`` over m = 0..truncation-1.
+
+    A scalar mean gives one vector; an array of means gives one such
+    vector per mean along a new last axis.
+    """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    return poisson_log_pmf(np.arange(truncation), mean_photons)
+    mu = np.asarray(mean_photons, dtype=float)
+    return poisson_log_pmf(np.arange(truncation), mu[..., None])
 
 
 def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
@@ -56,15 +58,9 @@ def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"binomial_exponents requires n >= 0, got n={n}")
-    m_values = np.asarray(m_values, dtype=np.int64)
-    if m_values.size and m_values.min() < 0:
-        raise ValueError("binomial_exponents requires m >= 0")
-    m = m_values.astype(float)
-    out = np.ones(m.shape)
-    for j in range(n):
-        out = out * (m - j) / (j + 1)
-    out[m_values < n] = 0.0
-    return out
+    for column in _binomial_columns(m_values, n + 1):
+        pass  # keep only the last column
+    return column
 
 
 def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
@@ -75,7 +71,28 @@ def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     """
     if order < 1:
         raise ValueError(f"order count must be >= 1, got {order}")
-    return np.column_stack([binomial_exponents(m_values, n) for n in range(order)])
+    m_values = np.asarray(m_values)
+    table = np.empty(m_values.shape + (order,))
+    for n, column in enumerate(_binomial_columns(m_values, order)):
+        table[..., n] = column
+    return table
+
+
+def _binomial_columns(m_values: np.ndarray, order: int):
+    """C(m, n) for n = 0..order-1, each the falling factorial
+    ``m (m - 1) ... (m - n + 1) / n!`` one step past the one before."""
+    m_values = np.asarray(m_values, dtype=np.int64)
+    if m_values.size and m_values.min() < 0:
+        raise ValueError("binomial_exponents requires m >= 0")
+    m = m_values.astype(float)
+    falling = np.ones(m.shape)
+    yield falling
+    for n in range(1, order):
+        # A factor clipped at 0 makes C(m, n) exactly +0.0 for m < n.
+        factor = m - (n - 1)
+        falling = falling * np.maximum(factor, 0.0, out=factor)
+        falling /= n
+        yield falling
 
 
 def design_matrix(truncation: int, order: int) -> np.ndarray:
@@ -94,7 +111,7 @@ def log_survival_sum(design: np.ndarray, h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=float)
     saturated = np.isneginf(h)
-    if not np.any(saturated):
+    if not saturated.any():
         return design @ h
     out = design[:, ~saturated] @ h[~saturated]
     out[np.any(design[:, saturated] > 0, axis=1)] = -np.inf

@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
-from .exceptions import DataFormatError, InternalConsistencyError, SaturationCapError
-from .povm import (
-    DiagonalPovm,
-    NonlinearSpdParams,
-    coherent_click_probability,
-    povm_click_probability,
-)
+# The binomial inverse cdf that scipy.stats.binom.ppf wraps, without
+# importing scipy.stats; tests pin it against binom.ppf.
+from scipy.special._ufuncs import _binom_ppf
+
+from .exceptions import DataFormatError, SaturationCapError
+from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, povm_click_probability
 from .tomography import ClickRecord, ProbeSet
 
 __all__ = [
@@ -30,17 +28,21 @@ __all__ = [
     "sweep_probe_grid",
 ]
 
-_PROBABILITY_FUZZ = 1e-12
 _DEFAULT_TRIALS = 100_000
 _DEFAULT_INTENSITY_CAP = 1e6
 _SWEEP_GROWTH = 1.2
 
 
-def _noiseless_click(truth, mean_photons: float) -> float:
+def _noiseless_clicks(truth, intensities) -> np.ndarray:
+    """Exact click probabilities of the truth at each mean photon number.
+
+    Mechanism parameters take one Poisson-window row per probe, all from a
+    single ``povm._coherent_clicks`` call.
+    """
     if isinstance(truth, DiagonalPovm):
-        return povm_click_probability(truth, mean_photons)
+        return np.array([povm_click_probability(truth, float(mu)) for mu in intensities])
     if isinstance(truth, NonlinearSpdParams):
-        return coherent_click_probability(truth, mean_photons)
+        return _coherent_clicks(truth, intensities)
     raise TypeError(
         f"truth must be a DiagonalPovm or NonlinearSpdParams, got {type(truth).__name__}"
     )
@@ -131,19 +133,19 @@ def simulate(config: ExperimentConfig) -> ClickRecord:
 
     Each probe's click count is Binomial(trials, q) sampled by inversion,
     where q is the exact click probability of the truth at that intensity.
-    Identical configs give bitwise-identical records.
+    For mechanism parameters every probe's q comes from one call of the
+    Poisson-window row operator, each row ending at its own
+    ``truncation_for(mu)``; all probes are then drawn by one vectorized
+    binomial inverse cdf on their uniforms. Identical configs give
+    bitwise-identical records.
     """
-    clicks = np.empty(len(config.probes), dtype=np.int64)
-    for i, mu in enumerate(config.probes.intensities):
-        q = _noiseless_click(config.truth, float(mu))
-        if not -_PROBABILITY_FUZZ <= q <= 1 + _PROBABILITY_FUZZ:
-            raise InternalConsistencyError(
-                f"click probability {q} at intensity {mu:g} is outside [0, 1]"
-            )
-        q = min(max(q, 0.0), 1.0)
-        u = _probe_uniform(config.seed, i)
-        # Discrete ppf maps u=0 to the support lower bound minus one.
-        clicks[i] = max(int(binom.ppf(u, config.trials, q)), 0)
+    probes = config.probes
+    # Clipping only absorbs rounding: each q is a normalized average of
+    # probabilities in [0, 1].
+    q = np.clip(_noiseless_clicks(config.truth, probes.intensities), 0.0, 1.0)
+    uniforms = np.array([_probe_uniform(config.seed, i) for i in range(len(probes))])
+    # The inverse cdf maps u = 0 to 0 clicks (binom.ppf gives -1 there).
+    clicks = _binom_ppf(uniforms, config.trials, q).astype(np.int64)
     return ClickRecord(clicks=clicks, trials=config.trials)
 
 
@@ -177,7 +179,7 @@ def sweep_probe_grid(
     mu = float(start)
     while True:
         grid.append(mu)
-        if _noiseless_click(truth, mu) > 1 - saturation_tolerance:
+        if _noiseless_clicks(truth, [mu])[0] > 1 - saturation_tolerance:
             break
         mu *= _SWEEP_GROWTH
         if mu > intensity_cap:

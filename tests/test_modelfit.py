@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,16 +10,16 @@ from nlspd.exceptions import ConvergenceError, DegenerateDataError
 from nlspd.modelfit import (
     FitReport,
     MechanismLogVector,
-    design_matrix,
     fit_objective,
-    fit_objective_gradient,
     fit_params,
     loss_scaling_analysis,
     prune_mechanisms,
 )
+from nlspd.numerics import design_matrix
 from nlspd.povm import NonlinearSpdParams, truncation_for
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
 from nlspd.tomography import ClickRecord, ProbeSet, build_probe_matrix
+from test_acceptance import fit_objective_gradient
 
 
 def _record_from_exact_model(probes, p, trials):
@@ -70,6 +71,54 @@ def test_objective_matches_brute_force():
     fast = fit_objective(h, probes, record)
     slow = _brute_objective(p, probes, record)
     assert fast == pytest.approx(slow, rel=1e-12)
+
+
+def test_objective_matches_extended_precision_sum():
+    # fit_objective at the truth of the raw 16 uA detector on five of its
+    # seed-0 probes (mu = 152 to 1.2e4), against 30-digit Poisson sums over
+    # mu +- (9 sqrt(mu + 1) + 20), beyond which under e^-40 of the mass
+    # lies. Measured gap 3.1e-14; the bound keeps a 3x margin.
+    from nlspd.reference import UNSCALED_PARAMS
+
+    truth = UNSCALED_PARAMS[16]
+    base = geometric_probe_grid(truth)
+    record = simulate(ExperimentConfig(truth=truth, probes=base, seed=0, trials=base.trials))
+    chosen = [0, 36, 40, 44, 48, 52]
+    probes = ProbeSet(intensities=base.intensities[chosen], trials=base.trials)
+    subset = ClickRecord(clicks=record.clicks[chosen], trials=record.trials)
+    h = np.log1p(-truth.p)
+    n = truncation_for(float(probes.intensities.max()))
+    got = fit_objective(MechanismLogVector.at_truncation(h, n), probes, subset)
+
+    with mpmath.workdps(30):
+        h_exact = [mpmath.mpf(float(v)) for v in h]
+        exact = mpmath.mpf(0)
+        for mean, frequency in zip(probes.intensities, subset.frequencies):
+            if frequency == 0:
+                continue
+            mu = mpmath.mpf(float(mean))
+            span = 9 * math.sqrt(mean + 1) + 20
+            model = mpmath.mpf(0)
+            for m in range(max(0, int(mean - span)), int(mean + span) + 1):
+                log_weight = m * mpmath.log(mu) - mu - mpmath.loggamma(m + 1)
+                log_survival = sum(math.comb(m, k) * hk for k, hk in enumerate(h_exact))
+                model += mpmath.exp(log_weight) * -mpmath.expm1(log_survival)
+            exact += ((mpmath.mpf(float(frequency)) - model) / mpmath.mpf(float(frequency))) ** 2
+        gap = float(abs(got - exact) / exact)
+    assert gap <= 1e-13
+
+
+def test_fit_with_a_probe_at_a_billion_photons():
+    # N = truncation_for(1e9) is about a billion, but the fit only ever
+    # touches the probes' Poisson windows (about 15 sqrt(mu) photon
+    # numbers each); a dense P x N matrix would need 100 GB.
+    truth = NonlinearSpdParams([1e-4, 3e-9])
+    probes = ProbeSet(intensities=np.r_[0.0, np.geomspace(1e3, 1e9, 12)], trials=100_000)
+    record = simulate(ExperimentConfig(truth=truth, probes=probes, seed=2, trials=100_000))
+    report = fit_params(probes, record, max_order=2)
+    # The vacuum probe holds only about 10 dark counts, so P_0 is loose.
+    assert report.params.p[1] == pytest.approx(truth.p[1], rel=0.1)
+    assert 0.0 < report.params.p[0] < 3.0 * truth.p[0]
 
 
 def test_gradient_matches_finite_differences():

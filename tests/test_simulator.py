@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special._ufuncs import _binom_pmf, _binom_ppf
+from scipy.stats import binom
 
 from nlspd.exceptions import DataFormatError, SaturationCapError
 from nlspd.povm import (
@@ -51,6 +53,24 @@ def test_sample_mean_matches_click_probability():
     ]
     standard_error = np.sqrt(q * (1.0 - q) * 100_000 / 200)
     assert abs(np.mean(counts) - q * 100_000) <= 4.0 * standard_error
+
+
+def test_binomial_ufuncs_match_scipy_stats():
+    # simulate and LossChannel call the ufuncs behind binom.ppf and
+    # binom.pmf directly; a scipy release that changes them fails here.
+    rng = np.random.default_rng(5)
+    u, q = rng.random(20_000), rng.random(20_000) ** 3
+    np.testing.assert_array_equal(_binom_ppf(u, 100_000, q), binom.ppf(u, 100_000, q))
+    # Edges: certain and impossible clicks, and u = 0, which binom.ppf maps
+    # to -1 (below the support) and the ufunc to 0 clicks.
+    for prob in (0.0, 1.0):
+        for draw in (0.0, 0.4, 0.999):
+            expected = max(binom.ppf(draw, 1000, prob), 0.0)
+            assert _binom_ppf(draw, 1000, prob) == expected
+    m, n = np.meshgrid(np.arange(300), np.arange(300))
+    for eta in (0.1, 0.35, 0.5, 0.9, 1.0):
+        expected = binom.pmf(m, n, eta)
+        np.testing.assert_array_equal(np.where(m <= n, _binom_pmf(m, n, eta), 0.0), expected)
 
 
 def test_zero_probability_rows_never_click():
