@@ -29,7 +29,7 @@ from scipy.optimize import least_squares
 from scipy.sparse import csr_array
 
 from . import numerics
-from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
+from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError, TruncationError
 from .numerics import binomial_table, log_survival_sum
 from .povm import NonlinearSpdParams, _poisson_rows, truncation_for
 from .tomography import ClickRecord, ProbeSet, check_paired
@@ -186,8 +186,20 @@ class _FitData:
     included: np.ndarray
 
 
-def _fit_data(probes: ProbeSet, record: ClickRecord, truncation: int, design_at) -> _FitData:
-    """Fit data at ``truncation``; ``design_at(m_values)`` gives the design rows."""
+def _fit_data(
+    probes: ProbeSet, record: ClickRecord, order: int, design: np.ndarray | None = None
+) -> _FitData:
+    """Fit data of ``order`` mechanisms.
+
+    The truncation is ``truncation_for`` the largest intensity, or the
+    number of rows of ``design`` (the design C(m, n) at m = 0..N-1) when
+    one is given; the design at the windows' photon numbers is then read
+    from it instead of built.
+
+    Raises ``TruncationError`` when ``design`` has fewer rows than the
+    largest probe needs, since its windows would then end inside the
+    Poisson mass and the normalized rows would bias the fit.
+    """
     check_paired(probes, record)
     frequencies = record.frequencies
     included = frequencies > 0
@@ -195,11 +207,18 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, truncation: int, design_at)
         raise DegenerateDataError(
             "every probe recorded zero clicks; the normalized objective is undefined"
         )
-    rows = _poisson_rows(probes.intensities[included], truncation)
+    needed = truncation_for(float(probes.intensities.max()))
+    if design is not None and design.shape[0] < needed:
+        raise TruncationError(
+            f"design truncation {design.shape[0]} too small for max intensity "
+            f"{probes.intensities.max():g} (needs >= {needed})"
+        )
+    truncation = needed if design is None else design.shape[0]
+    m_values, probe_matrix = _poisson_rows(probes.intensities[included], truncation).union()
     return _FitData(
-        probe_matrix=rows.matrix(),
+        probe_matrix=probe_matrix,
         frequencies=frequencies[included],
-        design=design_at(rows.m_values),
+        design=binomial_table(m_values, order) if design is None else design[m_values],
         included=included,
     )
 
@@ -237,10 +256,10 @@ def fit_objective(
     its Poisson window below it, as ``fit_params`` does. Probes with zero
     recorded clicks are excluded (their normalized residual is undefined);
     if every probe is excluded the data cannot score any parameter vector
-    and ``DegenerateDataError`` is raised.
+    and ``DegenerateDataError`` is raised. A design with fewer rows than
+    ``truncation_for`` the largest intensity raises ``TruncationError``.
     """
-    design = h.binomial_design
-    data = _fit_data(probes, record, design.shape[0], lambda m: design[m])
+    data = _fit_data(probes, record, h.h.size, h.binomial_design)
     return _objective_value(data, h.h)
 
 
@@ -370,8 +389,7 @@ def fit_params(
             raise ValueError(f"zero order {n} outside 0..{max_order - 1}")
         pinned[n] = True
 
-    truncation = truncation_for(float(probes.intensities.max()))
-    data = _fit_data(probes, record, truncation, lambda m: binomial_table(m, max_order))
+    data = _fit_data(probes, record, max_order)
     h0 = _initial_h(data, probes.intensities, max_order)
     h, converged = _solve(data, h0, pinned, max_iterations)
     kept = [n for n in range(max_order) if not pinned[n]]
@@ -407,8 +425,7 @@ def prune_mechanisms(
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     order = report.params.order
-    truncation = truncation_for(float(probes.intensities.max()))
-    data = _fit_data(probes, record, truncation, lambda m: binomial_table(m, order))
+    data = _fit_data(probes, record, order)
 
     always_pinned = np.ones(order, dtype=bool)
     for n in report.kept_orders:

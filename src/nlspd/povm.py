@@ -304,30 +304,40 @@ def _first_true(predicate, lo, hi, guess) -> np.ndarray:
 class _PoissonRows:
     """Poisson rows of coherent probes in compressed sparse row form.
 
-    Row i holds ``weights[starts[i]:starts[i + 1]]`` at the photon numbers
-    ``m_values[columns[starts[i]:starts[i + 1]]]`` and is normalized by its
-    sum ``totals[i]``; ``m_values`` is the ascending union of the rows'
-    windows, and ``columns`` is ``slice(None)`` when the terms are already
-    in its order. ``rows @ values`` gives each row's normalized sum of a
-    vector over ``m_values`` without building a sparse matrix, which costs
-    more than a one-probe click probability; ``matrix()`` builds the scipy
-    CSR matrix for repeated products.
+    Row i holds ``weights[starts[i]:starts[i + 1]]`` at the consecutive
+    photon numbers ``m[starts[i]:starts[i + 1]]`` and is normalized by its
+    sum ``totals[i]``. ``rows @ values``, with one value per term at ``m``,
+    gives each row's normalized sum without building a sparse matrix,
+    which costs more than a one-probe click probability; ``union()``
+    builds the scipy CSR matrix over the union of the windows for
+    repeated products.
     """
 
-    m_values: np.ndarray
+    m: np.ndarray
     weights: np.ndarray
-    columns: np.ndarray | slice
     starts: np.ndarray
     totals: np.ndarray
 
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self.weights * values[self.columns], self.starts[:-1]) / self.totals
+        return np.add.reduceat(self.weights * values, self.starts[:-1]) / self.totals
 
-    def matrix(self) -> csr_array:
-        normalized = self.weights / self.totals.repeat(np.diff(self.starts))
-        columns = np.arange(self.weights.size) if isinstance(self.columns, slice) else self.columns
-        return csr_array(
-            (normalized, columns, self.starts), shape=(self.totals.size, self.m_values.size)
+    def union(self) -> tuple[np.ndarray, csr_array]:
+        """Ascending union of the windows and the CSR matrix of the rows over it."""
+        sizes = np.diff(self.starts)
+        m_lo, m_hi = self.m[self.starts[:-1]], self.m[self.starts[1:] - 1] + 1
+        # Column of photon number m in the union: m less the photon numbers
+        # below it that no window covers. In order of m_lo, window k adds
+        # the gap between its start and the reach of the windows before it.
+        order = m_lo.argsort(kind="stable")
+        reach = np.maximum.accumulate(m_hi[order])
+        skipped = np.empty_like(m_lo)
+        skipped[order] = np.maximum(m_lo[order] - np.concatenate(([0], reach[:-1])), 0).cumsum()
+        columns = self.m - skipped.repeat(sizes)
+        m_values = np.empty(reach[-1] - skipped[order[-1]], dtype=np.int64)
+        m_values[columns] = self.m
+        normalized = self.weights / self.totals.repeat(sizes)
+        return m_values, csr_array(
+            (normalized, columns, self.starts), shape=(self.totals.size, m_values.size)
         )
 
 
@@ -387,28 +397,8 @@ def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
     sizes.cumsum(out=starts[1:])
     m = np.arange(starts[-1]) + (m_lo - starts[:-1]).repeat(sizes)
     weights = np.exp(poisson_log_pmf(m, mu.repeat(sizes)))
-    if (m_lo[1:] >= m_hi[:-1]).all():
-        # Windows in ascending order without overlap are their own union,
-        # and the terms are already in its order.
-        m_values, columns = m, slice(None)
-    else:
-        # Column of photon number m in the union: m less the photon numbers
-        # below it that no window covers. In order of m_lo, window k adds
-        # the gap between its start and the reach of the windows before it.
-        order = m_lo.argsort(kind="stable")
-        start_sorted = m_lo[order]
-        reach = np.maximum.accumulate(m_hi[order])
-        skipped = np.empty_like(m_lo)
-        skipped[order] = np.maximum(start_sorted - np.concatenate(([0], reach[:-1])), 0).cumsum()
-        columns = m - skipped.repeat(sizes)
-        m_values = np.empty(reach[-1] - skipped[order[-1]], dtype=np.int64)
-        m_values[columns] = m
     return _PoissonRows(
-        m_values=m_values,
-        weights=weights,
-        columns=columns,
-        starts=starts,
-        totals=np.add.reduceat(weights, starts[:-1]),
+        m=m, weights=weights, starts=starts, totals=np.add.reduceat(weights, starts[:-1])
     )
 
 
@@ -416,17 +406,15 @@ def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """Click probabilities of the composite detector on coherent probes.
 
     One ``_poisson_rows`` call without a truncation: row i ends at
-    ``truncation_for(intensities[i])``.
+    ``truncation_for(intensities[i])``. The survival is evaluated at every
+    term of every row, as each probe's own sum would.
     """
     rows = _poisson_rows(intensities)
-    log_survival = _log_survival_at(params.p, rows.m_values)
-    if log_survival[-1] > _EXP_UNDERFLOW:
-        survival = np.exp(log_survival)
-    else:
-        # exp takes a slow path on arguments whose result underflows to 0;
-        # the log survival falls with m, so they fill the tail, left at 0.
-        survival = np.zeros_like(log_survival)
-        np.exp(log_survival, out=survival, where=log_survival > _EXP_UNDERFLOW)
+    log_survival = _log_survival_at(params.p, rows.m)
+    # exp takes a slow path on arguments whose result underflows to 0
+    # (16 times slower), so those are left at 0 without calling it.
+    survival = np.zeros_like(log_survival)
+    np.exp(log_survival, out=survival, where=log_survival > _EXP_UNDERFLOW)
     return 1.0 - rows @ survival
 
 

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nlspd.exceptions import ConvergenceError, DegenerateDataError
+from nlspd.exceptions import ConvergenceError, DegenerateDataError, TruncationError
 from nlspd.modelfit import (
     FitReport,
     MechanismLogVector,
@@ -185,6 +185,19 @@ def test_objective_at_zero_counts_included_rows():
     h = MechanismLogVector.at_truncation(np.zeros(2), truncation_for(5.0))
     included = int(np.count_nonzero(record.clicks))
     assert fit_objective(h, probes, record) == pytest.approx(included, abs=1e-12)
+
+
+def test_objective_rejects_a_design_below_the_largest_probe():
+    # A design truncated inside the largest probe's Poisson mass would end
+    # its window early and renormalize what is left; the objective raises
+    # instead of scoring it.
+    probes = ProbeSet(intensities=np.array([0.0, 5.0, 30.0]), trials=1000)
+    record = ClickRecord(clicks=np.array([10, 400, 900]), trials=1000)
+    h = np.log1p(-np.array([0.01, 0.1]))
+    with pytest.raises(TruncationError):
+        fit_objective(MechanismLogVector.at_truncation(h, 20), probes, record)
+    enough = MechanismLogVector.at_truncation(h, truncation_for(30.0))
+    assert fit_objective(enough, probes, record) > 0
 
 
 def test_fit_recovers_exact_model_data():

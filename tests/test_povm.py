@@ -90,9 +90,9 @@ def test_windowed_rows_match_dense_probe_rows(means, p, cap):
     n = truncation_for(means.max())
     dense = np.exp(poisson_log_weights(means, n))
     truncation = {"none": None, "largest": n, "each": [truncation_for(mu) for mu in means]}
-    rows = _poisson_rows(means, truncation[cap])
+    m_values, matrix = _poisson_rows(means, truncation[cap]).union()
     windowed = np.zeros_like(dense)
-    windowed[:, rows.m_values] = rows.matrix().toarray()
+    windowed[:, m_values] = matrix.toarray()
     assert np.abs(windowed - dense).max() <= 1e-12
     params = NonlinearSpdParams(np.array(p))
     clicks = _coherent_clicks(params, means)
