@@ -418,6 +418,13 @@ def prune_mechanisms(
     report's optimum; a single final refit over the surviving orders
     produces the returned report.
 
+    A trial refit is skipped when its start already passes the test. The
+    start, the full report's h (clipped to the box) with h[n] = 0, is a
+    feasible point of the pinned problem, so the minimized objective is no
+    higher than the objective there. The test only asks the norm to stay
+    below a bound, so it passes at the minimum too: the skip is exact and
+    changes no decision.
+
     If every order is droppable (e.g. ``threshold = inf``), the single
     order whose sole-mechanism fit scores best is retained and the report
     is flagged ``degenerate_pruning``.
@@ -442,17 +449,18 @@ def prune_mechanisms(
             )
         return h, _objective_value(data, h)
 
+    def droppable(objective: float) -> bool:
+        trial_norm = np.sqrt(objective)
+        if base_norm > 0:
+            return (trial_norm - base_norm) / base_norm <= threshold
+        return trial_norm <= 1e-12
+
     dropped = set()
     for n in report.kept_orders:
         pinned = always_pinned.copy()
         pinned[n] = True
-        _, objective = refit(pinned)
-        trial_norm = np.sqrt(objective)
-        if base_norm > 0:
-            droppable = (trial_norm - base_norm) / base_norm <= threshold
-        else:
-            droppable = trial_norm <= 1e-12
-        if droppable:
+        start = np.where(pinned, 0.0, np.clip(report.h, _H_FLOOR, 0.0))
+        if droppable(_objective_value(data, start)) or droppable(refit(pinned)[1]):
             dropped.add(n)
 
     kept = [n for n in report.kept_orders if n not in dropped]

@@ -244,15 +244,23 @@ def truncation_for(max_mean_photons: float) -> int:
     if max_mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {max_mean_photons}")
     mu = np.array([float(max_mean_photons)])
-    # gammainc(N, mu) is the Poisson probability of N or more events.
     return int(
         _first_true(
-            lambda m, index: gammainc(m, mu) < DEFAULT_TAIL_MASS,
+            lambda m, index: _carries(m, mu),
             np.floor(mu),
             np.ceil(mu + _search_span(mu)),
             _quantile_guess(mu, _GUESS_TRUNCATION),
         )[0]
     )
+
+
+def _carries(truncation, mu):
+    """Whether a truncation leaves under ``DEFAULT_TAIL_MASS`` of the Poisson mass beyond it.
+
+    gammainc(N, mu) is the Poisson probability of N or more events; it
+    falls with N, so ``truncation_for(mu)`` is the smallest N passing.
+    """
+    return gammainc(truncation, mu) < DEFAULT_TAIL_MASS
 
 
 def _search_span(mu: np.ndarray) -> np.ndarray:
@@ -453,11 +461,10 @@ def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
     """
     if mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    needed = truncation_for(mean_photons)
-    if povm.truncation < needed:
+    if not _carries(povm.truncation, mean_photons):
         raise TruncationError(
             f"POVM truncation {povm.truncation} is too small for mean photon "
-            f"number {mean_photons} (needs >= {needed})"
+            f"number {mean_photons} (needs >= {truncation_for(mean_photons)})"
         )
     weights = np.exp(poisson_log_weights(mean_photons, povm.truncation))
     return float(weights @ povm.click)

@@ -8,7 +8,11 @@ POVM through the Poisson probe matrix ``F``::
 
 ``reconstruct_povm`` inverts this linear model as a box-constrained
 quadratic program with an optional smoothing penalty on neighboring POVM
-elements, solved in closed form when the box is not active.
+elements. An active-set loop solves it: each step holds some elements at
+0 or 1 and minimizes over the rest in closed form, at O(N P^2) for N
+elements and P probes, until the first-order conditions certify the
+optimum. Bounded-variable least squares on the dense stacked problem is
+only the fallback.
 ``scaled_fit_workflow`` implements the intensity-rescaling technique for
 very inefficient detectors: the probe intensities are
 multiplied by a factor k chosen so the effective detector reaches a target
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import cholesky_banded, solve_banded
 from scipy.optimize import brentq, lsq_linear
 
 from .exceptions import (
@@ -71,6 +76,28 @@ _TIE_BREAK_WEIGHT = 1e-10
 # 110) need up to 119 iterations at w = 0 and converge with optimality
 # <= 4e-15 once allowed to.
 _BVLS_ITERATIONS_PER_UNKNOWN = 10
+
+# Active-set steps the reconstruction may take before it hands the problem
+# to bounded-variable least squares. The rescaled reference records and the
+# raw 25 uA records take at most 13 steps at the default weight and 18 at
+# w = 1e-6. Below that the steps often wander: at w = 1e-8, 71 of these 81
+# records do not converge in 400 steps, and at the tie-break weight none
+# does, so there only the first, box-free step is tried.
+_ACTIVE_SET_STEPS = 25
+
+# Largest first-order breach the active-set solve accepts as optimal: the
+# gradient of the objective on a free element, or against its bound on a
+# held one. Rounding leaves about 1e-15 on the free elements.
+_KKT_TOLERANCE = 1e-10
+
+# Elements within this distance of 0 or 1 count as on that bound.
+_ON_BOUND = 1e-12
+
+# Largest dense array, in bytes, that a reconstruction may allocate: the
+# P x N probe matrix, and the (P + N - 1) x N stacked matrix of the
+# bounded-variable fallback. Either costs several copies of its size in
+# temporaries, so 256 MiB keeps a solve within a few GB.
+MAX_DENSE_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -188,17 +215,23 @@ def reconstruct_povm(
     The quadratic is convex, so the minimizer is unique and the solve is
     deterministic. It runs in two steps:
 
-    1. The minimizer without the box, in closed form (``_interior_minimizer``,
-       O(N P^2) for N unknowns and P probes). If it lies in [0, 1] it is
-       the box minimizer too, and it is returned.
-    2. Otherwise the box binds, and scipy's bounded-variable least squares
-       solves the stacked problem ``[F; sqrt(w) D] x = [C; 0]`` (D the
-       first difference) to its tolerance.
+    1. An active-set loop (``_active_set_minimizer``). Each step holds a set
+       of elements at 0 or 1 and minimizes over the others in closed form
+       (``_free_minimizer``, O(N P^2) for N unknowns and P probes). The
+       first step holds none: if that minimizer lies in [0, 1], it is
+       returned. Otherwise each step holds the free elements that left
+       [0, 1] at the bound they crossed, and frees the held elements
+       whose gradient pushes them back inside. The loop stops when the
+       first-order (KKT) conditions hold, which certifies the optimum.
+    2. If the loop stalls or runs out of steps, scipy's bounded-variable
+       least squares solves the stacked problem ``[F; sqrt(w) D] x = [C; 0]``
+       (D the first difference) to its tolerance.
 
     A weight below 1e-10 (in particular w = 0) is raised to 1e-10 on both
     paths: with more unknowns than probes the unsmoothed problem has a
     flat set of minimizers, and the tiny weight picks the one of least
-    roughness.
+    roughness. At that weight the active-set steps do not settle, so only
+    the first is tried, and the fallback does the work.
 
     Parameters
     ----------
@@ -213,9 +246,12 @@ def reconstruct_povm(
 
     Raises
     ------
+    ValueError
+        If the P x N probe matrix would exceed ``MAX_DENSE_BYTES``.
     ConvergenceError
-        If the bounded solver exhausts its iteration budget; the error
-        carries the solver result for inspection.
+        If the fallback is needed and its stacked matrix would exceed
+        ``MAX_DENSE_BYTES``, or if it exhausts its iteration budget; in
+        the latter case the error carries the solver result.
     """
     check_paired(probes, record)
     if smoothing_weight is None:
@@ -224,24 +260,192 @@ def reconstruct_povm(
         raise ValueError(
             f"smoothing weight must be finite and >= 0, got {smoothing_weight}"
         )
+    size = 8 * len(probes) * truncation
+    if size > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"the {len(probes)} x {truncation} probe matrix would take "
+            f"{size / 2**20:.0f} MiB, above the {MAX_DENSE_BYTES / 2**20:.0f} MiB "
+            "limit; rescale the intensities (--scale-to-95) or lower the truncation"
+        )
 
     F = build_probe_matrix(probes, truncation)
     weight = max(smoothing_weight, _TIE_BREAK_WEIGHT)
-    interior = _interior_minimizer(F, record.frequencies, weight)
-    # The same in-bounds rule lsq_linear applies to its unconstrained start.
-    if np.all((interior >= 0.0) & (interior <= 1.0)):
-        return DiagonalPovm(click=interior, truncation=truncation)
+    click = _active_set_minimizer(F, record.frequencies, weight)
+    if click is None:
+        click = _bounded_least_squares(F, record.frequencies, weight)
+    return DiagonalPovm(click=click, truncation=truncation)
 
+
+def _active_set_minimizer(
+    F: np.ndarray, frequencies: np.ndarray, weight: float
+) -> np.ndarray | None:
+    """Box minimizer by primal-dual active-set steps, or None if they fail.
+
+    ``state`` marks each element as held at 0 (-1), held at 1 (+1) or free
+    (0). Each step minimizes over the free elements in closed form, then
+    holds every free element outside [0, 1] at the bound it crossed and
+    frees every held element that ``_kkt_breach`` flags, i.e. whose
+    gradient points into the box (and more along a walking run, see the
+    loop). The first step holds nothing, so a minimizer inside the box is
+    returned after one step. The loop ends when a step changes nothing.
+    If every breach is then within ``_KKT_TOLERANCE``, the first-order
+    conditions certify the result as the optimum; otherwise, or after
+    ``_ACTIVE_SET_STEPS`` steps (one at the tie-break weight), it returns
+    None.
+    """
+    size = F.shape[1]
+    state = np.zeros(size, dtype=np.int8)
+    freed = np.zeros(size, dtype=bool)
+    reach, extend, visited = 1, True, set()
+    for _ in range(1 if weight <= _TIE_BREAK_WEIGHT else _ACTIVE_SET_STEPS):
+        x = _free_minimizer(F, frequencies, weight, state)
+        free = state == 0
+        below, above = free & (x < 0.0), free & (x > 1.0)
+        breach = _kkt_breach(x, _objective_gradient(F, frequencies, weight, x))
+        released = (state != 0) & (breach > _KKT_TOLERANCE)
+        if not (below.any() or above.any() or released.any()):
+            return x if breach.max(initial=0.0) <= _KKT_TOLERANCE else None
+        # A held run can give up one end element per step for dozens of
+        # steps while its multipliers shrink slowly (rescaled 20 uA seed 7:
+        # 42 steps). While every release continues such a walk, free 2, 4,
+        # 8, ... elements along it per step. Elements freed too far leave the
+        # box and are held again, and that can cycle: once a held set
+        # repeats, walks are no longer extended.
+        key = state.tobytes()
+        extend = extend and key not in visited
+        visited.add(key)
+        up = released & np.append(False, freed[:-1])
+        down = released & np.append(freed[1:], False)
+        walking = up | down
+        walks = extend and walking.any() and np.array_equal(walking, released)
+        reach = 2 * reach if walks else 1
+        freed = released.copy()
+        for i in np.flatnonzero(walking) if reach > 1 else ():
+            step = 1 if up[i] else -1
+            j = i + step
+            while abs(j - i) < reach and 0 <= j < size and state[j] == state[i]:
+                freed[j] = True
+                j += step
+        state[below], state[above], state[freed] = -1, 1, 0
+    return None
+
+
+def _free_minimizer(
+    F: np.ndarray, frequencies: np.ndarray, weight: float, state: np.ndarray
+) -> np.ndarray:
+    """Minimizer of ``||F x - C||^2 + w ||D x||^2`` with the held elements fixed.
+
+    Elements with ``state < 0`` are held at 0 and those with ``state > 0``
+    at 1; the free elements z are unconstrained. Both cases below reduce to
+    ridge regression ``min ||M u - t||^2 + w ||u - r0||^2`` in new
+    variables u, solved with one thin SVD of the P x n matrix M. That is
+    O(N P^2) instead of a dense solve of the (P + N - 1) x N stacked
+    system.
+
+    Nothing held: change variables to the first element and the steps,
+    ``x0 = x[0]`` and ``u = D x``, so that ``x = x0 * 1 + S u`` with S the
+    cumulative sum. Then ``F x = x0 f + B u`` with ``f = F 1`` and
+    ``B = F S``, ``B[i, j] = sum_{m>j} F[i, m]`` (reversed cumulative sums
+    of F's rows), and r0 = 0. For any u the best intercept is
+    ``x0 = f.(C - B u) / f.f``; putting it back projects f out of the data,
+    so M = (I - q q^T) B and t = (I - q q^T) C with ``q = f / |f|``.
+
+    Some held: on z the smoothing term is ``w ||R z - r0||^2`` up to a
+    constant, where R is the upper-bidiagonal Cholesky factor of the free
+    block of D^T D (positive definite, since every run of free elements
+    borders a held one) and ``R^T r0 = -(D^T D x_held)[free]``. With
+    ``u = R z`` the data term is ``||M u - t||^2`` for ``M = F_free R^-1``
+    and ``t = C - F x_held``. Then ``z = R^-1 u``: the map from C to the
+    free elements is linear, ``z = R^-1 (r0 + V diag(s / (s^2 + w)) U^T
+    (C - F x_held - M r0))`` for ``M = U diag(s) V^T``.
+    """
+    free = state == 0
+    x = (state > 0).astype(float)
+    if not free.any():
+        return x
+    if free.all():
+        # B[:, j] = sum_{m > j} F[:, m], summed from the small tail upwards.
+        tail_sums = np.cumsum(F[:, :0:-1], axis=1)[:, ::-1]
+        f = F.sum(axis=1)
+        q = f / np.linalg.norm(f)
+        columns = tail_sums - np.outer(q, q @ tail_sums)
+        target = frequencies - q * (q @ frequencies)
+        shift = 0.0
+    else:
+        index = np.flatnonzero(free)
+        # Upper band storage of the free block of D^T D: 2 on the diagonal
+        # (1 at the two ends of the range), -1 between adjacent elements.
+        block = np.zeros((2, index.size))
+        block[1] = 2.0 - (index == 0) - (index == state.size - 1)
+        block[0, 1:] = np.where(np.diff(index) == 1, -1.0, 0.0)
+        factor = cholesky_banded(block, check_finite=False)
+        # R^T in lower band storage, for the transposed solves.
+        transposed = np.stack([factor[1], np.append(factor[0, 1:], 0.0)])
+        shift = solve_banded(
+            (1, 0), transposed, -_roughness_gradient(x)[index], check_finite=False
+        )
+        columns = solve_banded((1, 0), transposed, F[:, index].T, check_finite=False).T
+        target = frequencies - F @ x - columns @ shift
+    left, s, right = np.linalg.svd(columns, full_matrices=False)
+    u = shift + right.T @ (s / (s * s + weight) * (left.T @ target))
+    if free.all():
+        first = f @ (frequencies - tail_sums @ u) / (f @ f)
+        return first + np.concatenate([[0.0], np.cumsum(u)])
+    x[index] = solve_banded((0, 1), factor, u, check_finite=False)
+    return x
+
+
+def _roughness_gradient(x: np.ndarray) -> np.ndarray:
+    """``D^T D x`` for the first difference D, without forming D."""
+    steps = np.diff(x)
+    gradient = np.zeros_like(x)
+    gradient[:-1] -= steps
+    gradient[1:] += steps
+    return gradient
+
+
+def _objective_gradient(
+    F: np.ndarray, frequencies: np.ndarray, weight: float, x: np.ndarray
+) -> np.ndarray:
+    """Gradient ``2 (F^T (F x - C) + w D^T D x)`` of the reconstruction objective."""
+    return 2.0 * (F.T @ (F @ x - frequencies) + weight * _roughness_gradient(x))
+
+
+def _kkt_breach(x: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    """Breach of the first-order optimality conditions on [0, 1], per element.
+
+    A minimizer has gradient >= 0 where x sits on its lower bound, <= 0 on
+    its upper bound and = 0 in between; the breach is how far each element
+    misses its condition. Elements within ``_ON_BOUND`` of a bound count as
+    on it.
+    """
+    at_lower = x <= _ON_BOUND
+    at_upper = x >= 1.0 - _ON_BOUND
+    return np.where(at_lower, -gradient, np.where(at_upper, gradient, np.abs(gradient)))
+
+
+def _bounded_least_squares(
+    F: np.ndarray, frequencies: np.ndarray, weight: float
+) -> np.ndarray:
+    """Box minimizer by scipy's BVLS on the dense stacked problem."""
+    probes, truncation = F.shape
+    size = 8 * (probes + truncation - 1) * truncation
+    if size > MAX_DENSE_BYTES:
+        raise ConvergenceError(
+            "the active-set steps certified no minimizer, and the "
+            f"bounded-variable fallback would need a {size / 2**20:.0f} MiB "
+            f"stacked matrix, above the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
+        )
     # [F; sqrt(w) D] is filled in place: at raw-data truncations (N in the
     # thousands) every extra dense N x N temporary costs tens of MB.
     root_weight = np.sqrt(weight)
-    rows = len(probes) + np.arange(truncation - 1)
+    rows = probes + np.arange(truncation - 1)
     cols = np.arange(truncation - 1)
-    stacked = np.zeros((len(probes) + truncation - 1, truncation))
-    stacked[: len(probes)] = F
+    stacked = np.zeros((probes + truncation - 1, truncation))
+    stacked[:probes] = F
     stacked[rows, cols] = -root_weight
     stacked[rows, cols + 1] = root_weight
-    rhs = np.concatenate([record.frequencies, np.zeros(truncation - 1)])
+    rhs = np.concatenate([frequencies, np.zeros(truncation - 1)])
 
     result = lsq_linear(
         stacked,
@@ -257,40 +461,7 @@ def reconstruct_povm(
             f"with optimality {result.optimality:.3g}",
             result=result,
         )
-    return DiagonalPovm(click=result.x, truncation=truncation)
-
-
-def _interior_minimizer(F: np.ndarray, frequencies: np.ndarray, weight: float) -> np.ndarray:
-    """Minimizer of ``||F x - C||^2 + w ||D x||^2`` over all x, no box.
-
-    Change variables to the first element and the steps, ``x0 = x[0]`` and
-    ``y = D x``, so that ``x = x0 * 1 + S y`` with S the cumulative sum
-    (``x[m] = x0 + sum_{j<m} y[j]``). Then ``F x = x0 f + B y`` with
-    ``f = F 1`` and ``B = F S``, ``B[i, j] = sum_{m>j} F[i, m]`` (reversed
-    cumulative sums of F's rows), and the problem becomes ridge regression
-    in y with an unpenalized intercept::
-
-        min ||x0 f + B y - C||^2 + w ||y||^2
-
-    For any y the best intercept is ``x0 = f.(C - B y) / f.f``; putting it
-    back projects f out of the data, leaving ridge regression on
-    ``B~ = P B`` and ``C~ = P C`` with ``P = I - q q^T``, ``q = f / |f|``.
-    With the thin SVD ``B~ = U diag(s) V^T`` its solution is
-    ``y = V diag(s / (s^2 + w)) U^T C~``. Everything is P x N, so the cost
-    is one SVD, O(N P^2), instead of a dense solve of the (P + N - 1) x N
-    stacked system.
-    """
-    # B[:, j] = sum_{m > j} F[:, m], summed from the small tail upwards.
-    tail_sums = np.cumsum(F[:, :0:-1], axis=1)[:, ::-1]
-    f = F.sum(axis=1)
-    q = f / np.linalg.norm(f)
-    u, s, vt = np.linalg.svd(
-        tail_sums - np.outer(q, q @ tail_sums), full_matrices=False
-    )
-    centered = frequencies - q * (q @ frequencies)
-    steps = vt.T @ (s / (s * s + weight) * (u.T @ centered))
-    first = f @ (frequencies - tail_sums @ steps) / (f @ f)
-    return first + np.concatenate([[0.0], np.cumsum(steps)])
+    return result.x
 
 
 def _crossing_intensity(

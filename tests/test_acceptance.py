@@ -13,6 +13,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlspd.loss import lossy_click_probability, scale_povm, unscale_povm
 from nlspd.modelfit import (
@@ -34,7 +36,10 @@ from nlspd.povm import (
 )
 from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
+from nlspd import tomography
 from nlspd.tomography import (
+    ClickRecord,
+    ProbeSet,
     build_probe_matrix,
     fidelity,
     reconstruct_povm,
@@ -404,14 +409,14 @@ def _kkt_violation(x, gradient, lower, upper):
     return max(float(breach.max()), 0.0)
 
 
-def _reconstruction_kkt_breach(probes, record, weight=None):
-    """KKT breach of ``reconstruct_povm`` at the probe set's own truncation.
+def _reconstruction_kkt_breach(probes, record, weight=None, truncation=None):
+    """KKT breach of ``reconstruct_povm``, by default at the probe set's own truncation.
 
     The gradient of ||F x - C||^2 + w ||D x||^2 is built from the probe
     data alone, independent of the solver that produced x; D^T D x is
     written out with ``np.diff``, so no dense N x N matrix is formed.
     """
-    n = truncation_for(float(probes.intensities.max()))
+    n = truncation or truncation_for(float(probes.intensities.max()))
     x = reconstruct_povm(probes, record, n, smoothing_weight=weight).click
     if weight is None:
         weight = 1e-3 * len(probes)
@@ -424,19 +429,81 @@ def _reconstruction_kkt_breach(probes, record, weight=None):
     return _kkt_violation(x, gradient, 0.0, 1.0)
 
 
+def _two_photon_record():
+    """A two-photon detector without dark counts (N = 2778), whose box binds."""
+    truth = NonlinearSpdParams([0.0, 0.0, 3e-6])
+    probes = geometric_probe_grid(truth)
+    return probes, _simulated(truth, probes, seed=0)
+
+
 def test_reconstruction_kkt_certificate():
-    # A3's three records, whose box binds, and the raw 25 uA record
-    # (N = 3296), whose minimizer lies inside the box.
+    # A3's three records and the two-photon record, whose box binds, and
+    # the raw 25 uA record (N = 3296), whose minimizer lies inside the box.
     records = [(base, record) for _, _, base, record in _a3_records()]
     raw_truth = UNSCALED_PARAMS[25]
     raw_probes = geometric_probe_grid(raw_truth)
     records.append((raw_probes, _simulated(raw_truth, raw_probes, seed=0)))
+    records.append(_two_photon_record())
     worst = max(_reconstruction_kkt_breach(probes, record) for probes, record in records)
     assert worst <= 1e-9
     print(
-        f"KKT PASS (reconstruction, A3 and raw 25 uA records): worst breach "
-        f"{worst:.2e} (bound 1e-9)"
+        f"KKT PASS (reconstruction, A3, raw 25 uA and two-photon records): "
+        f"worst breach {worst:.2e} (bound 1e-9)"
     )
+
+
+def test_box_active_reconstruction_needs_no_fallback(monkeypatch):
+    # The active-set solve alone must certify these reconstructions: the
+    # 78 of the rescaled study (three detectors, seeds 0-12, each
+    # reconstructed directly and through the scaled workflow; the box
+    # binds on 60), the raw 25 uA records at seeds 0-2 and the two-photon
+    # record (N = 2778).
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("bounded-variable fallback was called")
+
+    monkeypatch.setattr(tomography, "lsq_linear", no_fallback)
+    instances = []
+    for bias in (25, 20, 16):
+        truth = SCALED_PARAMS[bias]
+        base = geometric_probe_grid(truth)
+        for seed in range(13):
+            record = _simulated(truth, base, seed)
+            k, _ = scaled_fit_workflow(base, record)
+            instances += [(base, record), (base.scaled_by(k), record)]
+    raw_truth = UNSCALED_PARAMS[25]
+    raw_probes = geometric_probe_grid(raw_truth)
+    instances += [
+        (raw_probes, _simulated(raw_truth, raw_probes, seed)) for seed in range(3)
+    ]
+    instances.append(_two_photon_record())
+    worst = max(_reconstruction_kkt_breach(probes, record) for probes, record in instances)
+    assert worst <= 1e-9
+    print(
+        f"KKT PASS (active set alone, {len(instances)} reconstructions): "
+        f"worst breach {worst:.2e} (bound 1e-9)"
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    means=st.lists(
+        st.floats(0.05, 20.0), min_size=1, max_size=8, unique=True
+    ).map(sorted),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+    extra=st.integers(0, 6),
+    weight=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0]),
+)
+def test_reconstruction_kkt_certificate_on_random_instances(
+    means, fractions, extra, weight
+):
+    # Arbitrary click frequencies, monotone or not, so the box often binds;
+    # the bounded-variable fallback may take over where the active-set
+    # steps do not settle.
+    probes = ProbeSet(intensities=np.array([0.0] + means), trials=1000)
+    clicks = np.rint(np.array(fractions[: len(probes)]) * probes.trials)
+    record = ClickRecord(clicks=clicks, trials=probes.trials)
+    n = truncation_for(means[-1]) + extra
+    assert _reconstruction_kkt_breach(probes, record, weight, n) <= 1e-9
 
 
 def test_reconstruction_without_smoothing_converges():

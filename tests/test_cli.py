@@ -104,6 +104,15 @@ def test_reconstruct_rejects_non_finite_smoothing(tmp_path, data_csv, capsys, we
     assert not out.exists()
 
 
+def test_reconstruct_rejects_oversized_probe_matrix(tmp_path, data_csv, capsys):
+    # The 61 x 9,999,999 probe matrix would take 4.5 GiB; the size guard
+    # refuses it before allocating and points to the rescaling workflow.
+    out = tmp_path / "povm.json"
+    assert run_cli(["reconstruct", data_csv, out, "--truncation", 10_000_000]) == 1
+    assert "--scale-to-95" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_option_conflict(tmp_path, data_csv, capsys):
     out = tmp_path / "povm.json"
     code = run_cli(["reconstruct", data_csv, out, "--scale-to-95", "--truncation", "40"])

@@ -13,6 +13,7 @@ from nlspd.numerics import poisson_log_weights
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
+    _carries,
     _coherent_clicks,
     _poisson_rows,
     coherent_click_probability,
@@ -181,6 +182,29 @@ def test_povm_click_probability_requires_adequate_truncation():
     povm = spd_povm(0.1, 6)
     with pytest.raises(TruncationError):
         povm_click_probability(povm, 5.0)
+
+
+def test_truncation_check_agrees_with_truncation_for():
+    # povm_click_probability tests its truncation with one _carries call
+    # instead of searching for truncation_for(mu). The two must agree at
+    # every truncation within 2 of the bound, for mu from 0 to 1e7.
+    means = np.concatenate([[0.0, 1.0, 30.0, 1e6], np.geomspace(1e-6, 1e7, 4010)])
+    bounds = np.array([truncation_for(mu) for mu in means])
+    pairs = 0
+    for offset in range(-2, 3):
+        truncations = bounds + offset
+        valid = truncations >= 1
+        np.testing.assert_array_equal(
+            _carries(truncations[valid], means[valid]), offset >= 0
+        )
+        pairs += int(valid.sum())
+    assert pairs >= 20000
+    for mu in (0.0, 0.5, 30.0, 2500.0):
+        n = truncation_for(mu)
+        povm_click_probability(spd_povm(0.1, n), mu)
+        if n > 1:
+            with pytest.raises(TruncationError, match=f"needs >= {n}"):
+                povm_click_probability(spd_povm(0.1, n - 1), mu)
 
 
 def test_coherent_click_rejects_negative_mean():

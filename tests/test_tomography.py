@@ -5,7 +5,9 @@ import pytest
 from scipy.optimize import lsq_linear
 from scipy.stats import poisson
 
+from nlspd import tomography
 from nlspd.exceptions import (
+    ConvergenceError,
     DataFormatError,
     TargetUnreachableError,
     TruncationError,
@@ -119,6 +121,22 @@ def test_smoothing_trades_data_fit_for_flatness():
         residual = record.frequencies - matrix @ povm.click
         data_terms.append(float(residual @ residual))
     assert all(a <= b + 1e-12 for a, b in zip(data_terms, data_terms[1:]))
+
+
+def test_reconstruct_guards_dense_sizes(monkeypatch):
+    # A probe matrix above MAX_DENSE_BYTES is refused before it is built.
+    probes = ProbeSet(intensities=np.array([0.0, 1.0, 2.0]), trials=100)
+    record = ClickRecord(clicks=np.array([1, 40, 70]), trials=100)
+    too_long = tomography.MAX_DENSE_BYTES // (8 * len(probes)) + 1
+    with pytest.raises(ValueError, match="--scale-to-95"):
+        reconstruct_povm(probes, record, too_long)
+
+    # So is the fallback's stacked matrix, once the active-set steps fail.
+    n = truncation_for(2.0)
+    monkeypatch.setattr(tomography, "_ACTIVE_SET_STEPS", 0)
+    monkeypatch.setattr(tomography, "MAX_DENSE_BYTES", 8 * len(probes) * n)
+    with pytest.raises(ConvergenceError, match="stacked matrix"):
+        reconstruct_povm(probes, record, n)
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
