@@ -16,7 +16,7 @@ from .exceptions import (
     TruncationError,
     UndefinedFidelityError,
 )
-from .loss import LossChannel, lossy_click_probability, scale_povm, unscale_povm
+from .loss import lossy_click_probability, scale_povm, unscale_povm
 from .modelfit import (
     FitReport,
     MechanismLogVector,
@@ -26,7 +26,6 @@ from .modelfit import (
     loss_scaling_analysis,
     prune_mechanisms,
 )
-from .numerics import design_matrix
 from .povm import (
     DiagonalPovm,
     NonlinearSpdParams,
@@ -38,12 +37,7 @@ from .povm import (
     spd_povm,
     truncation_for,
 )
-from .simulator import (
-    ExperimentConfig,
-    geometric_probe_grid,
-    simulate,
-    sweep_probe_grid,
-)
+from .simulator import ExperimentConfig, geometric_probe_grid, simulate
 from .tomography import (
     ClickRecord,
     ProbeSet,
@@ -66,7 +60,6 @@ __all__ = [
     "ExperimentConfig",
     "FitReport",
     "IllConditionedInversionError",
-    "LossChannel",
     "MechanismLogVector",
     "NonlinearSpdParams",
     "ProbeSet",
@@ -77,7 +70,6 @@ __all__ = [
     "UndefinedFidelityError",
     "build_probe_matrix",
     "coherent_click_probability",
-    "design_matrix",
     "fidelity",
     "fit_objective",
     "fit_params",
@@ -95,7 +87,6 @@ __all__ = [
     "scaled_fit_workflow",
     "simulate",
     "spd_povm",
-    "sweep_probe_grid",
     "truncation_for",
     "unscale_povm",
     "write_click_data",

@@ -19,7 +19,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -29,7 +28,7 @@ from .modelfit import fit_params, loss_scaling_analysis, prune_mechanisms
 from .povm import (
     DiagonalPovm,
     NonlinearSpdParams,
-    coherent_click_probability,
+    _coherent_clicks,
     nonlinear_povm,
     truncation_for,
 )
@@ -44,36 +43,12 @@ from .tomography import (
     write_click_data,
 )
 
-_FIGURE_IDS = ("fig1b", "fig2a", "fig2b", "fig3b")
-
 # Synthetic detector driving the loss-scaling figure. Orders above two
 # fall below the shot-noise floor of 1e5-trial records once eta reaches
 # 0.1, so the demo stops at a three-mechanism truth whose slopes are
 # actually resolvable.
 _LOSS_DEMO_TRUTH = NonlinearSpdParams(p=np.array([5e-3, 0.1, 0.3]))
 _LOSS_DEMO_ETAS = (1.0, 0.5, 0.25, 0.1)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record emitted alongside each output file."""
-
-    command: str
-    inputs: tuple
-    outputs: tuple
-    parameters: dict
-    seed: int | None
-    version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "parameters": dict(self.parameters),
-            "seed": self.seed,
-            "version": self.version,
-        }
 
 
 @contextmanager
@@ -106,35 +81,17 @@ def _read_json(path: str) -> dict:
 
 
 def _emit_manifests(command: str, inputs, outputs, parameters: dict, seed=None) -> None:
-    manifest = RunManifest(
-        command=command,
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        parameters=parameters,
-        seed=seed,
-        version=__version__,
-    )
+    """Write the provenance record of a run next to each of its outputs."""
+    manifest = {
+        "command": command,
+        "inputs": list(inputs),
+        "outputs": list(outputs),
+        "parameters": parameters,
+        "seed": seed,
+        "version": __version__,
+    }
     for output in outputs:
-        _write_json(f"{output}.manifest.json", manifest.to_dict())
-
-
-def _cli_guard(fn):
-    """Map exception families onto the 0/1/2 exit-status contract."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, OSError) as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(1)
-        except click.ClickException:
-            raise
-        except Exception as err:
-            click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
-            sys.exit(2)
-
-    return wrapper
+        _write_json(f"{output}.manifest.json", manifest)
 
 
 @click.group()
@@ -146,7 +103,6 @@ def cli():
 @cli.command("simulate")
 @click.argument("config_path")
 @click.argument("out_csv")
-@_cli_guard
 def cmd_simulate(config_path, out_csv):
     """Sample a click record for the experiment described by CONFIG_PATH."""
     config = ExperimentConfig.from_dict(_read_json(config_path))
@@ -171,7 +127,6 @@ def cmd_simulate(config_path, out_csv):
     help="Rescale intensities so the click probability is 95% at mean 30, "
     "then reconstruct the effective POVM; records the scale factor k.",
 )
-@_cli_guard
 def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
     """Reconstruct a diagonal POVM from the click data in DATA_CSV."""
     probes, record = read_click_data(data_csv)
@@ -212,7 +167,6 @@ def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
     default=0.01,
     help="Relative residual-norm increase below which a mechanism is dropped.",
 )
-@_cli_guard
 def cmd_fit(data_csv, out_json, max_order, prune_threshold):
     """Fit mechanism efficiencies to DATA_CSV and prune insignificant ones."""
     probes, record = read_click_data(data_csv)
@@ -241,7 +195,6 @@ def _load_povm_operand(path: str):
 @cli.command("compare")
 @click.argument("povm_a_json")
 @click.argument("povm_b_json")
-@_cli_guard
 def cmd_compare(povm_a_json, povm_b_json):
     """Print fidelity and elementwise gaps between two POVMs.
 
@@ -283,31 +236,11 @@ def _write_csv_rows(path: str, comments, header, rows) -> None:
                 handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _q_curve_rows(params_by_bias: dict, grid: np.ndarray):
-    for mu in grid:
-        yield [mu] + [
-            coherent_click_probability(params_by_bias[bias], float(mu))
-            for bias in reference.BIAS_CURRENTS_UA
-        ]
-
-
-def _figure_fig1b(out_csv, bias_current, seed):
-    grid = np.geomspace(1.0, 1e6, 121)
+def _figure_curves(title, params_by_bias: dict, grid, out_csv, bias_current, seed):
+    """Click probability on ``grid`` at each reference bias current, one column each."""
     header = ["mean_photons"] + [f"click_{b}uA" for b in reference.BIAS_CURRENTS_UA]
-    rows = _q_curve_rows(reference.UNSCALED_PARAMS, grid)
-    _write_csv_rows(out_csv, ["click probability vs mean photon number"], header, rows)
-
-
-def _figure_fig2a(out_csv, bias_current, seed):
-    grid = np.geomspace(1e-2, 300.0, 121)
-    header = ["mean_photons"] + [f"click_{b}uA" for b in reference.BIAS_CURRENTS_UA]
-    rows = _q_curve_rows(reference.SCALED_PARAMS, grid)
-    _write_csv_rows(
-        out_csv,
-        ["click probability vs mean photon number, rescaled intensities"],
-        header,
-        rows,
-    )
+    columns = [_coherent_clicks(params_by_bias[b], grid) for b in reference.BIAS_CURRENTS_UA]
+    _write_csv_rows(out_csv, [title], header, np.column_stack([grid, *columns]))
 
 
 def _figure_fig2b(out_csv, bias_current, seed):
@@ -357,8 +290,18 @@ def _figure_fig3b(out_csv, bias_current, seed):
 
 
 _FIGURE_BUILDERS = {
-    "fig1b": _figure_fig1b,
-    "fig2a": _figure_fig2a,
+    "fig1b": functools.partial(
+        _figure_curves,
+        "click probability vs mean photon number",
+        reference.UNSCALED_PARAMS,
+        np.geomspace(1.0, 1e6, 121),
+    ),
+    "fig2a": functools.partial(
+        _figure_curves,
+        "click probability vs mean photon number, rescaled intensities",
+        reference.SCALED_PARAMS,
+        np.geomspace(1e-2, 300.0, 121),
+    ),
     "fig2b": _figure_fig2b,
     "fig3b": _figure_fig3b,
 }
@@ -371,7 +314,6 @@ _FIGURE_BUILDERS = {
     "--bias-current", type=int, default=25, help="Bias current in uA (fig2b only)."
 )
 @click.option("--seed", type=int, default=7, help="Simulation seed (fig3b only).")
-@_cli_guard
 def cmd_figure(figure_id, out_csv, bias_current, seed):
     """Emit plot-ready CSV series for FIGURE_ID.
 
@@ -381,9 +323,9 @@ def cmd_figure(figure_id, out_csv, bias_current, seed):
     fig2b  POVM click elements of one rescaled detector
     fig3b  fitted P_n vs transmissivity with power-law slopes
     """
-    if figure_id not in _FIGURE_IDS:
+    if figure_id not in _FIGURE_BUILDERS:
         raise ValueError(
-            f"unknown figure id {figure_id!r}; choose from {', '.join(_FIGURE_IDS)}"
+            f"unknown figure id {figure_id!r}; choose from {', '.join(_FIGURE_BUILDERS)}"
         )
     _FIGURE_BUILDERS[figure_id](out_csv, bias_current, seed)
     _emit_manifests(
@@ -400,17 +342,24 @@ def cmd_figure(figure_id, out_csv, bias_current, seed):
 
 
 def main(argv=None):
-    """Entry point wiring click's exceptions onto the exit-status contract."""
+    """Entry point mapping exception families onto the 0/1/2 exit-status contract."""
     try:
         cli.main(args=argv, standalone_mode=False)
+    # Exit and Abort are RuntimeErrors, so they go before the catch-all.
     except click.exceptions.Exit as err:
         sys.exit(err.exit_code)
-    except click.ClickException as err:
-        click.echo(f"error: {err.format_message()}", err=True)
-        sys.exit(1)
     except click.Abort:
         click.echo("aborted", err=True)
         sys.exit(1)
+    except click.ClickException as err:
+        click.echo(f"error: {err.format_message()}", err=True)
+        sys.exit(1)
+    except (ValueError, OSError) as err:
+        click.echo(f"error: {err}", err=True)
+        sys.exit(1)
+    except Exception as err:
+        click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
+        sys.exit(2)
     sys.exit(0)
 
 

@@ -18,9 +18,6 @@ inverse map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 
@@ -32,7 +29,6 @@ from .exceptions import IllConditionedInversionError
 from .povm import DiagonalPovm, povm_click_probability
 
 __all__ = [
-    "LossChannel",
     "lossy_click_probability",
     "scale_povm",
     "unscale_povm",
@@ -55,27 +51,12 @@ def _validated_eta(eta: float) -> float:
     return float(eta)
 
 
-@dataclass(frozen=True)
-class LossChannel:
-    """Binomial thinning matrix of a transmissivity-eta beamsplitter."""
-
-    eta: float
-    truncation: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", _validated_eta(self.eta))
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Lower-triangular matrix L with ``L[n, m] = C(n, m) eta^m (1-eta)^{n-m}``."""
-        n = np.arange(self.truncation)[:, None]
-        m = np.arange(self.truncation)[None, :]
-        # The ufunc gives nan above the diagonal (m > n), where binom.pmf gives 0.
-        out = np.where(m <= n, _binom_pmf(m, n, self.eta), 0.0)
-        out.setflags(write=False)
-        return out
+def _loss_matrix(eta: float, truncation: int) -> np.ndarray:
+    """Binomial thinning matrix ``L[n, m] = C(n, m) eta^m (1-eta)^{n-m}``, lower triangular."""
+    n = np.arange(truncation)[:, None]
+    m = np.arange(truncation)[None, :]
+    # The ufunc gives nan above the diagonal (m > n), where binom.pmf gives 0.
+    return np.where(m <= n, _binom_pmf(m, n, eta), 0.0)
 
 
 def scale_povm(povm: DiagonalPovm, eta: float) -> DiagonalPovm:
@@ -84,27 +65,16 @@ def scale_povm(povm: DiagonalPovm, eta: float) -> DiagonalPovm:
     The forward binomial average is a convex combination per row, so the
     output stays in [0, 1] and monotonicity of the input is preserved.
     """
-    channel = LossChannel(eta=_validated_eta(eta), truncation=povm.truncation)
+    matrix = _loss_matrix(_validated_eta(eta), povm.truncation)
     return DiagonalPovm(
-        click=np.clip(channel.matrix @ povm.click, 0.0, 1.0),
+        click=np.clip(matrix @ povm.click, 0.0, 1.0),
         truncation=povm.truncation,
     )
-
-
-def _second_difference(n: int) -> np.ndarray:
-    rows = n - 2
-    out = np.zeros((rows, n))
-    idx = np.arange(rows)
-    out[idx, idx] = 1.0
-    out[idx, idx + 1] = -2.0
-    out[idx, idx + 2] = 1.0
-    return out
 
 
 def unscale_povm(
     povm: DiagonalPovm,
     eta: float,
-    target_truncation: int | None = None,
     *,
     return_violation: bool = False,
 ):
@@ -130,10 +100,6 @@ def unscale_povm(
         Click vector of the detector seen through the loss.
     eta:
         Transmissivity of the loss to remove.
-    target_truncation:
-        Truncation of the recovered vector; must be at least
-        ``povm.truncation``. The input is extended with its trailing value
-        before solving.
     return_violation:
         When true, return ``(povm, violation)`` instead of the POVM alone.
 
@@ -143,22 +109,16 @@ def unscale_povm(
         If the pre-clamp violation exceeds 0.1.
     """
     eta = _validated_eta(eta)
-    n_out = povm.truncation if target_truncation is None else int(target_truncation)
-    if n_out < povm.truncation:
-        raise ValueError(
-            f"target truncation {n_out} is smaller than the input truncation "
-            f"{povm.truncation}"
-        )
-    scaled = povm.padded(n_out)
-
-    channel = LossChannel(eta=eta, truncation=n_out)
-    amplification = 3 * np.finfo(float).eps * ((2.0 - eta) / eta) ** (n_out - 1)
-    if amplification <= _DIRECT_SOLVE_TARGET or n_out < 3:
-        solution = solve_triangular(channel.matrix, scaled, lower=True)
+    n = povm.truncation
+    matrix = _loss_matrix(eta, n)
+    amplification = 3 * np.finfo(float).eps * ((2.0 - eta) / eta) ** (n - 1)
+    if amplification <= _DIRECT_SOLVE_TARGET or n < 3:
+        solution = solve_triangular(matrix, povm.click, lower=True)
     else:
-        penalty = np.sqrt(_STABILIZER) * _second_difference(n_out)
-        stacked = np.vstack([channel.matrix, penalty])
-        rhs = np.concatenate([scaled, np.zeros(n_out - 2)])
+        # Second-difference rows (1, -2, 1): the identity differenced twice.
+        penalty = np.sqrt(_STABILIZER) * np.diff(np.eye(n), 2, axis=0)
+        stacked = np.vstack([matrix, penalty])
+        rhs = np.concatenate([povm.click, np.zeros(n - 2)])
         solution, *_ = lstsq(stacked, rhs)
 
     violation = float(max(0.0, -solution.min(), solution.max() - 1.0))
@@ -169,7 +129,7 @@ def unscale_povm(
             f"too strong for the recorded range",
             violation=violation,
         )
-    recovered = DiagonalPovm(click=np.clip(solution, 0.0, 1.0), truncation=n_out)
+    recovered = DiagonalPovm(click=np.clip(solution, 0.0, 1.0), truncation=n)
     if return_violation:
         return recovered, violation
     return recovered

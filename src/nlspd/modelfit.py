@@ -29,9 +29,15 @@ from scipy.optimize import least_squares
 from scipy.sparse import csr_array
 
 from . import numerics
-from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError, TruncationError
+from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
 from .numerics import binomial_table, log_survival_sum
-from .povm import NonlinearSpdParams, _poisson_rows, truncation_for
+from .povm import (
+    NonlinearSpdParams,
+    _check_carries,
+    _poisson_rows,
+    _whole_number,
+    truncation_for,
+)
 from .tomography import ClickRecord, ProbeSet, check_paired
 
 __all__ = [
@@ -128,7 +134,7 @@ class FitReport:
         h = np.asarray(self.h, dtype=float)
         if h.size != self.params.order:
             raise ValueError("h length does not match the number of mechanisms")
-        kept = tuple(sorted(int(n) for n in self.kept_orders))
+        kept = tuple(sorted(_whole_number(n, "kept order") for n in self.kept_orders))
         if any(n < 0 or n >= self.params.order for n in kept):
             raise ValueError(f"kept orders {kept} outside 0..{self.params.order - 1}")
         if self.objective < 0 or residuals.size < 1 or residuals.min() < 0:
@@ -153,7 +159,7 @@ class FitReport:
     def from_dict(cls, document: dict) -> "FitReport":
         try:
             params = NonlinearSpdParams(p=np.asarray(document["p"], dtype=float))
-            kept = tuple(int(n) for n in document["kept_orders"])
+            kept = tuple(document["kept_orders"])
             objective = float(document["objective"])
             residuals = np.asarray(document["per_probe_residuals"], dtype=float)
         except (KeyError, TypeError) as err:
@@ -207,13 +213,12 @@ def _fit_data(
         raise DegenerateDataError(
             "every probe recorded zero clicks; the normalized objective is undefined"
         )
-    needed = truncation_for(float(probes.intensities.max()))
-    if design is not None and design.shape[0] < needed:
-        raise TruncationError(
-            f"design truncation {design.shape[0]} too small for max intensity "
-            f"{probes.intensities.max():g} (needs >= {needed})"
-        )
-    truncation = needed if design is None else design.shape[0]
+    mu_max = float(probes.intensities.max())
+    if design is None:
+        truncation = truncation_for(mu_max)
+    else:
+        truncation = design.shape[0]
+        _check_carries(truncation, mu_max, "design truncation")
     m_values, probe_matrix = _poisson_rows(probes.intensities[included], truncation).union()
     return _FitData(
         probe_matrix=probe_matrix,
@@ -286,7 +291,7 @@ def _initial_h(data: _FitData, intensities: np.ndarray, order: int) -> np.ndarra
     return h0
 
 
-def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, max_evaluations: int):
+def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray):
     """Bound-constrained least-squares fit of the free orders.
 
     Orders flagged in ``pinned`` are held at h[n] = 0 exactly; the rest
@@ -297,7 +302,7 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, max_evaluations: 
     are rescaled by the running column norms (``x_scale="jac"``).
 
     Returns the solution and whether the solver met its tolerances within
-    ``max_evaluations`` residual evaluations.
+    ``_FIT_MAX_EVALUATIONS`` residual evaluations.
     """
     free = ~pinned
 
@@ -318,7 +323,7 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, max_evaluations: 
         ftol=_TRF_TOL,
         xtol=_TRF_TOL,
         gtol=_TRF_TOL,
-        max_nfev=max_evaluations,
+        max_nfev=_FIT_MAX_EVALUATIONS,
     )
     return expand(result.x), result.status != 0
 
@@ -343,9 +348,6 @@ def fit_params(
     probes: ProbeSet,
     record: ClickRecord,
     max_order: int = 6,
-    *,
-    zero_orders=(),
-    max_iterations: int = _FIT_MAX_EVALUATIONS,
 ) -> FitReport:
     """Fit mechanism efficiencies P_0..P_{max_order-1} to click data.
 
@@ -368,35 +370,24 @@ def fit_params(
     ----------
     max_order:
         Number of mechanisms M; orders n = 0..M-1 are fitted.
-    zero_orders:
-        Orders constrained to P_n = 0 throughout (used by pruning).
-    max_iterations:
-        Budget of residual evaluations for the solver.
 
     Raises
     ------
     DegenerateDataError
         If no probe recorded any click.
     ConvergenceError
-        If the evaluation budget runs out first; the error carries the
-        best-so-far ``FitReport`` as its ``result``.
+        If the budget of 100,000 residual evaluations runs out first; the
+        error carries the best-so-far ``FitReport`` as its ``result``.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    pinned = np.zeros(max_order, dtype=bool)
-    for n in zero_orders:
-        if not 0 <= n < max_order:
-            raise ValueError(f"zero order {n} outside 0..{max_order - 1}")
-        pinned[n] = True
-
     data = _fit_data(probes, record, max_order)
     h0 = _initial_h(data, probes.intensities, max_order)
-    h, converged = _solve(data, h0, pinned, max_iterations)
-    kept = [n for n in range(max_order) if not pinned[n]]
-    report = _build_report(data, h, kept)
+    h, converged = _solve(data, h0, np.zeros(max_order, dtype=bool))
+    report = _build_report(data, h, range(max_order))
     if not converged:
         raise ConvergenceError(
-            f"mechanism fit used its {max_iterations} residual evaluations "
+            f"mechanism fit used its {_FIT_MAX_EVALUATIONS} residual evaluations "
             "before meeting its tolerances",
             result=report,
         )
@@ -440,7 +431,7 @@ def prune_mechanisms(
     base_norm = np.sqrt(report.objective)
 
     def refit(pinned: np.ndarray):
-        h, converged = _solve(data, report.h, pinned, _FIT_MAX_EVALUATIONS)
+        h, converged = _solve(data, report.h, pinned)
         if not converged:
             raise ConvergenceError(
                 f"pruning refit used its {_FIT_MAX_EVALUATIONS} residual "

@@ -26,6 +26,7 @@ fit all sum through it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,17 @@ _BOUND_FUZZ = 1e-12
 _EXP_UNDERFLOW = -746.0
 
 
+def _whole_number(value, what: str) -> int:
+    """``value`` as an int, refusing bools, strings and values that are not whole.
+
+    Whole floats pass, since JSON reads a count written as 1e5 as 100000.0.
+    """
+    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not (number and float(value).is_integer()):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _validated_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -112,15 +124,17 @@ class DiagonalPovm:
     truncation: int
 
     def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        truncation = _whole_number(self.truncation, "truncation")
+        if truncation < 1:
+            raise ValueError(f"truncation must be >= 1, got {truncation}")
         click = _validated_unit_interval(self.click, "click probabilities")
-        if click.shape != (self.truncation,):
+        if click.shape != (truncation,):
             raise ValueError(
-                f"click vector has length {click.shape[0]}, expected {self.truncation}"
+                f"click vector has length {click.shape[0]}, expected {truncation}"
             )
         click.setflags(write=False)
         object.__setattr__(self, "click", click)
+        object.__setattr__(self, "truncation", truncation)
 
     def to_dict(self) -> dict:
         """JSON-ready document: ``{"truncation": N, "click": [...]}``."""
@@ -129,7 +143,7 @@ class DiagonalPovm:
     @classmethod
     def from_dict(cls, document: dict) -> "DiagonalPovm":
         try:
-            truncation = int(document["truncation"])
+            truncation = document["truncation"]
             click = np.asarray(document["click"], dtype=float)
         except (KeyError, TypeError) as err:
             raise DataFormatError(f"malformed POVM document: {err}") from err
@@ -261,6 +275,19 @@ def _carries(truncation, mu):
     falls with N, so ``truncation_for(mu)`` is the smallest N passing.
     """
     return gammainc(truncation, mu) < DEFAULT_TAIL_MASS
+
+
+def _check_carries(truncation: int, mean_photons: float, what: str = "truncation") -> None:
+    """Raise ``TruncationError`` unless ``truncation`` carries a probe of ``mean_photons``.
+
+    A sum truncated short of the probe's Poisson mass would silently miss
+    response and bias any fit against that probe.
+    """
+    if not _carries(truncation, mean_photons):
+        raise TruncationError(
+            f"{what} {truncation} is too small for mean photon number "
+            f"{mean_photons:g} (needs >= {truncation_for(mean_photons)})"
+        )
 
 
 def _search_span(mu: np.ndarray) -> np.ndarray:
@@ -461,10 +488,6 @@ def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
     """
     if mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    if not _carries(povm.truncation, mean_photons):
-        raise TruncationError(
-            f"POVM truncation {povm.truncation} is too small for mean photon "
-            f"number {mean_photons} (needs >= {truncation_for(mean_photons)})"
-        )
+    _check_carries(povm.truncation, mean_photons, "POVM truncation")
     weights = np.exp(poisson_log_weights(mean_photons, povm.truncation))
     return float(weights @ povm.click)

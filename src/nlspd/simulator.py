@@ -18,19 +18,30 @@ import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
 from .exceptions import DataFormatError, SaturationCapError
-from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, povm_click_probability
+from .povm import (
+    DiagonalPovm,
+    NonlinearSpdParams,
+    _coherent_clicks,
+    _whole_number,
+    povm_click_probability,
+)
 from .tomography import ClickRecord, ProbeSet
 
 __all__ = [
     "ExperimentConfig",
     "geometric_probe_grid",
     "simulate",
-    "sweep_probe_grid",
 ]
 
-_DEFAULT_TRIALS = 100_000
-_DEFAULT_INTENSITY_CAP = 1e6
+# The canonical probe grid: _GRID_POINTS intensities from _GRID_START up
+# to where the click probability passes 1 - _SATURATION_TOLERANCE, found
+# by steps of _SWEEP_GROWTH below _INTENSITY_CAP, at _TRIALS trials each.
+_GRID_POINTS = 60
+_GRID_START = 1e-2
+_SATURATION_TOLERANCE = 1e-3
 _SWEEP_GROWTH = 1.2
+_INTENSITY_CAP = 1e6
+_TRIALS = 100_000
 
 
 def _noiseless_clicks(truth, intensities) -> np.ndarray:
@@ -70,10 +81,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.probes, ProbeSet):
             raise TypeError(f"probes must be a ProbeSet, got {type(self.probes).__name__}")
-        seed = int(self.seed)
+        seed = _whole_number(self.seed, "seed")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        trials = int(self.trials)
+        trials = _whole_number(self.trials, "trials")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if trials != self.probes.trials:
@@ -99,10 +110,10 @@ class ExperimentConfig:
         try:
             truth_doc = document["truth"]
             probes_doc = document["probes"]
-            seed = int(document["seed"])
-            trials = int(document["trials"])
+            seed = document["seed"]
+            trials = document["trials"]
             intensities = np.asarray(probes_doc["intensities"], dtype=float)
-            probe_trials = int(probes_doc.get("trials", trials))
+            probe_trials = probes_doc.get("trials", trials)
         except (KeyError, TypeError) as err:
             raise DataFormatError(f"malformed experiment config: {err}") from err
         if "click" in truth_doc:
@@ -149,73 +160,36 @@ def simulate(config: ExperimentConfig) -> ClickRecord:
     return ClickRecord(clicks=clicks, trials=config.trials)
 
 
-def sweep_probe_grid(
-    truth,
-    start: float = 1e-2,
-    saturation_tolerance: float = 1e-3,
-    *,
-    trials: int = _DEFAULT_TRIALS,
-    intensity_cap: float = _DEFAULT_INTENSITY_CAP,
-) -> ProbeSet:
-    """Geometric intensity sweep ending where the detector saturates.
+def _saturation_intensity(truth) -> float:
+    """Intensity at which a geometric march first saturates the detector.
 
-    Marches mean photon numbers upward by a fixed ratio from ``start``
-    until the noiseless click probability exceeds
-    ``1 - saturation_tolerance``, mimicking the lab procedure of raising
-    the probe power until the response stops changing. The vacuum probe is
-    prepended. A detector that cannot saturate (e.g. dark counts only)
-    would march forever, so exceeding ``intensity_cap`` raises
-    ``SaturationCapError``.
+    Marches mean photon numbers upward by a fixed ratio from
+    ``_GRID_START`` until the noiseless click probability exceeds
+    ``1 - _SATURATION_TOLERANCE``, mimicking the lab procedure of raising
+    the probe power until the response stops changing. A detector that
+    cannot saturate (e.g. dark counts only) would march forever, so
+    passing ``_INTENSITY_CAP`` raises ``SaturationCapError``.
     """
-    if start <= 0:
-        raise ValueError(f"start intensity must be > 0, got {start}")
-    if not 0 < saturation_tolerance < 1:
-        raise ValueError(
-            f"saturation tolerance must lie in (0, 1), got {saturation_tolerance}"
-        )
-    if intensity_cap <= start:
-        raise ValueError("intensity cap must exceed the start intensity")
-    grid = []
-    mu = float(start)
-    while True:
-        grid.append(mu)
-        if _noiseless_clicks(truth, [mu])[0] > 1 - saturation_tolerance:
-            break
+    mu = _GRID_START
+    while _noiseless_clicks(truth, [mu])[0] <= 1 - _SATURATION_TOLERANCE:
         mu *= _SWEEP_GROWTH
-        if mu > intensity_cap:
+        if mu > _INTENSITY_CAP:
             raise SaturationCapError(
-                f"click probability stayed below {1 - saturation_tolerance:g} "
-                f"up to the intensity cap {intensity_cap:g}"
+                f"click probability stayed below {1 - _SATURATION_TOLERANCE:g} "
+                f"up to the intensity cap {_INTENSITY_CAP:g}"
             )
-    return ProbeSet(intensities=np.concatenate([[0.0], grid]), trials=trials)
+    return mu
 
 
-def geometric_probe_grid(
-    truth,
-    *,
-    points: int = 60,
-    start: float = 1e-2,
-    saturation_tolerance: float = 1e-3,
-    trials: int = _DEFAULT_TRIALS,
-    intensity_cap: float = _DEFAULT_INTENSITY_CAP,
-) -> ProbeSet:
-    """Fixed-size geometric grid from ``start`` to the saturation point.
+def geometric_probe_grid(truth) -> ProbeSet:
+    """Geometric grid from 0.01 photons to the saturation point.
 
-    The sweep locates where the detector saturates; the returned set then
-    spans [start, saturation] with ``points`` geometrically spaced
-    intensities plus the vacuum probe. This is the canonical grid for
+    The march of ``_saturation_intensity`` locates where the detector
+    saturates (click probability above 0.999); the returned set then spans
+    [0.01, saturation] with 60 geometrically spaced intensities plus the
+    vacuum probe, at 100,000 trials each. This is the canonical grid for
     simulation-driven fits, dense enough at low intensity to pin the
     small-order mechanisms.
     """
-    if points < 2:
-        raise ValueError(f"at least 2 grid points are required, got {points}")
-    swept = sweep_probe_grid(
-        truth,
-        start,
-        saturation_tolerance,
-        trials=trials,
-        intensity_cap=intensity_cap,
-    )
-    endpoint = float(swept.intensities[-1])
-    grid = np.geomspace(start, endpoint, points)
-    return ProbeSet(intensities=np.concatenate([[0.0], grid]), trials=trials)
+    grid = np.geomspace(_GRID_START, _saturation_intensity(truth), _GRID_POINTS)
+    return ProbeSet(intensities=np.concatenate([[0.0], grid]), trials=_TRIALS)

@@ -28,17 +28,17 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import cholesky_banded, solve_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq, lsq_linear
 
 from .exceptions import (
     ConvergenceError,
     DataFormatError,
     TargetUnreachableError,
-    TruncationError,
     UndefinedFidelityError,
 )
-from .povm import DiagonalPovm, truncation_for
+from .povm import DiagonalPovm, _check_carries, _whole_number, truncation_for
 from .numerics import poisson_log_weights
 
 __all__ = [
@@ -56,9 +56,10 @@ __all__ = [
 
 CSV_HEADER = ("mean_photons", "trials", "clicks")
 
-# Mean photon number at which the rescaled detector hits its target click
-# probability.
+# ``scaled_fit_workflow`` rescales a detector to click with probability
+# _SCALED_TARGET_CLICK at mean photon number SCALED_TARGET_MEAN.
 SCALED_TARGET_MEAN = 30.0
+_SCALED_TARGET_CLICK = 0.95
 
 # Relative cost-change tolerance of the bounded-variable least-squares
 # solve. Looser values stop measurably short of the optimum: 1e-10 leaves
@@ -121,11 +122,12 @@ class ProbeSet:
             raise ValueError("the first probe must be the vacuum (intensity 0)")
         if np.any(np.diff(intensities) <= 0):
             raise ValueError("probe intensities must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError(f"trials per probe must be >= 1, got {self.trials}")
+        trials = _whole_number(self.trials, "trials per probe")
+        if trials < 1:
+            raise ValueError(f"trials per probe must be >= 1, got {trials}")
         intensities.setflags(write=False)
         object.__setattr__(self, "intensities", intensities)
-        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "trials", trials)
 
     def __len__(self) -> int:
         return int(self.intensities.size)
@@ -154,13 +156,14 @@ class ClickRecord:
                 raise ValueError("click counts must be integers")
             clicks = rounded
         clicks = clicks.astype(np.int64)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if clicks.min() < 0 or clicks.max() > self.trials:
+        trials = _whole_number(self.trials, "trials")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if clicks.min() < 0 or clicks.max() > trials:
             raise ValueError("click counts must lie in [0, trials]")
         clicks.setflags(write=False)
         object.__setattr__(self, "clicks", clicks)
-        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "trials", trials)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -186,12 +189,7 @@ def build_probe_matrix(probes: ProbeSet, truncation: int) -> np.ndarray:
     probe's Poisson mass to within ``DEFAULT_TAIL_MASS``, since rows would
     then sum to visibly less than one and bias any fit against them.
     """
-    needed = truncation_for(float(probes.intensities.max()))
-    if truncation < needed:
-        raise TruncationError(
-            f"truncation {truncation} too small for max intensity "
-            f"{probes.intensities.max():g} (needs >= {needed})"
-        )
+    _check_carries(truncation, float(probes.intensities.max()))
     return np.exp(poisson_log_weights(probes.intensities, truncation))
 
 
@@ -379,19 +377,15 @@ def _free_minimizer(
         block[1] = 2.0 - (index == 0) - (index == state.size - 1)
         block[0, 1:] = np.where(np.diff(index) == 1, -1.0, 0.0)
         factor = cholesky_banded(block, check_finite=False)
-        # R^T in lower band storage, for the transposed solves.
-        transposed = np.stack([factor[1], np.append(factor[0, 1:], 0.0)])
-        shift = solve_banded(
-            (1, 0), transposed, -_roughness_gradient(x)[index], check_finite=False
-        )
-        columns = solve_banded((1, 0), transposed, F[:, index].T, check_finite=False).T
+        shift = dtbtrs(factor, -_roughness_gradient(x)[index, None], trans="T")[0][:, 0]
+        columns = dtbtrs(factor, F[:, index].T, trans="T")[0].T
         target = frequencies - F @ x - columns @ shift
     left, s, right = np.linalg.svd(columns, full_matrices=False)
     u = shift + right.T @ (s / (s * s + weight) * (left.T @ target))
     if free.all():
         first = f @ (frequencies - tail_sums @ u) / (f @ f)
         return first + np.concatenate([[0.0], np.cumsum(u)])
-    x[index] = solve_banded((0, 1), factor, u, check_finite=False)
+    x[index] = dtbtrs(factor, u[:, None])[0][:, 0]
     return x
 
 
@@ -503,7 +497,6 @@ def _crossing_intensity(
 def scaled_fit_workflow(
     probes: ProbeSet,
     record: ClickRecord,
-    target_click_at_30: float = 0.95,
     *,
     smoothing_weight: float | None = None,
 ) -> tuple[float, DiagonalPovm]:
@@ -514,9 +507,9 @@ def scaled_fit_workflow(
     intractable. Multiplying every intensity by a factor k < 1 describes
     the same data as a more efficient detector on a small photon-number
     range. k is fixed by the saturation condition: if ``mu*`` is the
-    intensity where the measured click probability reaches
-    ``target_click_at_30``, then ``k = 30 / mu*``, so the rescaled
-    detector clicks with that probability at mean photon number 30.
+    intensity where the measured click probability reaches 0.95, then
+    ``k = 30 / mu*``, so the rescaled detector clicks with 95% probability
+    at mean photon number 30.
 
     Returns
     -------
@@ -530,12 +523,8 @@ def scaled_fit_workflow(
         If the measured click probabilities never bracket the target.
     """
     check_paired(probes, record)
-    if not 0 < target_click_at_30 < 1:
-        raise ValueError(
-            f"target click probability must lie in (0, 1), got {target_click_at_30}"
-        )
     mu_star = _crossing_intensity(
-        probes.intensities, record.frequencies, target_click_at_30
+        probes.intensities, record.frequencies, _SCALED_TARGET_CLICK
     )
     k = SCALED_TARGET_MEAN / mu_star
     scaled_probes = probes.scaled_by(k)

@@ -72,6 +72,34 @@ def test_simulate_rerun_is_byte_identical(tmp_path, config_path):
     assert (tmp_path / "clicks.csv.manifest.json").read_bytes() == first_manifest
 
 
+@pytest.mark.parametrize(
+    "field, value", [("trials", 2.9), ("seed", 7.8), ("seed", True)]
+)
+def test_simulate_rejects_non_integral_counts(tmp_path, config_path, capsys, field, value):
+    document = json.loads(config_path.read_text())
+    document[field] = value
+    if field == "trials":
+        document["probes"]["trials"] = value
+    config_path.write_text(json.dumps(document))
+    out = tmp_path / "clicks.csv"
+    assert run_cli(["simulate", config_path, out]) == 1
+    assert "must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_accepts_whole_float_counts(tmp_path, config_path):
+    # JSON reads 1e5 as 100000.0; the record matches the integer config's.
+    reference_csv = tmp_path / "reference.csv"
+    assert run_cli(["simulate", config_path, reference_csv]) == 0
+    document = json.loads(config_path.read_text())
+    document["trials"] = document["probes"]["trials"] = 1e5
+    document["seed"] = 101.0
+    config_path.write_text(json.dumps(document))
+    out = tmp_path / "clicks.csv"
+    assert run_cli(["simulate", config_path, out]) == 0
+    assert out.read_bytes() == reference_csv.read_bytes()
+
+
 def test_reconstruct_default_truncation(tmp_path, data_csv):
     out = tmp_path / "povm.json"
     assert run_cli(["reconstruct", data_csv, out]) == 0

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import binom
 
 from nlspd.exceptions import IllConditionedInversionError
-from nlspd.loss import LossChannel, lossy_click_probability, scale_povm, unscale_povm
+from nlspd.loss import _loss_matrix, lossy_click_probability, scale_povm, unscale_povm
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
@@ -28,8 +28,7 @@ def test_scale_povm_matches_binomial_oracle():
 
 
 def test_loss_matrix_is_binomial_and_stochastic():
-    channel = LossChannel(eta=0.35, truncation=12)
-    matrix = channel.matrix
+    matrix = _loss_matrix(0.35, 12)
     for m in range(12):
         row = binom.pmf(np.arange(12), m, 0.35)
         np.testing.assert_allclose(matrix[m], row, atol=1e-13)
@@ -38,9 +37,8 @@ def test_loss_matrix_is_binomial_and_stochastic():
 
 def test_matrix_application_equals_scale_povm():
     povm = nonlinear_povm(NonlinearSpdParams([0.02, 0.3, 0.1]), 25)
-    channel = LossChannel(eta=0.55, truncation=25)
     np.testing.assert_allclose(
-        channel.matrix @ povm.click, scale_povm(povm, 0.55).click, atol=1e-13
+        _loss_matrix(0.55, 25) @ povm.click, scale_povm(povm, 0.55).click, atol=1e-13
     )
 
 
@@ -97,16 +95,6 @@ def test_unscale_round_trip():
             np.testing.assert_allclose(recovered.click, povm.click, atol=1e-8)
 
 
-def test_unscale_extends_to_target_truncation():
-    povm = spd_povm(0.5, 20)
-    scaled = scale_povm(povm, 0.8)
-    recovered = unscale_povm(scaled, 0.8, target_truncation=26)
-    assert recovered.truncation == 26
-    np.testing.assert_allclose(recovered.click[:20], povm.click, atol=1e-8)
-    with pytest.raises(ValueError):
-        unscale_povm(scaled, 0.8, target_truncation=10)
-
-
 def test_unscale_reports_clean_violation():
     povm, violation = unscale_povm(
         scale_povm(spd_povm(0.2, 30), 0.7), 0.7, return_violation=True
@@ -129,5 +117,7 @@ def test_eta_validation():
     for eta in (0.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             scale_povm(povm, eta)
-    with pytest.raises(ValueError):
-        LossChannel(eta=0.0, truncation=5)
+        with pytest.raises(ValueError):
+            unscale_povm(povm, eta)
+        with pytest.raises(ValueError):
+            lossy_click_probability(povm, eta, 1.0)

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nlspd import modelfit
 from nlspd.exceptions import ConvergenceError, DegenerateDataError, TruncationError
 from nlspd.modelfit import (
     FitReport,
@@ -248,17 +249,6 @@ def test_nested_models_never_fit_worse():
     assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
 
-def test_zero_orders_pins_mechanisms():
-    truth = NonlinearSpdParams([1e-3, 0.08])
-    base = geometric_probe_grid(truth)
-    config = ExperimentConfig(truth=truth, probes=base, seed=3, trials=100_000)
-    record = simulate(config)
-    report = fit_params(base, record, max_order=3, zero_orders=(0, 2))
-    assert report.params.p[0] == 0.0
-    assert report.params.p[2] == 0.0
-    assert report.params.p[1] > 0.0
-
-
 def test_prune_with_infinite_threshold_degenerates_to_best_single():
     truth = NonlinearSpdParams([1e-3, 0.08])
     base = geometric_probe_grid(truth)
@@ -272,13 +262,14 @@ def test_prune_with_infinite_threshold_degenerates_to_best_single():
     assert "degenerate_pruning" not in pruned.to_dict()
 
 
-def test_convergence_error_carries_best_report():
+def test_convergence_error_carries_best_report(monkeypatch):
+    monkeypatch.setattr(modelfit, "_FIT_MAX_EVALUATIONS", 3)
     truth = NonlinearSpdParams([1e-3, 0.08])
     base = geometric_probe_grid(truth)
     config = ExperimentConfig(truth=truth, probes=base, seed=3, trials=100_000)
     record = simulate(config)
     with pytest.raises(ConvergenceError) as excinfo:
-        fit_params(base, record, max_order=2, max_iterations=3)
+        fit_params(base, record, max_order=2)
     report = excinfo.value.result
     assert isinstance(report, FitReport)
     assert np.isfinite(report.objective)
@@ -326,6 +317,9 @@ def test_report_dict_round_trip_handles_edge_efficiencies():
     np.testing.assert_array_equal(again.params.p, report.params.p)
     assert again.params.p[2] == 1.0
     assert again.kept_orders == (1, 2)
+    assert FitReport.from_dict({**doc, "kept_orders": [1.0, 2.0]}).kept_orders == (1, 2)
+    with pytest.raises(ValueError, match="whole number"):
+        FitReport.from_dict({**doc, "kept_orders": [1.5, 2]})
 
 
 def test_scaling_analysis_recovers_exact_power_law():

@@ -221,6 +221,9 @@ def test_diagonal_povm_validation():
         DiagonalPovm(click=np.array([0.0, 0.5]), truncation=3)
     with pytest.raises(ValueError):
         DiagonalPovm(click=np.array([0.0]), truncation=0)
+    with pytest.raises(ValueError, match="whole number"):
+        DiagonalPovm.from_dict({"truncation": 2.7, "click": [0.0, 0.5]})
+    assert DiagonalPovm.from_dict({"truncation": 2.0, "click": [0.0, 0.5]}).truncation == 2
 
 
 def test_diagonal_povm_clips_rounding_fuzz():

@@ -16,9 +16,9 @@ from nlspd.povm import (
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import (
     ExperimentConfig,
+    _saturation_intensity,
     geometric_probe_grid,
     simulate,
-    sweep_probe_grid,
 )
 from nlspd.tomography import ProbeSet
 
@@ -56,7 +56,7 @@ def test_sample_mean_matches_click_probability():
 
 
 def test_binomial_ufuncs_match_scipy_stats():
-    # simulate and LossChannel call the ufuncs behind binom.ppf and
+    # simulate and the loss matrix call the ufuncs behind binom.ppf and
     # binom.pmf directly; a scipy release that changes them fails here.
     rng = np.random.default_rng(5)
     u, q = rng.random(20_000), rng.random(20_000) ** 3
@@ -124,21 +124,18 @@ def test_config_dict_round_trip():
 
 
 def test_sweep_grid_brackets_saturation():
-    grid = sweep_probe_grid(SPD)
-    assert grid.intensities[0] == 0.0
-    assert np.all(np.diff(grid.intensities) > 0)
     # analytic 99.9% crossing of 1 - exp(-0.1 mu)
     crossing = np.log(1000.0) / 0.1
-    endpoint = grid.intensities[-1]
+    endpoint = _saturation_intensity(SPD)
     assert crossing <= endpoint <= 1.2 * crossing
-    # the point before the endpoint is still below saturation
-    q_before = coherent_click_probability(SPD, grid.intensities[-2])
+    # the step before the endpoint is still below saturation
+    q_before = coherent_click_probability(SPD, endpoint / 1.2)
     assert q_before <= 1.0 - 1e-3
 
 
 def test_sweep_grid_matches_bisection_oracle():
     truth = SCALED_PARAMS[16]
-    endpoint = sweep_probe_grid(truth).intensities[-1]
+    endpoint = geometric_probe_grid(truth).intensities[-1]
     oracle = brentq(
         lambda mu: coherent_click_probability(truth, mu) - (1.0 - 1e-3), 1.0, 1e6
     )
@@ -147,17 +144,17 @@ def test_sweep_grid_matches_bisection_oracle():
 
 def test_sweep_grid_rejects_unsaturable_detector():
     with pytest.raises(SaturationCapError):
-        sweep_probe_grid(NonlinearSpdParams([1e-3]))
+        geometric_probe_grid(NonlinearSpdParams([1e-3]))
 
 
 def test_geometric_grid_shape():
-    grid = geometric_probe_grid(SPD, points=45, trials=2000)
-    assert len(grid) == 46
+    grid = geometric_probe_grid(SPD)
+    assert len(grid) == 61
     assert grid.intensities[0] == 0.0
-    assert grid.trials == 2000
+    assert grid.trials == 100_000
     body = grid.intensities[1:]
     assert body[0] == pytest.approx(0.01)
-    assert body[-1] == pytest.approx(sweep_probe_grid(SPD, trials=2000).intensities[-1])
+    assert body[-1] == pytest.approx(_saturation_intensity(SPD))
     # geometric spacing has a constant ratio
     ratios = body[1:] / body[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)

@@ -211,8 +211,13 @@ def test_probe_set_validation():
         ProbeSet(intensities=np.array([0.0]), trials=10)  # at least two
     with pytest.raises(ValueError):
         ProbeSet(intensities=np.array([0.0, 1.0]), trials=0)
+    for trials in (2.9, True, "10"):  # counts are whole numbers, never rounded
+        with pytest.raises(ValueError, match="whole number"):
+            ProbeSet(intensities=np.array([0.0, 1.0]), trials=trials)
     probes = ProbeSet(intensities=np.array([0.0, 1.0, 2.0]), trials=10)
     assert len(probes) == 3
+    # JSON reads 1e5 as 100000.0; a whole float is a count.
+    assert ProbeSet(intensities=np.array([0.0, 1.0]), trials=1e5).trials == 100_000
 
 
 def test_probe_set_scaling():
@@ -234,6 +239,8 @@ def test_click_record_validation():
         ClickRecord(clicks=np.array([0, 11]), trials=10)  # over trials
     with pytest.raises(ValueError):
         ClickRecord(clicks=np.array([-1, 2]), trials=10)
+    with pytest.raises(ValueError, match="whole number"):
+        ClickRecord(clicks=np.array([1, 2]), trials=10.5)
 
 
 def test_click_data_round_trip(tmp_path):
