@@ -344,10 +344,10 @@ def cmd_figure(figure_id, out_csv, bias_current, seed):
 def main(argv=None):
     """Entry point mapping exception families onto the 0/1/2 exit-status contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    # Exit and Abort are RuntimeErrors, so they go before the catch-all.
-    except click.exceptions.Exit as err:
-        sys.exit(err.exit_code)
+        # Without standalone mode click returns the code of a ctx.exit(n)
+        # (0 for --version) instead of raising it.
+        code = cli.main(args=argv, standalone_mode=False)
+    # Abort is a RuntimeError, so it goes before the catch-all.
     except click.Abort:
         click.echo("aborted", err=True)
         sys.exit(1)
@@ -360,7 +360,7 @@ def main(argv=None):
     except Exception as err:
         click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
         sys.exit(2)
-    sys.exit(0)
+    sys.exit(code or 0)
 
 
 if __name__ == "__main__":

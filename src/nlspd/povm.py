@@ -19,9 +19,10 @@ for every m >= n.
 
 A coherent probe of mean mu weighs photon number m by the Poisson law. One
 private operator, ``_poisson_rows``, holds those weights for any set of
-probes, each over the O(sqrt(mu)) window of photon numbers that carries
-its mass; the coherent click probability, the simulator and the mechanism
-fit all sum through it.
+probes, each over the O(sqrt(mu)) window of photon numbers outside which
+a closed-form Chernoff bound leaves at most 1e-16 of the mass on either
+side; the coherent click probability, the simulator and the mechanism fit
+all sum through it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.special import gammainc, gammaincc, ndtri
+from scipy.special import gammainc, lambertw
 
 from .exceptions import DataFormatError, TruncationError
 from .numerics import binomial_table, log_survival_sum, poisson_log_pmf, poisson_log_weights
@@ -55,28 +56,6 @@ DEFAULT_TAIL_MASS = 1e-12
 # window: under the resolution of a double near one, so a click
 # probability cannot see it.
 _WINDOW_MASS = 1e-16
-
-# First guesses of the bound searches. ``_quantile_guess`` is a Cornish-
-# Fisher expansion at the normal deviate z of the cut, plus a term
-# a sqrt(mu) / (mu + b) fitted so that the exact bound is floor(guess),
-# floor(guess) + 1 or floor(guess) + 2 for every mu in [1e-4, 1e6] (checked
-# against bisection at 2,700 means); mu = 0 and mu beyond 1e6, where
-# gammainc itself drifts, cost a few bisection steps instead.
-def _guess_terms(z, a, b) -> tuple:
-    z, a, b = (np.asarray(v, dtype=float) for v in (z, a, b))
-    return z, (z * z - 1.0) / 6.0 + 0.5, (z**3 - z) / 72.0, a, b
-
-
-_LOWER_WINDOW = (ndtri(_WINDOW_MASS), 1.5, 0.5)
-_UPPER_WINDOW = (-ndtri(_WINDOW_MASS), 5.5, 0.5)
-_UPPER_TRUNCATION = (-ndtri(DEFAULT_TAIL_MASS), 3.25, 1.0)
-# Lower window cut over an upper window cut or truncation cut, one row each.
-_GUESS_WINDOW = _guess_terms(*np.array([_LOWER_WINDOW, _UPPER_WINDOW]).T[..., None])
-_GUESS_WINDOW_TRUNCATION = _guess_terms(
-    *np.array([_LOWER_WINDOW, _UPPER_TRUNCATION]).T[..., None]
-)
-_GUESS_TRUNCATION = _guess_terms(*_UPPER_TRUNCATION)
-_GUESS_OFFSETS = np.arange(-1, 3)[:, None]
 
 _BOUND_FUZZ = 1e-12
 
@@ -248,24 +227,52 @@ def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
     )
 
 
+def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers ``[m_lo, m_hi)``, as floats, outside which a Poisson
+    law keeps at most ``mass`` on either side.
+
+    The Chernoff bound ``e^-mu (e mu / k)^k`` holds P(M >= k) for k > mu and
+    P(M <= k) for k < mu. It equals ``mass`` at ``k = mu exp(1 + W(x))``,
+    ``x = (ln(1/mass) - mu) / (e mu)``: Lambert's W on its principal branch
+    gives the upper end and on its -1 branch the lower end, which exists
+    only where e^-mu < mass (x < 0; otherwise m_lo = 0). Near the branch
+    point x = -1/e, where x has lost the digits of ln(1/mass) / mu and
+    scipy's -1 branch stalls at -1 (mu above about 7e9), ``1 + W`` is the
+    branch-point series ``+-p - p^2/3 +- 11 p^3/72`` in
+    ``p = sqrt(2 ln(1/mass) / mu)`` (Corless et al. 1996), exact to rounding
+    for p < 1e-3. A window is at most a few percent wider than the exact
+    one. Means under ``mass`` take the window at ``mass``, which covers theirs.
+    """
+    log_mass = np.log(mass)
+    mu = np.maximum(mean_photons, mass)
+    x = (-log_mass - mu) / (np.e * mu)
+    p = np.sqrt(-2.0 * log_mass / mu)
+    lower = np.where(p < 1e-3, -p - p**2 / 3 - 11 / 72 * p**3, 1.0 + lambertw(x, -1).real)
+    upper = np.where(p < 1e-3, p - p**2 / 3 + 11 / 72 * p**3, 1.0 + lambertw(x).real)
+    m_lo = np.where(x < 0, np.floor(mu * np.exp(lower)) + 1.0, 0.0)
+    return m_lo, np.ceil(mu * np.exp(upper))
+
+
 def truncation_for(max_mean_photons: float) -> int:
     """Smallest truncation N whose Poisson tail mass beyond N-1 is < DEFAULT_TAIL_MASS.
 
     Guarantees ``sum_{m >= N} e^-mu mu^m / m! < DEFAULT_TAIL_MASS`` at
     ``mu = max_mean_photons``, so a photon-number expansion truncated at N
-    carries at most that much unaccounted probability.
+    carries at most that much unaccounted probability. N is found by
+    bisection between floor(mu), which keeps about half the mass beyond
+    it, and the Chernoff end of ``_chernoff_window``, which passes.
     """
-    if max_mean_photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {max_mean_photons}")
-    mu = np.array([float(max_mean_photons)])
-    return int(
-        _first_true(
-            lambda m, index: _carries(m, mu),
-            np.floor(mu),
-            np.ceil(mu + _search_span(mu)),
-            _quantile_guess(mu, _GUESS_TRUNCATION),
-        )[0]
-    )
+    mu = float(max_mean_photons)
+    if not 0 <= mu < np.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {max_mean_photons}")
+    lo, hi = int(mu), int(_chernoff_window(mu, DEFAULT_TAIL_MASS)[1])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _carries(mid, mu) else (mid, hi)
+    if not _carries(hi, mu):
+        # Above about 1e34 the Chernoff end no longer passes in floating point.
+        raise ValueError(f"mean photon number {mu:g} is too large to truncate")
+    return hi
 
 
 def _carries(truncation, mu):
@@ -290,62 +297,17 @@ def _check_carries(truncation: int, mean_photons: float, what: str = "truncation
         )
 
 
-def _search_span(mu: np.ndarray) -> np.ndarray:
-    """Distance from mu beyond which a Poisson law keeps under e^-72 of its mass.
-
-    About 12 standard deviations plus 40, on either side (Chernoff bound),
-    so every tail cut this module makes lies within it.
-    """
-    return 12.0 * np.sqrt(mu + 1.0) + 40.0
-
-
-def _quantile_guess(mu: np.ndarray, terms: tuple) -> np.ndarray:
-    """First guess of the first photon number past a Poisson cut, from the
-    ``_guess_terms`` of the cut."""
-    z, shift, skew, a, b = terms
-    root = np.sqrt(mu)
-    return mu + z * root + shift - skew / np.sqrt(np.maximum(mu, 1.0)) + a * root / (mu + b)
-
-
-def _first_true(predicate, lo, hi, guess) -> np.ndarray:
-    """Smallest m in (lo, hi] with ``predicate(m)``, elementwise over vectors.
-
-    ``predicate(m, index)`` tells, for the elements ``index`` (ascending),
-    whether their photon numbers ``m`` (one row per point tried) have
-    passed the bound; it must be monotone in m and false at lo. Where it
-    is false on all of (lo, hi], the result is hi. One evaluation at the
-    four photon numbers from one below the guess up settles every element
-    whose bound lies next to its guess; bisection settles the rest, evaluating
-    only the elements still open. A wrong guess costs steps, never
-    correctness.
-    """
-    lo = lo.astype(np.int64)
-    hi = hi.astype(np.int64)
-    index = np.flatnonzero(hi - lo > 1)
-    points = guess[index].astype(np.int64) + _GUESS_OFFSETS
-    while index.size:
-        low, high = lo[index], hi[index]
-        points = np.minimum(np.maximum(points, low + 1), high)
-        true = predicate(points, index)
-        low = np.where(true, low, points).max(axis=0)
-        high = np.where(true, points, high).min(axis=0)
-        lo[index], hi[index] = low, high
-        still_open = high - low > 1
-        index, points = index[still_open], ((low + high + 1) // 2)[None, still_open]
-    return hi
-
-
 @dataclass(frozen=True)
 class _PoissonRows:
     """Poisson rows of coherent probes in compressed sparse row form.
 
     Row i holds ``weights[starts[i]:starts[i + 1]]`` at the consecutive
-    photon numbers ``m[starts[i]:starts[i + 1]]`` and is normalized by its
-    sum ``totals[i]``. ``rows @ values``, with one value per term at ``m``,
-    gives each row's normalized sum without building a sparse matrix,
-    which costs more than a one-probe click probability; ``union()``
-    builds the scipy CSR matrix over the union of the windows for
-    repeated products.
+    photon numbers ``m[starts[i]:starts[i + 1]]``, outside which at most
+    1e-16 of the Poisson mass lies on either side unless a truncation cuts
+    the row, normalized by its sum ``totals[i]``. ``rows @ values``, one
+    value per term at ``m``, gives each row's normalized sum without a
+    sparse matrix, which costs more than a one-probe click probability;
+    ``union()`` builds the CSR matrix over the windows' union for reuse.
     """
 
     m: np.ndarray
@@ -380,55 +342,30 @@ def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
     """Normalized Poisson rows of coherent probes over the photon numbers they weigh.
 
     Row i holds the weights ``e^-mu mu^m / m!`` of mean ``mu = intensities[i]``
-    over its window ``[m_lo, m_hi)``: ``m_lo`` is the largest m with
-    P(M < m) < 1e-16 (0 when already e^-mu >= 1e-16), and ``m_hi`` the
-    smallest m with P(M >= m) < 1e-16, capped at ``truncation`` (a scalar
-    or one per row). Without a truncation, row i ends at
-    ``truncation_for(intensities[i])``. A window is about 15 standard
-    deviations, O(sqrt(mu)) photon numbers, wide. Each row is divided by
-    its sum: at large m the log weight ``m ln(mu) - mu - ln(m!)`` loses
-    digits to cancellation (the full weights sum to 1 - 5.5e-10 at
-    mu = 1e6), and the error is nearly common to the window, so the
-    normalization removes it.
+    over its window ``[m_lo, m_hi)`` from ``_chernoff_window``: at most
+    1e-16 of the Poisson mass lies below ``m_lo`` and at most 1e-16 at or
+    above ``m_hi``, which is capped at ``truncation`` (a scalar or one per
+    row) when one is given. A window is about 17 standard deviations,
+    O(sqrt(mu)) photon numbers, wide. Each row is divided by its sum: at
+    large m the log weight ``m ln(mu) - mu - ln(m!)`` loses digits to
+    cancellation (the full weights sum to 1 - 5.5e-10 at mu = 1e6), and
+    the error is nearly common to the window, so the normalization
+    removes it.
 
-    Every bound comes from one search over all rows, and every weight
-    from one ``poisson_log_pmf`` call.
+    Every window comes from one closed-form evaluation over all rows, and
+    every weight from one ``poisson_log_pmf`` call.
     """
     mu = np.asarray(intensities, dtype=float)
-    rows = mu.size
-    top = np.ceil(mu + _search_span(mu))
-    if truncation is None:
-        tail_mass, guess = DEFAULT_TAIL_MASS, _GUESS_WINDOW_TRUNCATION
-    else:
-        tail_mass, guess = _WINDOW_MASS, _GUESS_WINDOW
-        np.minimum(top, truncation, out=top)
-    floor = np.floor(mu)
-    both = np.concatenate((mu, mu))
-
-    # Elements below ``rows`` find m_lo + 1 from gammaincc(m, mu) = P(M < m),
-    # the others m_hi from gammainc(m, mu) = P(M >= m).
-    def passed(m, index):
-        lower = index.searchsorted(rows)
-        return np.concatenate(
-            (
-                gammaincc(m[:, :lower], both[index[:lower]]) >= _WINDOW_MASS,
-                gammainc(m[:, lower:], both[index[lower:]]) < tail_mass,
-            ),
-            axis=-1,
-        )
-
-    first = _first_true(
-        passed,
-        np.concatenate((np.zeros(rows), np.minimum(floor, top - 1.0))),
-        # Closed at m_lo + 1 = 1 while already P(M < 1) = e^-mu >= 1e-16.
-        np.concatenate((np.where(gammaincc(1.0, mu) >= _WINDOW_MASS, 1.0, floor), top)),
-        _quantile_guess(mu, guess).ravel(),
-    )
-    m_lo, m_hi = first[:rows] - 1, first[rows:]
+    if not np.isfinite(mu).all():
+        raise ValueError("mean photon numbers must be finite")
+    m_lo, m_hi = _chernoff_window(mu, _WINDOW_MASS)
+    if truncation is not None:
+        m_hi = np.minimum(m_hi, truncation)
+    m_lo, m_hi = m_lo.astype(np.int64), m_hi.astype(np.int64)
     sizes = m_hi - m_lo
     if sizes.min() < 1:
         raise TruncationError(f"truncation {truncation} ends below a probe's photon numbers")
-    starts = np.zeros(rows + 1, dtype=np.int64)
+    starts = np.zeros(mu.size + 1, dtype=np.int64)
     sizes.cumsum(out=starts[1:])
     m = np.arange(starts[-1]) + (m_lo - starts[:-1]).repeat(sizes)
     weights = np.exp(poisson_log_pmf(m, mu.repeat(sizes)))
@@ -440,9 +377,9 @@ def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """Click probabilities of the composite detector on coherent probes.
 
-    One ``_poisson_rows`` call without a truncation: row i ends at
-    ``truncation_for(intensities[i])``. The survival is evaluated at every
-    term of every row, as each probe's own sum would.
+    One ``_poisson_rows`` call without a truncation: each row drops at
+    most 1e-16 of its Poisson mass on either side. The survival is
+    evaluated at every term of every row, as each probe's own sum would.
     """
     rows = _poisson_rows(intensities)
     log_survival = _log_survival_at(params.p, rows.m)
@@ -461,10 +398,10 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
         1 - sum_m e^-mu mu^m / m! * prod_n (1 - p[n]) ** C(m, n)
 
     over the one row ``_poisson_rows`` builds for the probe: the window of
-    photon numbers that carries all but ``DEFAULT_TAIL_MASS`` above
-    (``m_hi = truncation_for(mean_photons)``) and 1e-16 below, with its
-    weights normalized to sum to one. The window is O(sqrt(mu)) wide, so
-    a probe at mu = 1e6 sums about 16,000 terms instead of a million.
+    photon numbers that carries all but at most 1e-16 of the Poisson mass
+    on either side, with its weights normalized to sum to one. The window
+    is O(sqrt(mu)) wide, so a probe at mu = 1e6 sums about 17,000 terms
+    instead of a million.
 
     Parameters
     ----------

@@ -116,13 +116,13 @@ class ExperimentConfig:
             probe_trials = probes_doc.get("trials", trials)
         except (KeyError, TypeError) as err:
             raise DataFormatError(f"malformed experiment config: {err}") from err
-        if "click" in truth_doc:
+        if isinstance(truth_doc, dict) and "click" in truth_doc:
             truth = DiagonalPovm.from_dict(truth_doc)
-        elif "p" in truth_doc:
+        elif isinstance(truth_doc, dict) and "p" in truth_doc:
             truth = NonlinearSpdParams.from_dict(truth_doc)
         else:
             raise DataFormatError(
-                "truth document must contain either 'click' (POVM) or 'p' (parameters)"
+                "truth document must be an object with either 'click' (POVM) or 'p' (parameters)"
             )
         probes = ProbeSet(intensities=intensities, trials=probe_trials)
         return cls(truth=truth, probes=probes, seed=seed, trials=trials)
@@ -145,8 +145,8 @@ def simulate(config: ExperimentConfig) -> ClickRecord:
     Each probe's click count is Binomial(trials, q) sampled by inversion,
     where q is the exact click probability of the truth at that intensity.
     For mechanism parameters every probe's q comes from one call of the
-    Poisson-window row operator, each row ending at its own
-    ``truncation_for(mu)``; all probes are then drawn by one vectorized
+    Poisson-window row operator, each row dropping at most 1e-16 of its
+    Poisson mass on either side; all probes are then drawn by one vectorized
     binomial inverse cdf on their uniforms. Identical configs give
     bitwise-identical records.
     """

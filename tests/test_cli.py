@@ -7,6 +7,7 @@ directly.
 
 import json
 
+import click
 import numpy as np
 import pytest
 
@@ -85,6 +86,15 @@ def test_simulate_rejects_non_integral_counts(tmp_path, config_path, capsys, fie
     assert run_cli(["simulate", config_path, out]) == 1
     assert "must be a whole number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("truth", [5, None, [0.1, 0.2]])
+def test_simulate_rejects_non_object_truth(tmp_path, config_path, capsys, truth):
+    document = json.loads(config_path.read_text())
+    document["truth"] = truth
+    config_path.write_text(json.dumps(document))
+    assert run_cli(["simulate", config_path, tmp_path / "clicks.csv"]) == 1
+    assert "truth document must be an object" in capsys.readouterr().err
 
 
 def test_simulate_accepts_whole_float_counts(tmp_path, config_path):
@@ -232,3 +242,14 @@ def test_unexpected_failure_maps_to_exit_two(tmp_path, config_path, monkeypatch)
 
 def test_usage_error_exits_nonzero():
     assert run_cli(["reconstruct"]) != 0
+
+
+def test_main_exits_with_the_code_of_ctx_exit(monkeypatch):
+    @click.command("stop")
+    @click.pass_context
+    def stop(ctx):
+        ctx.exit(3)
+
+    monkeypatch.setitem(cli.cli.commands, "stop", stop)
+    assert run_cli(["stop"]) == 3
+    assert run_cli(["--version"]) == 0

@@ -109,3 +109,6 @@ def test_truncation_for_bounds_the_tail():
 def test_truncation_for_rejects_bad_arguments():
     with pytest.raises(ValueError):
         truncation_for(-1.0)
+    # In floating point no truncation clears the tail at 1e300.
+    with pytest.raises(ValueError, match="too large"):
+        truncation_for(1e300)

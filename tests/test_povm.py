@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincc
 from scipy.stats import poisson
 
 from nlspd.exceptions import DataFormatError, TruncationError
@@ -14,6 +15,7 @@ from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
     _carries,
+    _chernoff_window,
     _coherent_clicks,
     _poisson_rows,
     coherent_click_probability,
@@ -65,10 +67,10 @@ def test_coherent_click_is_poisson_average_of_povm():
 @pytest.mark.parametrize("mean", [30.0, 1e4])
 def test_coherent_click_window_matches_full_sum(mean):
     # The Poisson-window sum against the same normalized sum over every
-    # photon number 0..N-1; the raw 20 uA detector is far from saturation
-    # at both means.
+    # photon number 0..N-1, with N far past the window's end; the raw
+    # 20 uA detector is far from saturation at both means.
     params = UNSCALED_PARAMS[20]
-    n = truncation_for(mean)
+    n = truncation_for(mean) + 400
     weights = np.exp(poisson_log_weights(mean, n))
     survival = np.exp(log_survival(params.p, n))
     full = 1.0 - weights @ survival / weights.sum()
@@ -82,16 +84,17 @@ def test_coherent_click_window_matches_full_sum(mean):
     cap=st.sampled_from(["none", "largest", "each"]),
 )
 def test_windowed_rows_match_dense_probe_rows(means, p, cap):
-    # Windowed, normalized rows against the dense rows 0..N-1 at the
-    # truncation of the largest mean: they differ by the mass beyond the
-    # windows, under 1e-12 per entry. A click probability can differ by
+    # Windowed, normalized rows against the dense rows 0..N-1 up to the
+    # largest window end: they differ by the mass beyond the windows and
+    # truncations, under 1e-12 per entry. A click probability can differ by
     # all of a row's tail (below 1e-12) plus the dense row's own rounding
-    # (measured worst over these examples: 5.9e-13 and 1.1e-12).
+    # (measured worst over these examples: 5.5e-13 and 1.1e-12).
     means = np.array(means)
-    n = truncation_for(means.max())
-    dense = np.exp(poisson_log_weights(means, n))
-    truncation = {"none": None, "largest": n, "each": [truncation_for(mu) for mu in means]}
+    largest = truncation_for(means.max())
+    truncation = {"none": None, "largest": largest, "each": [truncation_for(mu) for mu in means]}
     m_values, matrix = _poisson_rows(means, truncation[cap]).union()
+    n = int(m_values[-1]) + 1
+    dense = np.exp(poisson_log_weights(means, n))
     windowed = np.zeros_like(dense)
     windowed[:, m_values] = matrix.toarray()
     assert np.abs(windowed - dense).max() <= 1e-12
@@ -99,6 +102,53 @@ def test_windowed_rows_match_dense_probe_rows(means, p, cap):
     clicks = _coherent_clicks(params, means)
     assert np.abs(clicks - dense @ nonlinear_povm(params, n).click).max() <= 2e-12
     assert np.array_equal(clicks, [coherent_click_probability(params, mu) for mu in means])
+
+
+def _first_passing(passes, lo, hi):
+    """Smallest m in (lo, hi] with ``passes(m)``, elementwise, by bisection;
+    ``passes`` must be monotone in m, false at lo and true at hi."""
+    while np.any(hi - lo > 1):
+        mid = np.where(hi - lo > 1, (lo + hi) // 2, hi)
+        passed = passes(mid)
+        lo, hi = np.where(passed, lo, mid), np.where(passed, mid, hi)
+    return hi
+
+
+def test_chernoff_windows_bound_the_dropped_mass():
+    # Each window leaves at most 1e-16 of the Poisson mass below m_lo and
+    # at most 1e-16 at or above m_hi (gammaincc(m, mu) = P(M < m) and
+    # gammainc(m, mu) = P(M >= m) as the oracle). Means of 1e10 and 1e12
+    # lie where scipy's -1 branch of Lambert's W stalls at -1.
+    means = np.concatenate(
+        [[0.0, 5e-324, 1e-300, math.log(1e16)], np.geomspace(1e-6, 1e9, 2000), [1e10, 1e12]]
+    )
+    m_lo, m_hi = _chernoff_window(means, 1e-16)
+    below = np.where(m_lo > 0, gammaincc(np.maximum(m_lo, 1.0), means), 0.0)
+    assert below.max() <= 1e-16
+    assert gammainc(m_hi, means).max() <= 1e-16
+    # Up to 1e9, where gammainc is still accurate, each window is at most
+    # 6 % plus 2 terms wider than the exact window found by bisection; the
+    # exact m_lo is one below the first m with P(M < m) > 1e-16.
+    means, m_lo, m_hi = means[:-2], m_lo[:-2], m_hi[:-2]
+    floor = np.floor(means)
+    exact_hi = _first_passing(lambda m: gammainc(m, means) <= 1e-16, floor, m_hi)
+    exact_lo = _first_passing(lambda m: gammaincc(m, means) > 1e-16, m_lo, floor + 1) - 1
+    assert np.all(m_hi - m_lo <= 1.06 * (exact_hi - exact_lo) + 2)
+    # The probe rows span exactly these windows.
+    small = means <= 1e4
+    rows = _poisson_rows(means[small])
+    assert np.array_equal(rows.m[rows.starts[:-1]], m_lo[small])
+    assert np.array_equal(rows.m[rows.starts[1:] - 1] + 1, m_hi[small])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_means_are_refused(bad):
+    with pytest.raises(ValueError, match="finite"):
+        truncation_for(bad)
+    with pytest.raises(ValueError, match="finite"):
+        _poisson_rows([1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        coherent_click_probability(PARAMS, bad)
 
 
 @pytest.mark.parametrize("mean", [1e3, 1e6, 1e9])
