@@ -26,7 +26,7 @@ from scipy.linalg import lstsq, solve_triangular
 from scipy.special._ufuncs import _binom_pmf
 
 from .exceptions import IllConditionedInversionError
-from .povm import DiagonalPovm, povm_click_probability
+from .povm import DiagonalPovm, _check_dense_size, povm_click_probability
 
 __all__ = [
     "lossy_click_probability",
@@ -64,11 +64,15 @@ def scale_povm(povm: DiagonalPovm, eta: float) -> DiagonalPovm:
 
     The forward binomial average is a convex combination per row, so the
     output stays in [0, 1] and monotonicity of the input is preserved.
+    Raises ``ValueError`` if the N x N loss matrix would exceed
+    ``povm.MAX_DENSE_BYTES``.
     """
-    matrix = _loss_matrix(_validated_eta(eta), povm.truncation)
+    eta, n = _validated_eta(eta), povm.truncation
+    _check_dense_size(8 * n * n, f"the {n} x {n} loss matrix")
+    matrix = _loss_matrix(eta, n)
     return DiagonalPovm(
         click=np.clip(matrix @ povm.click, 0.0, 1.0),
-        truncation=povm.truncation,
+        truncation=n,
     )
 
 
@@ -105,11 +109,15 @@ def unscale_povm(
 
     Raises
     ------
+    ValueError
+        If the (2N - 2) x N stacked system would exceed
+        ``povm.MAX_DENSE_BYTES``, whichever solve the amplification picks.
     IllConditionedInversionError
         If the pre-clamp violation exceeds 0.1.
     """
     eta = _validated_eta(eta)
     n = povm.truncation
+    _check_dense_size(8 * (2 * n - 2) * n, f"the {2 * n - 2} x {n} stacked loss inversion")
     matrix = _loss_matrix(eta, n)
     amplification = 3 * np.finfo(float).eps * ((2.0 - eta) / eta) ** (n - 1)
     if amplification <= _DIRECT_SOLVE_TARGET or n < 3:

@@ -479,14 +479,12 @@ def prune_mechanisms(
 class ScalingLawFit:
     """Per-order power-law estimates of efficiencies versus transmissivity.
 
-    ``slopes[n]`` is the least-squares slope of ln P_n against ln eta and
-    ``residuals[n]`` the RMS deviation of ln P_n from that line. Orders
-    with P_n = 0 at any transmissivity have no logarithm and are listed in
-    ``excluded_orders`` instead.
+    ``slopes[n]`` is the least-squares slope of ln P_n against ln eta.
+    Orders with P_n = 0 at any transmissivity have no logarithm and are
+    listed in ``excluded_orders`` instead.
     """
 
     slopes: dict
-    residuals: dict
     excluded_orders: tuple
 
 
@@ -511,17 +509,11 @@ def loss_scaling_analysis(params_by_eta) -> ScalingLawFit:
     (order,) = orders
 
     log_eta = np.log([eta for eta, _ in pairs])
-    slopes, residuals, excluded = {}, {}, []
+    slopes, excluded = {}, []
     for n in range(order):
         p_n = np.array([params.p[n] for _, params in pairs])
         if np.any(p_n == 0):
             excluded.append(n)
             continue
-        log_p = np.log(p_n)
-        slope, intercept = np.polyfit(log_eta, log_p, 1)
-        misfit = log_p - (slope * log_eta + intercept)
-        slopes[n] = float(slope)
-        residuals[n] = float(np.sqrt(np.mean(misfit**2)))
-    return ScalingLawFit(
-        slopes=slopes, residuals=residuals, excluded_orders=tuple(excluded)
-    )
+        slopes[n] = float(np.polyfit(log_eta, np.log(p_n), 1)[0])
+    return ScalingLawFit(slopes=slopes, excluded_orders=tuple(excluded))

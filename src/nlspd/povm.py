@@ -59,8 +59,25 @@ _WINDOW_MASS = 1e-16
 
 _BOUND_FUZZ = 1e-12
 
+# Largest array, in bytes, that one step of the package may allocate: a
+# reconstruction's P x N probe matrix and the (P + N - 1) x N stacked
+# matrix of its bounded-variable fallback, the N x N loss map and the
+# (2N - 2) x N stacked loss inversion, and the terms of the Poisson
+# windows. Each costs several copies of its size in temporaries, so
+# 256 MiB keeps a step within a few GB.
+MAX_DENSE_BYTES = 2**28
+
 # Below this argument exp rounds to exactly 0.
 _EXP_UNDERFLOW = -746.0
+
+
+def _check_dense_size(size: int, what: str) -> None:
+    """Raise ``ValueError`` if ``what``, of ``size`` bytes, exceeds ``MAX_DENSE_BYTES``."""
+    if size > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{what} would take {size / 2**20:.0f} MiB, "
+            f"above the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
+        )
 
 
 def _whole_number(value, what: str) -> int:
@@ -353,7 +370,9 @@ def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
     removes it.
 
     Every window comes from one closed-form evaluation over all rows, and
-    every weight from one ``poisson_log_pmf`` call.
+    every weight from one ``poisson_log_pmf`` call. Windows whose terms
+    would take more than ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15
+    photons has 5.4e8) raise ``ValueError`` before anything is allocated.
     """
     mu = np.asarray(intensities, dtype=float)
     if not np.isfinite(mu).all():
@@ -365,6 +384,7 @@ def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
     sizes = m_hi - m_lo
     if sizes.min() < 1:
         raise TruncationError(f"truncation {truncation} ends below a probe's photon numbers")
+    _check_dense_size(8 * int(sizes.sum()), f"the Poisson windows of means up to {mu.max():g}")
     starts = np.zeros(mu.size + 1, dtype=np.int64)
     sizes.cumsum(out=starts[1:])
     m = np.arange(starts[-1]) + (m_lo - starts[:-1]).repeat(sizes)

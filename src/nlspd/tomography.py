@@ -30,7 +30,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq, lsq_linear
+from scipy.optimize import lsq_linear
 
 from .exceptions import (
     ConvergenceError,
@@ -38,7 +38,7 @@ from .exceptions import (
     TargetUnreachableError,
     UndefinedFidelityError,
 )
-from .povm import DiagonalPovm, _check_carries, _whole_number, truncation_for
+from .povm import MAX_DENSE_BYTES, DiagonalPovm, _check_carries, _whole_number, truncation_for
 from .numerics import poisson_log_weights
 
 __all__ = [
@@ -93,12 +93,6 @@ _KKT_TOLERANCE = 1e-10
 
 # Elements within this distance of 0 or 1 count as on that bound.
 _ON_BOUND = 1e-12
-
-# Largest dense array, in bytes, that a reconstruction may allocate: the
-# P x N probe matrix, and the (P + N - 1) x N stacked matrix of the
-# bounded-variable fallback. Either costs several copies of its size in
-# temporaries, so 256 MiB keeps a solve within a few GB.
-MAX_DENSE_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -334,58 +328,50 @@ def _free_minimizer(
     """Minimizer of ``||F x - C||^2 + w ||D x||^2`` with the held elements fixed.
 
     Elements with ``state < 0`` are held at 0 and those with ``state > 0``
-    at 1; the free elements z are unconstrained. Both cases below reduce to
-    ridge regression ``min ||M u - t||^2 + w ||u - r0||^2`` in new
-    variables u, solved with one thin SVD of the P x n matrix M. That is
-    O(N P^2) instead of a dense solve of the (P + N - 1) x N stacked
-    system.
-
-    Nothing held: change variables to the first element and the steps,
-    ``x0 = x[0]`` and ``u = D x``, so that ``x = x0 * 1 + S u`` with S the
-    cumulative sum. Then ``F x = x0 f + B u`` with ``f = F 1`` and
-    ``B = F S``, ``B[i, j] = sum_{m>j} F[i, m]`` (reversed cumulative sums
-    of F's rows), and r0 = 0. For any u the best intercept is
-    ``x0 = f.(C - B u) / f.f``; putting it back projects f out of the data,
-    so M = (I - q q^T) B and t = (I - q q^T) C with ``q = f / |f|``.
-
-    Some held: on z the smoothing term is ``w ||R z - r0||^2`` up to a
-    constant, where R is the upper-bidiagonal Cholesky factor of the free
-    block of D^T D (positive definite, since every run of free elements
-    borders a held one) and ``R^T r0 = -(D^T D x_held)[free]``. With
-    ``u = R z`` the data term is ``||M u - t||^2`` for ``M = F_free R^-1``
-    and ``t = C - F x_held``. Then ``z = R^-1 u``: the map from C to the
+    at 1; the free elements z are unconstrained. On z the smoothing term is
+    ``w ||R z - r0||^2`` up to a constant, where R is the upper-bidiagonal
+    Cholesky factor of the free block of D^T D (positive definite, since
+    every run of free elements borders a held one) and
+    ``R^T r0 = -(D^T D x_held)[free]``. With ``u = R z`` the data term is
+    ``||M u - t||^2`` for ``M = F_free R^-1`` and ``t = C - F x_held``, so
+    u solves the ridge regression ``min ||M u - t||^2 + w ||u - r0||^2``
+    by one thin SVD of the P x n matrix M: O(N P^2) instead of a dense
+    solve of the (P + N - 1) x N stacked system. The map from C to the
     free elements is linear, ``z = R^-1 (r0 + V diag(s / (s^2 + w)) U^T
     (C - F x_held - M r0))`` for ``M = U diag(s) V^T``.
+
+    With nothing held, element 0 is solved as if held at 0, giving y, and
+    x = y + c 1 adds an unpenalized intercept c (D 1 = 0) along
+    ``f = F 1``. For any u the best intercept is ``c = f.(C - F y) / f.f``;
+    putting it back projects ``q = f / |f|`` out of M and t.
     """
     free = state == 0
     x = (state > 0).astype(float)
     if not free.any():
         return x
-    if free.all():
-        # B[:, j] = sum_{m > j} F[:, m], summed from the small tail upwards.
-        tail_sums = np.cumsum(F[:, :0:-1], axis=1)[:, ::-1]
+    intercept = free.all()
+    if intercept:
+        free = np.append(False, free[1:])
+    index = np.flatnonzero(free)
+    # Upper band storage of the free block of D^T D: 2 on the diagonal
+    # (1 at the two ends of the range), -1 between adjacent elements.
+    block = np.zeros((2, index.size))
+    block[1] = 2.0 - (index == 0) - (index == state.size - 1)
+    block[0, 1:] = np.where(np.diff(index) == 1, -1.0, 0.0)
+    factor = cholesky_banded(block, check_finite=False)
+    shift = dtbtrs(factor, -_roughness_gradient(x)[index, None], trans="T")[0][:, 0]
+    columns = dtbtrs(factor, F[:, index].T, trans="T")[0].T
+    target = frequencies - F @ x - columns @ shift
+    if intercept:
         f = F.sum(axis=1)
         q = f / np.linalg.norm(f)
-        columns = tail_sums - np.outer(q, q @ tail_sums)
-        target = frequencies - q * (q @ frequencies)
-        shift = 0.0
-    else:
-        index = np.flatnonzero(free)
-        # Upper band storage of the free block of D^T D: 2 on the diagonal
-        # (1 at the two ends of the range), -1 between adjacent elements.
-        block = np.zeros((2, index.size))
-        block[1] = 2.0 - (index == 0) - (index == state.size - 1)
-        block[0, 1:] = np.where(np.diff(index) == 1, -1.0, 0.0)
-        factor = cholesky_banded(block, check_finite=False)
-        shift = dtbtrs(factor, -_roughness_gradient(x)[index, None], trans="T")[0][:, 0]
-        columns = dtbtrs(factor, F[:, index].T, trans="T")[0].T
-        target = frequencies - F @ x - columns @ shift
+        columns -= np.outer(q, q @ columns)
+        target -= q * (q @ target)
     left, s, right = np.linalg.svd(columns, full_matrices=False)
     u = shift + right.T @ (s / (s * s + weight) * (left.T @ target))
-    if free.all():
-        first = f @ (frequencies - tail_sums @ u) / (f @ f)
-        return first + np.concatenate([[0.0], np.cumsum(u)])
     x[index] = dtbtrs(factor, u[:, None])[0][:, 0]
+    if intercept:
+        x += f @ (frequencies - F @ x) / (f @ f)
     return x
 
 
@@ -464,8 +450,9 @@ def _crossing_intensity(
     """Intensity at which the measured click curve first reaches target.
 
     Interpolates the positive-intensity points with a monotone piecewise
-    cubic on the log-intensity axis and root-finds inside the first
-    bracketing interval.
+    cubic (PCHIP) on the log-intensity axis and returns its first crossing
+    of the target. PCHIP does not overshoot its data, so that crossing lies
+    in the first interval whose right end reaches the target.
     """
     positive = intensities > 0
     x = intensities[positive]
@@ -478,20 +465,13 @@ def _crossing_intensity(
             f"measured click probability never reaches {target:g} "
             f"(max {y.max():g})"
         )
-    j = int(above[0])
-    if j == 0:
+    if above[0] == 0:
         raise TargetUnreachableError(
             f"click probability already exceeds {target:g} at the smallest "
             "nonvacuum probe; no crossing can be bracketed"
         )
-    interpolant = PchipInterpolator(np.log(x), y)
-    log_root = brentq(
-        lambda lx: float(interpolant(lx)) - target,
-        np.log(x[j - 1]),
-        np.log(x[j]),
-        xtol=1e-14,
-    )
-    return float(np.exp(log_root))
+    roots = PchipInterpolator(np.log(x), y).solve(target, extrapolate=False)
+    return float(np.exp(roots[0]))
 
 
 def scaled_fit_workflow(

@@ -97,6 +97,17 @@ def test_simulate_rejects_non_object_truth(tmp_path, config_path, capsys, truth)
     assert "truth document must be an object" in capsys.readouterr().err
 
 
+def test_simulate_refuses_an_oversized_probe(tmp_path, config_path, capsys):
+    # A 1e15-photon probe needs a Poisson window of 5.4e8 terms: exit 1
+    # before allocating, and no output, manifest or partial file is left.
+    document = json.loads(config_path.read_text())
+    document["probes"]["intensities"].append(1e15)
+    config_path.write_text(json.dumps(document))
+    assert run_cli(["simulate", config_path, tmp_path / "clicks.csv"]) == 1
+    assert "MiB limit" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_simulate_accepts_whole_float_counts(tmp_path, config_path):
     # JSON reads 1e5 as 100000.0; the record matches the integer config's.
     reference_csv = tmp_path / "reference.csv"

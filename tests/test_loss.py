@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
+from nlspd import loss
 from nlspd.exceptions import IllConditionedInversionError
 from nlspd.loss import _loss_matrix, lossy_click_probability, scale_povm, unscale_povm
 from nlspd.povm import (
@@ -42,15 +45,65 @@ def test_matrix_application_equals_scale_povm():
     )
 
 
-def test_semigroup_property():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        click = np.sort(rng.uniform(0.0, 1.0, size=20))
-        povm = DiagonalPovm(click=click, truncation=20)
-        a, b = rng.uniform(0.2, 1.0, size=2)
-        once = scale_povm(povm, a * b)
-        twice = scale_povm(scale_povm(povm, a), b)
-        np.testing.assert_allclose(once.click, twice.click, atol=1e-12)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    click=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    a=st.floats(0.01, 1.0),
+    b=st.floats(0.01, 1.0),
+)
+def test_semigroup_property(click, a, b):
+    # Loss eta_1 then eta_2 is loss eta_1 eta_2. A nondecreasing click
+    # vector stays nondecreasing, and more loss never adds clicks.
+    povm = DiagonalPovm(click=np.sort(click), truncation=len(click))
+    once = scale_povm(povm, a * b)
+    twice = scale_povm(scale_povm(povm, a), b)
+    np.testing.assert_allclose(twice.click, once.click, rtol=0, atol=1e-12)
+    assert np.all(np.diff(once.click) >= -1e-15)
+    weaker, stronger = scale_povm(povm, max(a, b)), scale_povm(povm, min(a, b))
+    assert np.all(stronger.click <= weaker.click + 1e-15)
+    assert np.all(weaker.click <= povm.click + 1e-15)
+
+
+def _inside_conditioning_bound(eta):
+    """Truncations up to 60 whose forward substitution at eta amplifies
+    rounding by at most ``_DIRECT_SOLVE_TARGET`` (the bound of
+    ``unscale_povm``'s direct solve)."""
+    amplification = 3 * np.finfo(float).eps
+    largest = 60 if eta == 1.0 else int(
+        1 + np.log(loss._DIRECT_SOLVE_TARGET / amplification) / np.log((2.0 - eta) / eta)
+    )
+    return st.integers(1, min(60, largest))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    case=st.floats(0.5, 1.0).flatmap(
+        lambda eta: st.tuples(
+            st.just(eta),
+            _inside_conditioning_bound(eta).flatmap(
+                lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+            ),
+        )
+    )
+)
+def test_unscale_inverts_scale_inside_its_conditioning_bound(case):
+    # Any click vector in [0, 1], monotone or not: its loss image lies in
+    # [0, 1] too, so the inversion sees it unclipped.
+    eta, click = case
+    povm = DiagonalPovm(click=np.array(click), truncation=len(click))
+    recovered, violation = unscale_povm(scale_povm(povm, eta), eta, return_violation=True)
+    np.testing.assert_allclose(recovered.click, povm.click, rtol=0, atol=1e-8)
+    assert violation <= 1e-8
+
+
+def test_loss_maps_refuse_oversized_matrices():
+    # N = 6,000: the N x N loss matrix takes 275 MiB and the (2N - 2) x N
+    # stacked inversion 549 MiB, both above MAX_DENSE_BYTES (256 MiB).
+    povm = DiagonalPovm(click=np.linspace(0.0, 1.0, 6000), truncation=6000)
+    with pytest.raises(ValueError, match="MiB limit"):
+        scale_povm(povm, 0.5)
+    with pytest.raises(ValueError, match="MiB limit"):
+        unscale_povm(povm, 0.5)
 
 
 def test_identity_transmissivity_is_noop():

@@ -1,5 +1,6 @@
 """Tests for POVM construction and coherent-state responses."""
 
+import json
 import math
 
 import numpy as np
@@ -294,6 +295,22 @@ def test_diagonal_povm_dict_round_trip():
     again = DiagonalPovm.from_dict(doc)
     np.testing.assert_array_equal(again.click, povm.click)
     assert again.truncation == povm.truncation
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    click=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_povm_and_params_json_round_trips(click, p):
+    povm = DiagonalPovm(click=np.array(click), truncation=len(click))
+    doc = povm.to_dict()
+    again = DiagonalPovm.from_dict(json.loads(json.dumps(doc)))
+    assert again.to_dict() == doc
+    np.testing.assert_array_equal(again.click, povm.click)
+    params = NonlinearSpdParams(np.array(p))
+    doc = params.to_dict()
+    assert NonlinearSpdParams.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
 
 
 def test_diagonal_povm_from_dict_rejects_malformed():

@@ -1,7 +1,11 @@
 """Tests for the deterministic click-statistics sampler and probe grids."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special._ufuncs import _binom_pmf, _binom_ppf
 from scipy.stats import binom
@@ -121,6 +125,30 @@ def test_config_dict_round_trip():
         np.testing.assert_array_equal(again.probes.intensities, probes.intensities)
     with pytest.raises(DataFormatError):
         ExperimentConfig.from_dict({"seed": 1})
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    povm_truth=st.booleans(),
+    positive=st.lists(
+        st.floats(0.0, 1e12, exclude_min=True), min_size=1, max_size=10, unique=True
+    ),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 10**12),
+)
+def test_config_json_round_trip(values, povm_truth, positive, seed, trials):
+    truth = (
+        DiagonalPovm(click=np.array(values), truncation=len(values))
+        if povm_truth
+        else NonlinearSpdParams(np.array(values))
+    )
+    probes = ProbeSet(intensities=np.array([0.0] + sorted(positive)), trials=trials)
+    config = ExperimentConfig(truth=truth, probes=probes, seed=seed, trials=trials)
+    doc = config.to_dict()
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+    assert again.to_dict() == doc
+    assert type(again.truth) is type(truth)
 
 
 def test_sweep_grid_brackets_saturation():

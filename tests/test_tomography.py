@@ -1,7 +1,12 @@
 """Tests for probe sets, reconstruction, fidelity, and click-data files."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 from scipy.stats import poisson
 
@@ -259,6 +264,28 @@ def test_click_data_round_trip(tmp_path):
     probes2, record2 = read_click_data(path)
     np.testing.assert_array_equal(probes2.intensities, probes.intensities)
     assert probes2.trials == probes.trials
+    np.testing.assert_array_equal(record2.clicks, record.clicks)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    positive=st.lists(
+        st.floats(0.0, 1e12, exclude_min=True), min_size=1, max_size=10, unique=True
+    ),
+    trials=st.integers(1, 10**12),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11),
+)
+def test_click_data_csv_round_trip(positive, trials, fractions):
+    # Every intensity comes back bit for bit, and every count exactly.
+    probes = ProbeSet(intensities=np.array([0.0] + sorted(positive)), trials=trials)
+    clicks = np.rint(np.array(fractions[: len(probes)]) * trials).astype(np.int64)
+    record = ClickRecord(clicks=clicks, trials=trials)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "clicks.csv"
+        write_click_data(path, probes, record)
+        probes2, record2 = read_click_data(path)
+    assert probes2.intensities.tobytes() == probes.intensities.tobytes()
+    assert probes2.trials == trials and record2.trials == trials
     np.testing.assert_array_equal(record2.clicks, record.clicks)
 
 
