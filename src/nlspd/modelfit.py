@@ -10,10 +10,12 @@ predicted click probabilities for a probe set are::
 with F the Poisson probe matrix (normalized rows over each probe's
 photon-number window) and E the all-ones vector. The fit
 minimizes the squared norm of the click-weighted residual
-``(C - model) / C`` over the cone h <= 0, which is a convex program: the
-map h -> exp(Gh) is convex (nonnegative combination inside exp) so each
-residual C_i - model_i is convex, nonnegative combinations under the norm
-stay convex, and the constraint set is a half-space product.
+``(C - model) / C`` over the box -60 <= h <= 0. Each residual is convex
+in h, since h -> exp(Gh) is, so the norm is convex wherever every
+residual is nonnegative, i.e. where the model underpredicts the data.
+Elsewhere it need not be: its Hessian is indefinite at some fits of the
+reference records. A projected Newton loop on the exact Hessian, with a
+Gauss-Newton fallback, solves it.
 
 ``prune_mechanisms`` then discards orders whose removal barely moves the
 optimum, and ``loss_scaling_analysis`` checks the fitted efficiencies
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse import csr_array
 
 from . import numerics
@@ -51,11 +53,20 @@ __all__ = [
 ]
 
 _H_FUZZ = 1e-12
-_FIT_MAX_EVALUATIONS = 100_000
 
-# Termination tolerances (ftol, xtol, gtol) of the trust-region reflective
-# least-squares solve.
-_TRF_TOL = 1e-15
+# Newton iterations a fit or refit may take. The fits and refits of the
+# reference records take at most 13.
+_FIT_MAX_ITERATIONS = 100
+
+# The Newton loop stops once the decrement -g.d, about twice the distance
+# of the objective to the local quadratic model's minimum, falls to this
+# fraction of the objective: a few units of rounding.
+_NEWTON_DECREMENT = 1e-15
+
+# Sufficient-decrease fraction of the Armijo line search, and the shortest
+# step it tries before it reports no decrease.
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-40
 
 # Warm-start value for mechanisms with no dedicated estimate: barely inside
 # the box, so the solver starts strictly feasible and can move either way.
@@ -183,10 +194,12 @@ class _FitData:
     included probe over its photon-number window (``povm._poisson_rows``),
     and ``design`` the binomial table C(m, n) at the union of those windows
     only, which the matrix's columns index; no probe row or design row
-    spans the full truncation.
+    spans the full truncation. ``transposed`` is the CSR transpose of
+    ``probe_matrix``, kept for the Hessian's F^T (r / C).
     """
 
     probe_matrix: csr_array
+    transposed: csr_array
     frequencies: np.ndarray
     design: np.ndarray
     included: np.ndarray
@@ -222,6 +235,7 @@ def _fit_data(
     m_values, probe_matrix = _poisson_rows(probes.intensities[included], truncation).union()
     return _FitData(
         probe_matrix=probe_matrix,
+        transposed=probe_matrix.T.tocsr(),
         frequencies=frequencies[included],
         design=binomial_table(m_values, order) if design is None else design[m_values],
         included=included,
@@ -239,10 +253,21 @@ def _residual(data: _FitData, h: np.ndarray) -> np.ndarray:
     return (data.frequencies - model) / data.frequencies
 
 
-def _jacobian(data: _FitData, h: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_residual`` in h: F diag(exp(G h)) G / C."""
+def _derivatives(data: _FitData, h: np.ndarray, r: np.ndarray):
+    """Jacobian J = F diag(s) G / C of ``_residual`` and the Hessian of r . r.
+
+    With s = exp(G h) on the window union, the Hessian is
+    2 (J^T J + G^T diag(s * F^T (r / C)) G). Its second term sums each
+    residual r_i times that residual's own curvature, which is positive
+    semidefinite, so the Hessian can be indefinite only where some r_i < 0,
+    i.e. where the model overpredicts the data.
+    """
     survival = np.exp(log_survival_sum(data.design, h))
-    return data.probe_matrix @ (survival[:, None] * data.design) / data.frequencies[:, None]
+    weighted = survival[:, None] * data.design
+    jacobian = data.probe_matrix @ weighted / data.frequencies[:, None]
+    curvature = data.transposed @ (r / data.frequencies)
+    hessian = 2.0 * (jacobian.T @ jacobian + data.design.T @ (curvature[:, None] * weighted))
+    return jacobian, hessian
 
 
 def _objective_value(data: _FitData, h: np.ndarray) -> float:
@@ -291,41 +316,69 @@ def _initial_h(data: _FitData, intensities: np.ndarray, order: int) -> np.ndarra
     return h0
 
 
+def _newton_direction(
+    hessian: np.ndarray, jacobian: np.ndarray, r: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Newton step -H^-1 g, or the Gauss-Newton step where that is no descent.
+
+    The Hessian is indefinite at some warm starts and some fits. Where its
+    Cholesky factorization fails, or the Newton step does not point
+    downhill, the Gauss-Newton step takes its place: the least-squares
+    solution of J d = -r, a descent direction whenever g = 2 J^T r is
+    nonzero.
+    """
+    factor, info = dpotrf(hessian, lower=1)
+    if info == 0:
+        d = -dpotrs(factor, g, lower=1)[0]
+        if g @ d < 0:
+            return d
+    return np.linalg.lstsq(jacobian, -r, rcond=None)[0]
+
+
 def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray):
     """Bound-constrained least-squares fit of the free orders.
 
     Orders flagged in ``pinned`` are held at h[n] = 0 exactly; the rest
-    live in the box [_H_FLOOR, 0] and are solved by scipy's trust-region
-    reflective method with the analytic Jacobian. The Jacobian columns
-    span many orders of magnitude (column n scales like the C(m, n)
-    moments, and collapses as its mechanism saturates), so the variables
-    are rescaled by the running column norms (``x_scale="jac"``).
+    live in the box [_H_FLOOR, 0] and are solved by projected Newton on the
+    exact Hessian (Bertsekas 1982). Each iteration holds the orders that
+    sit on a bound their gradient pushes against and takes a Newton step
+    on the others (``_newton_direction``); an Armijo search along the
+    projection of that step onto the box, on residual evaluations alone,
+    picks the step length. The loop stops once the Newton decrement -g.d
+    is at most ``_NEWTON_DECREMENT`` of the objective, or once the line
+    search finds no decrease: the objective then moves only by rounding.
 
-    Returns the solution and whether the solver met its tolerances within
-    ``_FIT_MAX_EVALUATIONS`` residual evaluations.
+    Returns the solution and whether it stopped so within
+    ``_FIT_MAX_ITERATIONS`` Newton iterations.
     """
     free = ~pinned
-
-    def expand(z: np.ndarray) -> np.ndarray:
-        h = np.zeros(pinned.size)
-        h[free] = z
-        return h
-
-    if not np.any(free):
-        return expand(()), True
-    result = least_squares(
-        lambda z: _residual(data, expand(z)),
-        np.clip(h0[free], _H_FLOOR, 0.0),
-        jac=lambda z: _jacobian(data, expand(z))[:, free],
-        bounds=(_H_FLOOR, 0.0),
-        method="trf",
-        x_scale="jac",
-        ftol=_TRF_TOL,
-        xtol=_TRF_TOL,
-        gtol=_TRF_TOL,
-        max_nfev=_FIT_MAX_EVALUATIONS,
-    )
-    return expand(result.x), result.status != 0
+    h = np.where(free, np.clip(h0, _H_FLOOR, 0.0), 0.0)
+    r = _residual(data, h)
+    f = float(r @ r)
+    for _ in range(_FIT_MAX_ITERATIONS):
+        jacobian, hessian = _derivatives(data, h, r)
+        g = 2.0 * jacobian.T @ r
+        held = ((h <= _H_FLOOR) & (g > 0)) | ((h >= 0.0) & (g < 0))
+        move = free & ~held
+        d = np.zeros_like(h)
+        if np.any(move):
+            d[move] = _newton_direction(
+                hessian[np.ix_(move, move)], jacobian[:, move], r, g[move]
+            )
+        if -(g @ d) <= _NEWTON_DECREMENT * f:
+            return h, True
+        step = 1.0
+        while True:
+            trial = np.clip(h + step * d, _H_FLOOR, 0.0)
+            r_trial = _residual(data, trial)
+            f_trial = float(r_trial @ r_trial)
+            if f_trial < f and f_trial <= f + _ARMIJO * (g @ (trial - h)):
+                break
+            step *= 0.5
+            if step < _MIN_STEP:
+                return h, True
+        h, r, f = trial, r_trial, f_trial
+    return h, False
 
 
 def _build_report(
@@ -351,12 +404,13 @@ def fit_params(
 ) -> FitReport:
     """Fit mechanism efficiencies P_0..P_{max_order-1} to click data.
 
-    Minimizes ``fit_objective`` over the box -60 <= h <= 0 with scipy's
-    trust-region reflective least-squares solver on the normalized
-    residual and its analytic Jacobian. The lower bound stands in for
-    saturation (P_n = 1 to double precision). Each residual is convex in
-    h and the residual norm is convex wherever the model underpredicts
-    the data; the warm start is deterministic, so repeated fits agree
+    Minimizes ``fit_objective`` over the box -60 <= h <= 0 by projected
+    Newton on the exact Hessian of the normalized residual's squared norm,
+    falling back to Gauss-Newton steps where the Hessian is indefinite. The
+    lower bound stands in for saturation (P_n = 1 to double precision).
+    Each residual is convex in h and the residual norm is convex wherever
+    the model underpredicts the data, but not everywhere, so the fit is a
+    local minimum from a deterministic warm start; repeated fits agree
     bitwise.
 
     The truncation is ``truncation_for`` the largest intensity, but each
@@ -376,8 +430,8 @@ def fit_params(
     DegenerateDataError
         If no probe recorded any click.
     ConvergenceError
-        If the budget of 100,000 residual evaluations runs out first; the
-        error carries the best-so-far ``FitReport`` as its ``result``.
+        If the budget of 100 Newton iterations runs out first; the error
+        carries the best-so-far ``FitReport`` as its ``result``.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -387,8 +441,8 @@ def fit_params(
     report = _build_report(data, h, range(max_order))
     if not converged:
         raise ConvergenceError(
-            f"mechanism fit used its {_FIT_MAX_EVALUATIONS} residual evaluations "
-            "before meeting its tolerances",
+            f"mechanism fit used its {_FIT_MAX_ITERATIONS} Newton iterations "
+            "before meeting its stopping rule",
             result=report,
         )
     return report
@@ -434,8 +488,8 @@ def prune_mechanisms(
         h, converged = _solve(data, report.h, pinned)
         if not converged:
             raise ConvergenceError(
-                f"pruning refit used its {_FIT_MAX_EVALUATIONS} residual "
-                "evaluations before meeting its tolerances",
+                f"pruning refit used its {_FIT_MAX_ITERATIONS} Newton "
+                "iterations before meeting its stopping rule",
                 result=_build_report(data, h, np.flatnonzero(~pinned)),
             )
         return h, _objective_value(data, h)

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import lsq_linear
 
 from .exceptions import (
     ConvergenceError,
@@ -407,7 +405,13 @@ def _kkt_breach(x: np.ndarray, gradient: np.ndarray) -> np.ndarray:
 def _bounded_least_squares(
     F: np.ndarray, frequencies: np.ndarray, weight: float
 ) -> np.ndarray:
-    """Box minimizer by scipy's BVLS on the dense stacked problem."""
+    """Box minimizer by scipy's BVLS on the dense stacked problem.
+
+    ``scipy.optimize`` is imported here, not at module level: only this
+    fallback needs it, and importing it costs every CLI process time.
+    """
+    from scipy.optimize import lsq_linear
+
     probes, truncation = F.shape
     size = 8 * (probes + truncation - 1) * truncation
     if size > MAX_DENSE_BYTES:
@@ -470,6 +474,9 @@ def _crossing_intensity(
             f"click probability already exceeds {target:g} at the smallest "
             "nonvacuum probe; no crossing can be bracketed"
         )
+    # scipy.interpolate imports scipy.optimize; only the rescaling needs it.
+    from scipy.interpolate import PchipInterpolator
+
     roots = PchipInterpolator(np.log(x), y).solve(target, extrapolate=False)
     return float(np.exp(roots[0]))
 

@@ -6,11 +6,16 @@ directly.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 
+import nlspd
 from nlspd import cli
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import geometric_probe_grid
@@ -264,3 +269,23 @@ def test_main_exits_with_the_code_of_ctx_exit(monkeypatch):
     monkeypatch.setitem(cli.cli.commands, "stop", stop)
     assert run_cli(["stop"]) == 3
     assert run_cli(["--version"]) == 0
+
+
+def test_cli_import_leaves_out_the_optimizers():
+    # Each nlspd command is a fresh process. scipy.optimize, which
+    # scipy.interpolate imports too, loads only inside the solves that need
+    # it (the bounded-variable fallback and the rescaling's crossing).
+    source = str(Path(nlspd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, nlspd.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "[]"

@@ -303,7 +303,7 @@ def test_prune_with_infinite_threshold_degenerates_to_best_single():
 
 
 def test_convergence_error_carries_best_report(monkeypatch):
-    monkeypatch.setattr(modelfit, "_FIT_MAX_EVALUATIONS", 3)
+    monkeypatch.setattr(modelfit, "_FIT_MAX_ITERATIONS", 1)
     truth = NonlinearSpdParams([1e-3, 0.08])
     base = geometric_probe_grid(truth)
     config = ExperimentConfig(truth=truth, probes=base, seed=3, trials=100_000)
