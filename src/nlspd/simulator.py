@@ -131,11 +131,12 @@ class ExperimentConfig:
 def _probe_uniform(seed: int, index: int) -> float:
     """One U[0,1) variate from the probe's dedicated substream.
 
-    Each probe advances a counter-based generator by a fixed jump count, so
-    the variate depends only on (seed, index) and concurrent simulation of
-    probes cannot reorder draws.
+    The counter-based generator keyed by ``seed`` starts with ``index`` in
+    counter word 2, which is where ``Philox(key=seed).jumped(index)`` puts
+    it, without stepping through the jumps. The variate depends only on
+    (seed, index), so concurrent simulation of probes cannot reorder draws.
     """
-    stream = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    stream = np.random.Generator(np.random.Philox(counter=[0, 0, index, 0], key=seed))
     return float(stream.random())
 
 

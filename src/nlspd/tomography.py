@@ -79,10 +79,14 @@ _BVLS_ITERATIONS_PER_UNKNOWN = 10
 # Active-set steps the reconstruction may take before it hands the problem
 # to bounded-variable least squares. The rescaled reference records and the
 # raw 25 uA records take at most 13 steps at the default weight and 18 at
-# w = 1e-6. Below that the steps often wander: at w = 1e-8, 71 of these 81
-# records do not converge in 400 steps, and at the tie-break weight none
-# does, so there only the first, box-free step is tried.
+# w = 1e-6.
 _ACTIVE_SET_STEPS = 25
+
+# Below this weight the active-set steps wander, so only the first, box-free
+# step is tried. Within 25 steps they certify all 78 rescaled reconstructions
+# at w = 1e-6, but 50 at 1e-7, 13 at 3e-8 and 3 at 1e-8; at w = 1e-8, 71 of
+# 81 records (these and the raw 25 uA ones) do not converge in 400 steps.
+_ACTIVE_SET_MIN_WEIGHT = 1e-7
 
 # Largest first-order breach the active-set solve accepts as optimal: the
 # gradient of the objective on a free element, or against its bound on a
@@ -220,8 +224,8 @@ def reconstruct_povm(
     A weight below 1e-10 (in particular w = 0) is raised to 1e-10 on both
     paths: with more unknowns than probes the unsmoothed problem has a
     flat set of minimizers, and the tiny weight picks the one of least
-    roughness. At that weight the active-set steps do not settle, so only
-    the first is tried, and the fallback does the work.
+    roughness. Below w = 1e-7 the active-set steps seldom settle, so only
+    the first is tried there, and the fallback does the work.
 
     Parameters
     ----------
@@ -280,14 +284,14 @@ def _active_set_minimizer(
     returned after one step. The loop ends when a step changes nothing.
     If every breach is then within ``_KKT_TOLERANCE``, the first-order
     conditions certify the result as the optimum; otherwise, or after
-    ``_ACTIVE_SET_STEPS`` steps (one at the tie-break weight), it returns
-    None.
+    ``_ACTIVE_SET_STEPS`` steps (one below ``_ACTIVE_SET_MIN_WEIGHT``), it
+    returns None.
     """
     size = F.shape[1]
     state = np.zeros(size, dtype=np.int8)
     freed = np.zeros(size, dtype=bool)
     reach, extend, visited = 1, True, set()
-    for _ in range(1 if weight <= _TIE_BREAK_WEIGHT else _ACTIVE_SET_STEPS):
+    for _ in range(1 if weight < _ACTIVE_SET_MIN_WEIGHT else _ACTIVE_SET_STEPS):
         x = _free_minimizer(F, frequencies, weight, state)
         free = state == 0
         below, above = free & (x < 0.0), free & (x > 1.0)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from nlspd import modelfit
+from nlspd import modelfit, tomography
 from nlspd.loss import lossy_click_probability, scale_povm, unscale_povm
 from nlspd.modelfit import (
     MechanismLogVector,
@@ -519,6 +519,26 @@ def test_reconstruction_without_smoothing_converges():
     print(f"KKT PASS (reconstruction at w = 0, 20 uA seed 7): breach {breach:.2e}")
 
 
+def test_reconstruction_at_small_weight_takes_one_active_set_step(monkeypatch):
+    # Below w = 1e-7 the active-set steps wander, so the solve takes its
+    # box-free step and hands over to the bounded-variable fallback; with
+    # 25 steps this record ran the free-set minimizer 25 times for nothing.
+    truth = SCALED_PARAMS[20]
+    base = geometric_probe_grid(truth)
+    record = _simulated(truth, base, seed=7)
+    calls = []
+    free_minimizer = tomography._free_minimizer
+
+    def counted(*args):
+        calls.append(args)
+        return free_minimizer(*args)
+
+    monkeypatch.setattr(tomography, "_free_minimizer", counted)
+    breach = _reconstruction_kkt_breach(base, record, weight=1e-8)
+    assert len(calls) == 1
+    assert breach <= 1e-9
+
+
 def _fit_records():
     """The 48 fit records: 39 rescaled (fit(6)), 9 raw (fit(4)).
 
@@ -600,11 +620,13 @@ def test_fit_kkt_certificate():
 
 def test_fit_hessian_matches_gradient_differences():
     # The Newton solve's exact Hessian against central differences of the
-    # dense gradient oracle, at the warm start and at the fit. The 25 uA
-    # seed 8 Hessian is indefinite at both points, the 16 uA seed 6 one at
-    # its fit. Each step moves G h by at most 1e-4; where h_k lies within
-    # one step of its bound 0 the difference is the one-sided second-order
-    # form (3 g(h) - 4 g(h - e) + g(h - 2e)) / 2.
+    # dense gradient oracle, at the flat start and at the fit. At the flat
+    # start the Hessian is indefinite on all 9 raw fit records and on none
+    # of the 39 rescaled ones; of the three records here, only the fits of
+    # 25 uA seed 8 and 16 uA seed 6 are indefinite. Each step moves G h by
+    # at most 1e-4; where h_k lies within one step of its bound 0 the
+    # difference is the one-sided second-order form
+    # (3 g(h) - 4 g(h - e) + g(h - 2e)) / 2.
     worst, lowest = 0.0, np.inf
     for bias, seed in ((25, 8), (20, 0), (16, 6)):
         truth = SCALED_PARAMS[bias]
@@ -619,7 +641,7 @@ def test_fit_hessian_matches_gradient_differences():
                 MechanismLogVector.at_truncation(h, n), probes, record
             )
 
-        start = modelfit._initial_h(data, probes.intensities, 6)
+        start = np.full(6, modelfit._NEAR_ZERO_H)
         fitted = fit_params(probes, record, max_order=6).h
         for h in (start, fitted):
             _, hessian = modelfit._derivatives(data, h, modelfit._residual(data, h))

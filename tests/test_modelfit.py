@@ -155,8 +155,9 @@ def test_norm_objective_not_globally_convex():
     # data, the squared term bends the other way. The pair below (found
     # by random search over a simulated 25 uA record) violates midpoint
     # convexity of the residual norm by more than 600. Convexity holds
-    # only where the model underpredicts every included probe, which is
-    # the region the solver's warm start targets.
+    # only where the model underpredicts every included probe. The fit's
+    # flat start need not lie there: it overpredicts 15 to 31 probes of
+    # each raw reference record, and the Hessian is indefinite there.
     from nlspd.reference import SCALED_PARAMS
 
     truth = SCALED_PARAMS[25]
@@ -298,20 +299,43 @@ def test_prune_with_infinite_threshold_degenerates_to_best_single():
     pruned = prune_mechanisms(report, base, record, threshold=np.inf)
     assert pruned.degenerate_pruning
     assert len(pruned.kept_orders) == 1
+    # The kept order is the one whose sole-order refit scores best, and the
+    # report is that refit.
+    data = modelfit._fit_data(base, record, 3)
+    sole = []
+    for n in range(3):
+        pinned = np.ones(3, dtype=bool)
+        pinned[n] = False
+        h, converged = modelfit._solve(data, report.h, pinned)
+        assert converged
+        r = modelfit._residual(data, h)
+        sole.append(float(r @ r))
+    assert pruned.objective == sole[pruned.kept_orders[0]]
+    assert pruned.objective <= min(sole)
     # the flag is a diagnostic, not part of the document schema
     assert "degenerate_pruning" not in pruned.to_dict()
 
 
 def test_convergence_error_carries_best_report(monkeypatch):
-    monkeypatch.setattr(modelfit, "_FIT_MAX_ITERATIONS", 1)
     truth = NonlinearSpdParams([1e-3, 0.08])
     base = geometric_probe_grid(truth)
     config = ExperimentConfig(truth=truth, probes=base, seed=3, trials=100_000)
     record = simulate(config)
+    full = fit_params(base, record, max_order=2)
+    monkeypatch.setattr(modelfit, "_FIT_MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError) as excinfo:
         fit_params(base, record, max_order=2)
     report = excinfo.value.result
     assert isinstance(report, FitReport)
+    assert np.isfinite(report.objective)
+    # The first pruning refit, with P_0 pinned, runs out too; its report
+    # covers that refit's free orders only.
+    with pytest.raises(ConvergenceError, match="pruning refit") as excinfo:
+        prune_mechanisms(full, base, record)
+    report = excinfo.value.result
+    assert isinstance(report, FitReport)
+    assert report.kept_orders == (1,)
+    assert report.h[0] == 0.0 and report.params.p[0] == 0.0
     assert np.isfinite(report.objective)
 
 

@@ -20,6 +20,7 @@ from nlspd.povm import (
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import (
     ExperimentConfig,
+    _probe_uniform,
     _saturation_intensity,
     geometric_probe_grid,
     simulate,
@@ -45,6 +46,14 @@ def test_different_seeds_differ():
     a = simulate(_config(SPD, [0.0, 0.5, 2.0, 8.0], seed=1))
     b = simulate(_config(SPD, [0.0, 0.5, 2.0, 8.0], seed=2))
     assert np.any(a.clicks != b.clicks)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 37, 2**40 + 50])
+def test_probe_uniform_matches_the_jumped_stream(seed, index):
+    # Setting counter word 2 directly gives the draws of the jumped stream.
+    jumped = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    assert _probe_uniform(seed, index) == float(jumped.random())
 
 
 def test_sample_mean_matches_click_probability():
