@@ -461,12 +461,16 @@ def prune_mechanisms(
 
     Raises
     ------
+    ValueError
+        If ``threshold`` is negative or NaN, or the report keeps no order.
     ConvergenceError
         If a refit uses up its 100 Newton iterations; the error carries
         that refit's best-so-far ``FitReport`` as its ``result``.
     """
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not report.kept_orders:
+        raise ValueError("the report keeps no mechanism order, so there is nothing to prune")
     order = report.params.order
     data = _fit_data(probes, record, order)
     kept = np.zeros(order, dtype=bool)

@@ -452,6 +452,29 @@ def _bounded_least_squares(
     return result.x
 
 
+def _pchip_slope(h: np.ndarray, m: np.ndarray, i: int) -> float:
+    """Derivative at knot i of the PCHIP with knot spacings h and secants m.
+
+    The rule is stated in ``_crossing_intensity``.
+    """
+    if m.size == 1:
+        return m[0]
+    if i == 0 or i == m.size:
+        near, far = (0, 1) if i == 0 else (-1, -2)
+        d = ((2 * h[near] + h[far]) * m[near] - h[near] * m[far]) / (h[near] + h[far])
+        if np.sign(d) != np.sign(m[near]):
+            return 0.0
+        if np.sign(m[near]) != np.sign(m[far]) and abs(d) > 3 * abs(m[near]):
+            return 3 * m[near]
+        return d
+    left, right = m[i - 1], m[i]
+    if left == 0 or np.sign(left) != np.sign(right):
+        return 0.0
+    w1 = 2 * h[i] + h[i - 1]
+    w2 = h[i] + 2 * h[i - 1]
+    return 1.0 / ((w1 / left + w2 / right) / (w1 + w2))
+
+
 def _crossing_intensity(
     intensities: np.ndarray, frequencies: np.ndarray, target: float
 ) -> float:
@@ -461,6 +484,17 @@ def _crossing_intensity(
     cubic (PCHIP) on the log-intensity axis and returns its first crossing
     of the target. PCHIP does not overshoot its data, so that crossing lies
     in the first interval whose right end reaches the target.
+
+    On that interval the PCHIP is the cubic Hermite interpolant of the two
+    end values and end derivatives, so the crossing is a root of one cubic.
+    The derivatives follow scipy's ``PchipInterpolator`` (``_pchip_slope``):
+    two knots give the line; an interior knot takes the weighted harmonic
+    mean of its two secants, or 0 where they differ in sign or one is zero
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 238 (1980)); an end knot
+    takes the one-sided three-point estimate, set to 0 where its sign
+    differs from the end secant's, and to 3 times the end secant where the
+    two end secants differ in sign and it is larger than that (Moler,
+    *Numerical Computing with MATLAB*, ``pchiptx``).
     """
     positive = intensities > 0
     x = intensities[positive]
@@ -478,11 +512,22 @@ def _crossing_intensity(
             f"click probability already exceeds {target:g} at the smallest "
             "nonvacuum probe; no crossing can be bracketed"
         )
-    # scipy.interpolate imports scipy.optimize; only the rescaling needs it.
-    from scipy.interpolate import PchipInterpolator
-
-    roots = PchipInterpolator(np.log(x), y).solve(target, extrapolate=False)
-    return float(np.exp(roots[0]))
+    j = above[0]
+    u = np.log(x)
+    h = np.diff(u)
+    m = np.diff(y) / h
+    # The cubic minus target, in s = (u_j - u) / h_{j-1} measured back from
+    # the right end, where its constant term y_j - target is exact: a
+    # target equal to y_j gives the root s = 0 exactly, even when the
+    # curve is flat there and the root is double.
+    rise = y[j] - y[j - 1]
+    g0, g1 = (h[j - 1] * _pchip_slope(h, m, i) for i in (j - 1, j))
+    roots = np.roots([2 * rise - g0 - g1, 2 * g1 + g0 - 3 * rise, -g1, y[j] - target])
+    # The cubic is monotone on [0, 1] and changes sign there, so one root
+    # lies on that segment; rounding can move it a hair off the segment or
+    # off the real axis, so take the root nearest it and clip.
+    nearest = roots[np.argmin(np.abs(roots - np.clip(roots.real, 0.0, 1.0)))]
+    return float(np.exp(u[j] - h[j - 1] * np.clip(nearest.real, 0.0, 1.0)))
 
 
 def scaled_fit_workflow(

@@ -1,5 +1,6 @@
 """Tests for the mechanism-efficiency fit, pruning, and scaling analysis."""
 
+import dataclasses
 import json
 import math
 
@@ -314,6 +315,16 @@ def test_prune_with_infinite_threshold_degenerates_to_best_single():
     assert pruned.objective <= min(sole)
     # the flag is a diagnostic, not part of the document schema
     assert "degenerate_pruning" not in pruned.to_dict()
+
+
+def test_prune_refuses_a_report_that_keeps_no_order():
+    truth = NonlinearSpdParams([1e-3, 0.08])
+    base = geometric_probe_grid(truth)
+    config = ExperimentConfig(truth=truth, probes=base, seed=3, trials=100_000)
+    record = simulate(config)
+    report = dataclasses.replace(fit_params(base, record, max_order=2), kept_orders=())
+    with pytest.raises(ValueError, match="keeps no mechanism order"):
+        prune_mechanisms(report, base, record)
 
 
 def test_convergence_error_carries_best_report(monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 from scipy.stats import poisson
@@ -19,7 +19,7 @@ from nlspd.exceptions import (
     UndefinedFidelityError,
 )
 from nlspd.povm import DiagonalPovm, nonlinear_povm, NonlinearSpdParams, spd_povm, truncation_for
-from nlspd.reference import SCALED_PARAMS
+from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
 from nlspd.tomography import (
     CSV_HEADER,
@@ -178,6 +178,108 @@ def test_scaled_workflow_rejects_unreachable_target():
     record = _noiseless_record(probes, truth)
     with pytest.raises(TargetUnreachableError):
         scaled_fit_workflow(probes, record)
+
+
+def _scipy_crossing(intensities, frequencies, target):
+    """First crossing of scipy's PCHIP on the log axis: the oracle."""
+    from scipy.interpolate import PchipInterpolator
+
+    positive = intensities > 0
+    curve = PchipInterpolator(np.log(intensities[positive]), frequencies[positive])
+    return float(np.exp(curve.solve(target, extrapolate=False)[0]))
+
+
+def test_crossing_matches_scipy_pchip_on_reference_records():
+    # The 78 reference records: both parameter sets, three bias currents,
+    # seeds 0-12.
+    worst = 0.0
+    for params in (SCALED_PARAMS, UNSCALED_PARAMS):
+        for bias in (25, 20, 16):
+            truth = params[bias]
+            base = geometric_probe_grid(truth)
+            for seed in range(13):
+                config = ExperimentConfig(truth=truth, probes=base, seed=seed, trials=base.trials)
+                f = simulate(config).frequencies
+                closed = tomography._crossing_intensity(base.intensities, f, 0.95)
+                oracle = _scipy_crossing(base.intensities, f, 0.95)
+                worst = max(worst, abs(closed - oracle) / oracle)
+    assert worst <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    start=st.floats(-3.0, 3.0),
+    gaps=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=12),
+    shape=st.sampled_from(["monotone", "noisy", "arbitrary"]),
+    clicks=st.lists(st.integers(0, 10**6), min_size=12, max_size=12),
+    target=st.floats(0.01, 0.99),
+)
+def test_crossing_matches_scipy_pchip_on_random_curves(start, gaps, shape, clicks, target):
+    # Click frequencies out of 10**6 trials per probe.
+    x = np.exp(start + np.cumsum(gaps))
+    v = np.array(clicks[: x.size]) / 10**6
+    if shape == "monotone":
+        y = np.sort(v)
+    elif shape == "noisy":
+        y = np.clip(1.0 - np.exp(-x / x[x.size // 2]) + 0.1 * (v - 0.5), 0.0, 1.0)
+    else:
+        y = v
+    # A target equal to a data point has its own cases below: there the
+    # root can be double, and scipy's root finder can miss it.
+    assume(target not in y)
+    assume(y[0] < target <= y.max())
+    intensities, frequencies = np.r_[0.0, x], np.r_[0.0, y]
+    closed = tomography._crossing_intensity(intensities, frequencies, target)
+    oracle = _scipy_crossing(intensities, frequencies, target)
+    assert closed == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x, y, target",
+    [
+        pytest.param([1.0, 4.0], [0.2, 0.8], 0.5, id="two-probes"),
+        pytest.param([1.0, 2.0, 4.0, 8.0], [0.3, 0.9, 0.95, 0.99], 0.5, id="first-interval"),
+        pytest.param([1.0, 2.0, 4.0, 8.0], [0.1, 0.2, 0.4, 0.97], 0.95, id="last-interval"),
+        pytest.param([1.0, 2.0, 4.0, 8.0], [0.2, 0.2, 0.6, 0.97], 0.5, id="zero-secant"),
+        pytest.param([1.0, 10.0, 11.0], [0.1, 0.96, 0.5], 0.95, id="left-end-clamp"),
+        pytest.param([1.0, 1.1, 10.0], [0.4, 0.1, 0.96], 0.95, id="right-end-clamp"),
+        pytest.param([1.0, 2.0, 4.0, 8.0], [0.2, 0.5, 0.95, 0.99], 0.95, id="data-point"),
+    ],
+)
+def test_crossing_edge_cases_match_scipy_pchip(x, y, target):
+    intensities, frequencies = np.r_[0.0, x], np.r_[0.0, y]
+    closed = tomography._crossing_intensity(intensities, frequencies, target)
+    assert closed == pytest.approx(_scipy_crossing(intensities, frequencies, target), rel=1e-12)
+
+
+def test_crossing_edge_slopes_take_their_clamps():
+    # The two clamp cases above do reach the 3 m0 clamp at their ends.
+    for x, y, end in (
+        ([1.0, 10.0, 11.0], [0.1, 0.96, 0.5], 0),
+        ([1.0, 1.1, 10.0], [0.4, 0.1, 0.96], 2),
+    ):
+        h = np.diff(np.log(x))
+        m = np.diff(y) / h
+        assert tomography._pchip_slope(h, m, end) == 3 * m[min(end, 1)]
+
+
+@pytest.mark.parametrize(
+    "x, y, j",
+    [
+        # The curve is flat at the data point, so the root there is double.
+        pytest.param([1.0, 2.0, 4.0, 8.0], [0.2, 0.95, 0.6, 0.99], 1, id="flat"),
+        # scipy's root finder misses the root at the last probe here.
+        pytest.param(
+            [6.321, 7.571, 14.896, 19.843, 40.697, 92.511],
+            [0.068, 0.155, 0.238, 0.341, 0.803, 0.911],
+            5,
+            id="last-probe",
+        ),
+    ],
+)
+def test_crossing_at_a_data_point_is_that_probe(x, y, j):
+    closed = tomography._crossing_intensity(np.r_[0.0, x], np.r_[0.0, y], y[j])
+    assert closed == pytest.approx(x[j], rel=1e-15)
 
 
 def test_fidelity_properties():
