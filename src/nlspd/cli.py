@@ -25,13 +25,7 @@ import numpy as np
 
 from . import __version__, reference
 from .modelfit import fit_params, loss_scaling_analysis, prune_mechanisms
-from .povm import (
-    DiagonalPovm,
-    NonlinearSpdParams,
-    _coherent_clicks,
-    nonlinear_povm,
-    truncation_for,
-)
+from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, nonlinear_povm
 from .simulator import ExperimentConfig, geometric_probe_grid
 from .simulator import simulate as run_simulation
 from .tomography import (
@@ -136,12 +130,9 @@ def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
         if truncation is not None:
             raise ValueError("--truncation cannot be combined with --scale-to-95")
         k, povm = scaled_fit_workflow(probes, record, smoothing_weight=smoothing)
-        truncation = povm.truncation
         document = povm.to_dict()
         document["k"] = float(k)
     else:
-        if truncation is None:
-            truncation = truncation_for(float(probes.intensities.max()))
         povm = reconstruct_povm(probes, record, truncation, smoothing)
         document = povm.to_dict()
     _write_json(out_json, document)
@@ -150,7 +141,7 @@ def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
         [data_csv],
         [out_json],
         parameters={
-            "truncation": truncation,
+            "truncation": povm.truncation,
             "smoothing": smoothing,
             "scale_to_95": scale_to_95,
         },

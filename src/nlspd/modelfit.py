@@ -33,13 +33,7 @@ from scipy.sparse import csr_array
 from . import numerics
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
 from .numerics import binomial_table, log_survival_sum
-from .povm import (
-    NonlinearSpdParams,
-    _check_carries,
-    _poisson_rows,
-    _whole_number,
-    truncation_for,
-)
+from .povm import NonlinearSpdParams, _check_carries, _poisson_rows, _whole_number
 from .tomography import ClickRecord, ProbeSet, check_paired
 
 __all__ = [
@@ -194,10 +188,11 @@ class _FitData:
     """Windowed probe matrix, design and frequencies of the included probes.
 
     ``probe_matrix`` (CSR) holds the normalized Poisson weights of each
-    included probe over its photon-number window (``povm._poisson_rows``),
-    and ``design`` the binomial table C(m, n) at the union of those windows
-    only, which the matrix's columns index; no probe row or design row
-    spans the full truncation. ``transposed`` is the CSR transpose of
+    included probe over its full photon-number window
+    (``povm._poisson_rows``), and ``design`` the binomial table C(m, n) at
+    the union of those windows only, which the matrix's columns index. No
+    truncation enters: no row runs from m = 0 to a cutoff, and none is cut
+    short of its window. ``transposed`` is the CSR transpose of
     ``probe_matrix``, kept for the Hessian's F^T (r / C).
     """
 
@@ -208,19 +203,12 @@ class _FitData:
     included: np.ndarray
 
 
-def _fit_data(
-    probes: ProbeSet, record: ClickRecord, order: int, design: np.ndarray | None = None
-) -> _FitData:
+def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
     """Fit data of ``order`` mechanisms.
 
-    The truncation is ``truncation_for`` the largest intensity, or the
-    number of rows of ``design`` (the design C(m, n) at m = 0..N-1) when
-    one is given; the design at the windows' photon numbers is then read
-    from it instead of built.
-
-    Raises ``TruncationError`` when ``design`` has fewer rows than the
-    largest probe needs, since its windows would then end inside the
-    Poisson mass and the normalized rows would bias the fit.
+    Each included probe is summed over its Poisson window, which drops at
+    most 1e-16 of its mass on either side, as ``simulate`` and
+    ``coherent_click_probability`` sum it.
     """
     check_paired(probes, record)
     frequencies = record.frequencies
@@ -229,18 +217,12 @@ def _fit_data(
         raise DegenerateDataError(
             "every probe recorded zero clicks; the normalized objective is undefined"
         )
-    mu_max = float(probes.intensities.max())
-    if design is None:
-        truncation = truncation_for(mu_max)
-    else:
-        truncation = design.shape[0]
-        _check_carries(truncation, mu_max, "design truncation")
-    m_values, probe_matrix = _poisson_rows(probes.intensities[included], truncation).union()
+    m_values, probe_matrix = _poisson_rows(probes.intensities[included]).union()
     return _FitData(
         probe_matrix=probe_matrix,
         transposed=probe_matrix.T.tocsr(),
         frequencies=frequencies[included],
-        design=binomial_table(m_values, order) if design is None else design[m_values],
+        design=binomial_table(m_values, order),
         included=included,
     )
 
@@ -280,14 +262,19 @@ def fit_objective(
 ) -> float:
     """Squared norm of the normalized residual at the given parameters.
 
-    The truncation is that of ``h.binomial_design``; each probe sums over
-    its Poisson window below it, as ``fit_params`` does. Probes with zero
-    recorded clicks are excluded (their normalized residual is undefined);
-    if every probe is excluded the data cannot score any parameter vector
-    and ``DegenerateDataError`` is raised. A design with fewer rows than
-    ``truncation_for`` the largest intensity raises ``TruncationError``.
+    Each probe sums over its full Poisson window, as ``fit_params`` does,
+    so at a report's h this is the report's objective for any design
+    that carries the largest probe. Probes with zero recorded clicks are
+    excluded (their normalized residual is undefined); if every probe is
+    excluded the data cannot score any parameter vector and
+    ``DegenerateDataError`` is raised. A design with too few rows to carry
+    the largest probe's Poisson mass raises ``TruncationError``.
     """
-    r = _residual(_fit_data(probes, record, h.h.size, h.binomial_design), h.h)
+    data = _fit_data(probes, record, h.h.size)
+    _check_carries(
+        h.binomial_design.shape[0], float(probes.intensities.max()), "design truncation"
+    )
+    r = _residual(data, h.h)
     return float(r @ r)
 
 
@@ -405,12 +392,12 @@ def fit_params(
     local minimum from a fixed start (every h[n] = -1e-6); repeated fits
     agree bitwise.
 
-    The truncation is ``truncation_for`` the largest intensity, but each
-    probe is summed over its own Poisson window below it (a CSR row of
-    about 15 sqrt(mu) photon numbers, 1e-16 of the mass cut on each
-    side), and the survival is evaluated on the union of the windows only.
-    No P x N probe matrix or N x order design is built, so raw records
-    with probes up to mu = 1e9 fit in bounded time and memory.
+    No truncation enters the fit: each probe is summed over its own
+    Poisson window (a CSR row of about 15 sqrt(mu) photon numbers, 1e-16
+    of the mass cut on each side), and the survival is evaluated on the
+    union of the windows only. No P x N probe matrix or N x order design
+    is built, so raw records with probes up to mu = 1e9 fit in bounded
+    time and memory.
 
     Parameters
     ----------
@@ -419,12 +406,16 @@ def fit_params(
 
     Raises
     ------
+    ValueError
+        If ``max_order`` is not a whole number >= 1; a whole float such as
+        2.0 counts, a bool does not.
     DegenerateDataError
         If no probe recorded any click.
     ConvergenceError
         If the budget of 100 Newton iterations runs out first; the error
         carries the best-so-far ``FitReport`` as its ``result``.
     """
+    max_order = _whole_number(max_order, "max_order")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     data = _fit_data(probes, record, max_order)

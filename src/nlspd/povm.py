@@ -22,7 +22,10 @@ private operator, ``_poisson_rows``, holds those weights for any set of
 probes, each over the O(sqrt(mu)) window of photon numbers outside which
 a closed-form Chernoff bound leaves at most 1e-16 of the mass on either
 side; the coherent click probability, the simulator and the mechanism fit
-all sum through it.
+all sum through it, and none of them chooses a truncation. A truncation
+belongs to an explicit click vector (``DiagonalPovm``): ``truncation_for``
+picks the default one, which carries all but ``DEFAULT_TAIL_MASS`` of a
+probe's Poisson mass.
 """
 
 from __future__ import annotations
@@ -320,11 +323,11 @@ class _PoissonRows:
 
     Row i holds ``weights[starts[i]:starts[i + 1]]`` at the consecutive
     photon numbers ``m[starts[i]:starts[i + 1]]``, outside which at most
-    1e-16 of the Poisson mass lies on either side unless a truncation cuts
-    the row, normalized by its sum ``totals[i]``. ``rows @ values``, one
-    value per term at ``m``, gives each row's normalized sum without a
-    sparse matrix, which costs more than a one-probe click probability;
-    ``union()`` builds the CSR matrix over the windows' union for reuse.
+    1e-16 of the Poisson mass lies on either side, normalized by its sum
+    ``totals[i]``. ``rows @ values``, one value per term at ``m``, gives
+    each row's normalized sum without a sparse matrix, which costs more
+    than a one-probe click probability; ``union()`` builds the CSR matrix
+    over the windows' union for reuse.
     """
 
     m: np.ndarray
@@ -355,19 +358,18 @@ class _PoissonRows:
         )
 
 
-def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
+def _poisson_rows(intensities) -> _PoissonRows:
     """Normalized Poisson rows of coherent probes over the photon numbers they weigh.
 
     Row i holds the weights ``e^-mu mu^m / m!`` of mean ``mu = intensities[i]``
     over its window ``[m_lo, m_hi)`` from ``_chernoff_window``: at most
     1e-16 of the Poisson mass lies below ``m_lo`` and at most 1e-16 at or
-    above ``m_hi``, which is capped at ``truncation`` (a scalar or one per
-    row) when one is given. A window is about 17 standard deviations,
-    O(sqrt(mu)) photon numbers, wide. Each row is divided by its sum: at
-    large m the log weight ``m ln(mu) - mu - ln(m!)`` loses digits to
-    cancellation (the full weights sum to 1 - 5.5e-10 at mu = 1e6), and
-    the error is nearly common to the window, so the normalization
-    removes it.
+    above ``m_hi``. No truncation enters: a row ends where its own Poisson
+    mass does. A window is about 17 standard deviations, O(sqrt(mu))
+    photon numbers, wide. Each row is divided by its sum: at large m the
+    log weight ``m ln(mu) - mu - ln(m!)`` loses digits to cancellation
+    (the full weights sum to 1 - 5.5e-10 at mu = 1e6), and the error is
+    nearly common to the window, so the normalization removes it.
 
     Every window comes from one closed-form evaluation over all rows, and
     every weight from one ``poisson_log_pmf`` call. Windows whose terms
@@ -377,13 +379,8 @@ def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
     mu = np.asarray(intensities, dtype=float)
     if not np.isfinite(mu).all():
         raise ValueError("mean photon numbers must be finite")
-    m_lo, m_hi = _chernoff_window(mu, _WINDOW_MASS)
-    if truncation is not None:
-        m_hi = np.minimum(m_hi, truncation)
-    m_lo, m_hi = m_lo.astype(np.int64), m_hi.astype(np.int64)
+    m_lo, m_hi = (end.astype(np.int64) for end in _chernoff_window(mu, _WINDOW_MASS))
     sizes = m_hi - m_lo
-    if sizes.min() < 1:
-        raise TruncationError(f"truncation {truncation} ends below a probe's photon numbers")
     _check_dense_size(8 * int(sizes.sum()), f"the Poisson windows of means up to {mu.max():g}")
     starts = np.zeros(mu.size + 1, dtype=np.int64)
     sizes.cumsum(out=starts[1:])
@@ -397,9 +394,9 @@ def _poisson_rows(intensities, truncation=None) -> _PoissonRows:
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """Click probabilities of the composite detector on coherent probes.
 
-    One ``_poisson_rows`` call without a truncation: each row drops at
-    most 1e-16 of its Poisson mass on either side. The survival is
-    evaluated at every term of every row, as each probe's own sum would.
+    One ``_poisson_rows`` call: each row drops at most 1e-16 of its
+    Poisson mass on either side. The survival is evaluated at every term
+    of every row, as each probe's own sum would.
     """
     rows = _poisson_rows(intensities)
     log_survival = _log_survival_at(params.p, rows.m)

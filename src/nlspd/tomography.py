@@ -197,7 +197,7 @@ def default_smoothing_weight(probes: ProbeSet) -> float:
 def reconstruct_povm(
     probes: ProbeSet,
     record: ClickRecord,
-    truncation: int,
+    truncation: int | None = None,
     smoothing_weight: float | None = None,
 ) -> DiagonalPovm:
     """Reconstruct a diagonal POVM from coherent-probe click frequencies.
@@ -233,7 +233,8 @@ def reconstruct_povm(
         Matched probe set and click record.
     truncation:
         Photon-number cutoff of the reconstruction; must satisfy the probe
-        matrix adequacy check.
+        matrix adequacy check. Defaults to ``truncation_for`` the largest
+        intensity, the smallest cutoff that passes it.
     smoothing_weight:
         Weight w of the neighboring-element penalty; finite and >= 0.
         Defaults to ``default_smoothing_weight(probes)``.
@@ -248,6 +249,8 @@ def reconstruct_povm(
         the latter case the error carries the solver result.
     """
     check_paired(probes, record)
+    if truncation is None:
+        truncation = truncation_for(float(probes.intensities.max()))
     if smoothing_weight is None:
         smoothing_weight = default_smoothing_weight(probes)
     if not 0 <= smoothing_weight < np.inf:
@@ -551,7 +554,8 @@ def scaled_fit_workflow(
     -------
     (k, povm):
         The scale factor and the POVM reconstructed against the rescaled
-        intensities, truncated just past the rescaled range.
+        intensities at ``reconstruct_povm``'s default truncation, just
+        past the rescaled range.
 
     Raises
     ------
@@ -563,10 +567,7 @@ def scaled_fit_workflow(
         probes.intensities, record.frequencies, _SCALED_TARGET_CLICK
     )
     k = SCALED_TARGET_MEAN / mu_star
-    scaled_probes = probes.scaled_by(k)
-    truncation = truncation_for(float(scaled_probes.intensities.max()))
-    povm = reconstruct_povm(scaled_probes, record, truncation, smoothing_weight)
-    return k, povm
+    return k, reconstruct_povm(probes.scaled_by(k), record, smoothing_weight=smoothing_weight)
 
 
 def fidelity(a: DiagonalPovm, b: DiagonalPovm) -> float:

@@ -19,7 +19,7 @@ import nlspd
 from nlspd import cli
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import geometric_probe_grid
-from nlspd.tomography import read_click_data
+from nlspd.tomography import ClickRecord, ProbeSet, read_click_data, write_click_data
 
 
 def run_cli(args):
@@ -175,6 +175,28 @@ def test_reconstruct_option_conflict(tmp_path, data_csv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "intensities, clicks",
+    [
+        ([0.0, 40.0], [1, 990]),  # a single nonvacuum probe
+        ([0.0, 10.0, 20.0], [1, 960, 990]),  # first nonvacuum probe above 0.95
+    ],
+)
+def test_reconstruct_scaled_refuses_an_unbracketed_crossing(
+    tmp_path, capsys, intensities, clicks
+):
+    data = tmp_path / "clicks.csv"
+    write_click_data(
+        data,
+        ProbeSet(intensities=np.array(intensities), trials=1000),
+        ClickRecord(clicks=np.array(clicks), trials=1000),
+    )
+    out = tmp_path / "scaled.json"
+    assert run_cli(["reconstruct", data, out, "--scale-to-95"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clicks.csv"]
+
+
 def test_reconstruct_missing_input(tmp_path):
     code = run_cli(["reconstruct", tmp_path / "absent.csv", tmp_path / "out.json"])
     assert code == 1
@@ -208,6 +230,46 @@ def test_compare_closed_loop_fidelity(tmp_path, data_csv, capsys):
     )
     assert float(lines["fidelity"]) > 0.998
     assert float(lines["max_abs_gap"]) < 0.05
+
+
+def _compare_lines(out: str) -> dict:
+    return dict(line.split("=", 1) for line in out.strip().splitlines())
+
+
+def test_compare_takes_a_parameter_document_on_either_side(tmp_path, data_csv, capsys):
+    povm_json = tmp_path / "povm.json"
+    assert run_cli(["reconstruct", data_csv, povm_json]) == 0
+    truth_json = tmp_path / "truth.json"
+    truth_json.write_text(json.dumps(SCALED_PARAMS[25].to_dict()))
+    capsys.readouterr()
+    assert run_cli(["compare", povm_json, truth_json]) == 0
+    forward = _compare_lines(capsys.readouterr().out)
+    assert run_cli(["compare", truth_json, povm_json]) == 0
+    assert _compare_lines(capsys.readouterr().out) == forward
+
+
+def test_compare_notes_differing_truncations(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"truncation": 3, "click": [0.0, 0.5, 0.75]}))
+    b.write_text(json.dumps({"truncation": 4, "click": [0.0, 0.5, 0.75, 0.875]}))
+    assert run_cli(["compare", a, b]) == 0
+    captured = capsys.readouterr()
+    assert "truncations differ (3 vs 4)" in captured.err
+    # a is padded with its trailing 0.75, so only the last element differs.
+    assert float(_compare_lines(captured.out)["max_abs_gap"]) == 0.125
+
+
+@pytest.mark.parametrize("document", [[0.1, 0.2], {"truncation": 2}])
+def test_compare_rejects_a_document_that_is_neither_povm_nor_parameters(
+    tmp_path, capsys, document
+):
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps({"truncation": 2, "click": [0.0, 0.5]}))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(document))
+    assert run_cli(["compare", povm, other]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_compare_rejects_two_parameter_documents(tmp_path):

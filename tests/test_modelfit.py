@@ -206,6 +206,38 @@ def test_objective_rejects_a_design_below_the_largest_probe():
     assert fit_objective(enough, probes, record) > 0
 
 
+def test_objective_at_a_report_is_the_reports_objective():
+    # The fit sums full Poisson windows and chooses no truncation, so a
+    # design only has to carry the largest probe: past that, its length
+    # does not enter the objective.
+    truth = NonlinearSpdParams([1e-3, 0.08, 0.01])
+    probes = geometric_probe_grid(truth)
+    record = simulate(ExperimentConfig(truth=truth, probes=probes, seed=5, trials=100_000))
+    report = fit_params(probes, record, max_order=3)
+    n = truncation_for(float(probes.intensities.max()))
+    for rows in (n, n + 50):
+        h = MechanismLogVector.at_truncation(report.h, rows)
+        assert fit_objective(h, probes, record) == report.objective
+    with pytest.raises(TruncationError, match="design truncation"):
+        fit_objective(MechanismLogVector.at_truncation(report.h, n - 1), probes, record)
+
+
+@pytest.mark.parametrize("order", [2.5, True])
+def test_fit_refuses_a_max_order_that_is_not_a_whole_number(order):
+    probes = ProbeSet(intensities=np.array([0.0, 5.0, 30.0]), trials=1000)
+    record = ClickRecord(clicks=np.array([10, 400, 900]), trials=1000)
+    with pytest.raises(ValueError, match="max_order must be a whole number"):
+        fit_params(probes, record, max_order=order)
+
+
+def test_fit_counts_a_whole_float_max_order():
+    probes = ProbeSet(intensities=np.array([0.0, 5.0, 30.0]), trials=1000)
+    record = ClickRecord(clicks=np.array([10, 400, 900]), trials=1000)
+    report = fit_params(probes, record, max_order=2.0)
+    assert report.params.order == 2
+    assert report.to_dict() == fit_params(probes, record, max_order=2).to_dict()
+
+
 def test_fit_recovers_exact_model_data():
     truth = np.array([5e-3, 0.1, 0.02])
     probes = ProbeSet(

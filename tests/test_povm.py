@@ -82,18 +82,15 @@ def test_coherent_click_window_matches_full_sum(mean):
 @given(
     means=st.lists(st.floats(0.0, 400.0), min_size=1, max_size=6),
     p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-    cap=st.sampled_from(["none", "largest", "each"]),
 )
-def test_windowed_rows_match_dense_probe_rows(means, p, cap):
+def test_windowed_rows_match_dense_probe_rows(means, p):
     # Windowed, normalized rows against the dense rows 0..N-1 up to the
-    # largest window end: they differ by the mass beyond the windows and
-    # truncations, under 1e-12 per entry. A click probability can differ by
-    # all of a row's tail (below 1e-12) plus the dense row's own rounding
+    # largest window end: they differ by the mass beyond the windows,
+    # under 1e-12 per entry. A click probability can differ by all of a
+    # row's tail (below 1e-12) plus the dense row's own rounding
     # (measured worst over these examples: 5.5e-13 and 1.1e-12).
     means = np.array(means)
-    largest = truncation_for(means.max())
-    truncation = {"none": None, "largest": largest, "each": [truncation_for(mu) for mu in means]}
-    m_values, matrix = _poisson_rows(means, truncation[cap]).union()
+    m_values, matrix = _poisson_rows(means).union()
     n = int(m_values[-1]) + 1
     dense = np.exp(poisson_log_weights(means, n))
     windowed = np.zeros_like(dense)

@@ -180,6 +180,23 @@ def test_scaled_workflow_rejects_unreachable_target():
         scaled_fit_workflow(probes, record)
 
 
+@pytest.mark.parametrize(
+    "intensities, clicks, message",
+    [
+        ([0.0, 40.0], [1, 990], "too few nonvacuum probes"),
+        # At or above 0.95 at the smallest nonvacuum probe, no interval
+        # brackets the crossing.
+        ([0.0, 10.0, 20.0], [1, 950, 995], "smallest nonvacuum probe"),
+        ([0.0, 10.0, 20.0], [1, 990, 995], "smallest nonvacuum probe"),
+    ],
+)
+def test_scaled_workflow_refuses_an_unbracketed_crossing(intensities, clicks, message):
+    probes = ProbeSet(intensities=np.array(intensities), trials=1000)
+    record = ClickRecord(clicks=np.array(clicks), trials=1000)
+    with pytest.raises(TargetUnreachableError, match=message):
+        scaled_fit_workflow(probes, record)
+
+
 def _scipy_crossing(intensities, frequencies, target):
     """First crossing of scipy's PCHIP on the log axis: the oracle."""
     from scipy.interpolate import PchipInterpolator
@@ -399,6 +416,8 @@ def test_click_data_csv_round_trip(positive, trials, fractions):
         "mean_photons,trials,clicks\n0.0,10,1\n1.0,12,2\n",  # trials vary
         "mean_photons,trials,clicks\n0.0,10,1.5\n1.0,10,2\n",  # fractional
         "mean_photons,trials,clicks\n0.0,10,1\nbanana,10,2\n",  # junk field
+        "",  # empty file
+        "mean_photons,trials,clicks\n",  # header only
     ],
 )
 def test_read_click_data_rejects_malformed(tmp_path, body):
@@ -407,6 +426,15 @@ def test_read_click_data_rejects_malformed(tmp_path, body):
     with pytest.raises(DataFormatError) as excinfo:
         read_click_data(path)
     assert "bad.csv" in str(excinfo.value)
+
+
+def test_read_click_data_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("mean_photons,trials,clicks\n0.0,10,1\n\n1.0,10,2\n")
+    probes, record = read_click_data(path)
+    np.testing.assert_array_equal(probes.intensities, [0.0, 1.0])
+    np.testing.assert_array_equal(record.clicks, [1, 2])
+    assert probes.trials == record.trials == 10
 
 
 def test_read_click_data_missing_file(tmp_path):
