@@ -4,91 +4,76 @@ Models photon detectors whose click statistics mix breakdown mechanisms of
 different photon orders, reconstructs their diagonal POVMs from coherent
 probe data, fits the mechanism efficiencies, and transforms everything
 consistently under optical loss.
+
+Public names resolve on first access, each by importing the module that
+defines it. Together with ``povm``, ``numerics`` and ``tomography``
+importing scipy where they call it, this keeps ``import nlspd`` and
+``import nlspd.cli`` free of scipy: an ``nlspd`` command loads only the
+scipy it runs. ``loss``, ``modelfit`` and ``simulator`` import scipy at
+module level, so a process that imports a solver pays for scipy then,
+not inside the solver's first call.
 """
 
-from .exceptions import (
-    ConvergenceError,
-    DataFormatError,
-    DegenerateDataError,
-    IllConditionedInversionError,
-    SaturationCapError,
-    TargetUnreachableError,
-    TruncationError,
-    UndefinedFidelityError,
-)
-from .loss import lossy_click_probability, scale_povm, unscale_povm
-from .modelfit import (
-    FitReport,
-    MechanismLogVector,
-    ScalingLawFit,
-    fit_objective,
-    fit_params,
-    loss_scaling_analysis,
-    prune_mechanisms,
-)
-from .povm import (
-    DiagonalPovm,
-    NonlinearSpdParams,
-    coherent_click_probability,
-    log_survival,
-    nonlinear_povm,
-    npd_povm,
-    povm_click_probability,
-    spd_povm,
-    truncation_for,
-)
-from .simulator import ExperimentConfig, geometric_probe_grid, simulate
-from .tomography import (
-    ClickRecord,
-    ProbeSet,
-    build_probe_matrix,
-    fidelity,
-    read_click_data,
-    reconstruct_povm,
-    scaled_fit_workflow,
-    write_click_data,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClickRecord",
-    "ConvergenceError",
-    "DataFormatError",
-    "DegenerateDataError",
-    "DiagonalPovm",
-    "ExperimentConfig",
-    "FitReport",
-    "IllConditionedInversionError",
-    "MechanismLogVector",
-    "NonlinearSpdParams",
-    "ProbeSet",
-    "SaturationCapError",
-    "ScalingLawFit",
-    "TargetUnreachableError",
-    "TruncationError",
-    "UndefinedFidelityError",
-    "build_probe_matrix",
-    "coherent_click_probability",
-    "fidelity",
-    "fit_objective",
-    "fit_params",
-    "geometric_probe_grid",
-    "log_survival",
-    "loss_scaling_analysis",
-    "lossy_click_probability",
-    "nonlinear_povm",
-    "npd_povm",
-    "povm_click_probability",
-    "prune_mechanisms",
-    "read_click_data",
-    "reconstruct_povm",
-    "scale_povm",
-    "scaled_fit_workflow",
-    "simulate",
-    "spd_povm",
-    "truncation_for",
-    "unscale_povm",
-    "write_click_data",
-    "__version__",
-]
+_EXPORTS = {
+    "exceptions": (
+        "ConvergenceError",
+        "DataFormatError",
+        "DegenerateDataError",
+        "IllConditionedInversionError",
+        "SaturationCapError",
+        "TargetUnreachableError",
+        "TruncationError",
+        "UndefinedFidelityError",
+    ),
+    "loss": ("lossy_click_probability", "scale_povm", "unscale_povm"),
+    "modelfit": (
+        "FitReport",
+        "MechanismLogVector",
+        "ScalingLawFit",
+        "fit_objective",
+        "fit_params",
+        "loss_scaling_analysis",
+        "prune_mechanisms",
+    ),
+    "povm": (
+        "DiagonalPovm",
+        "NonlinearSpdParams",
+        "coherent_click_probability",
+        "log_survival",
+        "nonlinear_povm",
+        "npd_povm",
+        "povm_click_probability",
+        "spd_povm",
+        "truncation_for",
+    ),
+    "simulator": ("ExperimentConfig", "geometric_probe_grid", "simulate"),
+    "tomography": (
+        "ClickRecord",
+        "ProbeSet",
+        "build_probe_matrix",
+        "fidelity",
+        "read_click_data",
+        "reconstruct_povm",
+        "scaled_fit_workflow",
+        "write_click_data",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

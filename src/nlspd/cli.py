@@ -9,6 +9,10 @@ Conventions shared by every command:
 - every output file gets a ``<name>.manifest.json`` sidecar recording the
   command, inputs, outputs, parameters, and seed that produced it; no
   timestamps, so identical runs are byte-identical.
+
+``modelfit`` and ``simulator`` load scipy when imported, so only the
+commands that run them import them; ``compare``, ``figure fig2b`` and
+``--version`` start without loading scipy.
 """
 
 from __future__ import annotations
@@ -24,10 +28,7 @@ import click
 import numpy as np
 
 from . import __version__, reference
-from .modelfit import fit_params, loss_scaling_analysis, prune_mechanisms
 from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, nonlinear_povm
-from .simulator import ExperimentConfig, geometric_probe_grid
-from .simulator import simulate as run_simulation
 from .tomography import (
     default_smoothing_weight,
     fidelity,
@@ -99,8 +100,10 @@ def cli():
 @click.argument("out_csv")
 def cmd_simulate(config_path, out_csv):
     """Sample a click record for the experiment described by CONFIG_PATH."""
+    from .simulator import ExperimentConfig, simulate
+
     config = ExperimentConfig.from_dict(_read_json(config_path))
-    record = run_simulation(config)
+    record = simulate(config)
     with _atomic_output(out_csv) as tmp:
         write_click_data(tmp, config.probes, record)
     _emit_manifests(
@@ -160,6 +163,8 @@ def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
 )
 def cmd_fit(data_csv, out_json, max_order, prune_threshold):
     """Fit mechanism efficiencies to DATA_CSV and prune insignificant ones."""
+    from .modelfit import fit_params, prune_mechanisms
+
     probes, record = read_click_data(data_csv)
     report = fit_params(probes, record, max_order)
     report = prune_mechanisms(report, probes, record, prune_threshold)
@@ -251,13 +256,16 @@ def _figure_fig2b(out_csv, bias_current, seed):
 
 
 def _figure_fig3b(out_csv, bias_current, seed):
+    from .modelfit import fit_params, loss_scaling_analysis
+    from .simulator import ExperimentConfig, geometric_probe_grid, simulate
+
     base = geometric_probe_grid(_LOSS_DEMO_TRUTH)
     params_by_eta = []
     for j, eta in enumerate(_LOSS_DEMO_ETAS):
         config = ExperimentConfig(
             truth=_LOSS_DEMO_TRUTH, probes=base, seed=seed + j, trials=base.trials
         )
-        record = run_simulation(config)
+        record = simulate(config)
         # The record sampled at intensities mu equals a lossy detector probed
         # at mu / eta, so restating the grid gives the eta-degraded dataset.
         stated = base.scaled_by(1.0 / eta)

@@ -17,7 +17,6 @@ are their forms over the full range m = 0..truncation-1.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 __all__ = [
     "binomial_exponents",
@@ -31,6 +30,8 @@ __all__ = [
 
 def poisson_log_pmf(m_values: np.ndarray, mean_photons) -> np.ndarray:
     """Log Poisson weights ``m ln(mu) - mu - ln(m!)``, photon numbers and means broadcast."""
+    from scipy.special import gammaln, xlogy
+
     mu = np.asarray(mean_photons, dtype=float)
     if (mu < 0).any():
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")

@@ -34,8 +34,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.special import gammainc, lambertw
 
 from .exceptions import DataFormatError, TruncationError
 from .numerics import binomial_table, log_survival_sum, poisson_log_pmf, poisson_log_weights
@@ -263,6 +261,8 @@ def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]
     for p < 1e-3. A window is at most a few percent wider than the exact
     one. Means under ``mass`` take the window at ``mass``, which covers theirs.
     """
+    from scipy.special import lambertw
+
     log_mass = np.log(mass)
     mu = np.maximum(mean_photons, mass)
     x = (-log_mass - mu) / (np.e * mu)
@@ -301,6 +301,8 @@ def _carries(truncation, mu):
     gammainc(N, mu) is the Poisson probability of N or more events; it
     falls with N, so ``truncation_for(mu)`` is the smallest N passing.
     """
+    from scipy.special import gammainc
+
     return gammainc(truncation, mu) < DEFAULT_TAIL_MASS
 
 
@@ -340,6 +342,8 @@ class _PoissonRows:
 
     def union(self) -> tuple[np.ndarray, csr_array]:
         """Ascending union of the windows and the CSR matrix of the rows over it."""
+        from scipy.sparse import csr_array
+
         sizes = np.diff(self.starts)
         m_lo, m_hi = self.m[self.starts[:-1]], self.m[self.starts[1:] - 1] + 1
         # Column of photon number m in the union: m less the photon numbers

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dtbtrs
 
 from .exceptions import (
     ConvergenceError,
@@ -350,6 +348,9 @@ def _free_minimizer(
     ``f = F 1``. For any u the best intercept is ``c = f.(C - F y) / f.f``;
     putting it back projects ``q = f / |f|`` out of M and t.
     """
+    from scipy.linalg import cholesky_banded
+    from scipy.linalg.lapack import dtbtrs
+
     free = state == 0
     x = (state > 0).astype(float)
     if not free.any():

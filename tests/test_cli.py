@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import nlspd
-from nlspd import cli
+from nlspd import cli, simulator
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import geometric_probe_grid
 from nlspd.tomography import ClickRecord, ProbeSet, read_click_data, write_click_data
@@ -313,7 +313,7 @@ def test_unexpected_failure_maps_to_exit_two(tmp_path, config_path, monkeypatch)
     def explode(config):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "run_simulation", explode)
+    monkeypatch.setattr(simulator, "simulate", explode)
     code = run_cli(["simulate", config_path, tmp_path / "out.csv"])
     assert code == 2
 
@@ -333,12 +333,24 @@ def test_main_exits_with_the_code_of_ctx_exit(monkeypatch):
     assert run_cli(["--version"]) == 0
 
 
-def test_cli_import_leaves_out_the_optimizers():
-    # Each nlspd command is a fresh process. Neither loading the CLI nor
-    # rescaling a record loads scipy.optimize or scipy.interpolate; only the
-    # reconstruction's bounded-variable fallback loads scipy.optimize.
+def _python(code, *args, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports nlspd from this source tree."""
     source = str(Path(nlspd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_cli_import_leaves_out_the_optimizers():
+    # Each nlspd command is a fresh process. Loading the CLI loads no scipy
+    # at all, and rescaling a record loads neither scipy.optimize nor
+    # scipy.interpolate; only the reconstruction's bounded-variable
+    # fallback loads scipy.optimize.
     code = """
 import sys, nlspd.cli
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
@@ -355,11 +367,75 @@ config = ExperimentConfig(truth=truth, probes=probes, seed=0, trials=probes.tria
 scaled_fit_workflow(probes, simulate(config))
 print(loaded())
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_package_and_cli_import_load_no_scipy():
+    code = "import sys, nlspd, nlspd.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_solver_modules_load_scipy_at_import():
+    # Library processes that import the solvers pay for scipy at import,
+    # not inside a solver's first call.
+    code = """
+import sys, nlspd.loss, nlspd.modelfit, nlspd.simulator
+print([m for m in ("scipy.special", "scipy.linalg", "scipy.sparse") if m not in sys.modules])
+"""
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_public_names_resolve_to_their_definitions():
+    code = """
+import importlib, nlspd
+wrong = []
+for name in nlspd.__all__:
+    if name != "__version__":
+        value = getattr(nlspd, name)
+        home = importlib.import_module(value.__module__)
+        if home.__name__.split(".")[0] != "nlspd" or getattr(home, name) is not value:
+            wrong.append(name)
+print(wrong, set(nlspd.__all__) <= set(dir(nlspd)), hasattr(nlspd, "no_such_name"))
+"""
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[] True False\n"
+
+
+_CLI = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from nlspd.cli import main
+main(sys.argv[2:])
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--version"],
+        ["compare", "povm.json", "fit.json"],
+        ["figure", "fig2b", "--bias-current", "20", "out.csv"],
+    ],
+    ids=["version", "compare", "figure-fig2b"],
+)
+def test_command_runs_without_scipy(tmp_path, data_csv, args):
+    outputs = {}
+    for mode in ("blocked", "unblocked"):
+        workdir = tmp_path / mode
+        workdir.mkdir()
+        assert run_cli(["reconstruct", data_csv, workdir / "povm.json"]) == 0
+        assert run_cli(["fit", data_csv, workdir / "fit.json"]) == 0
+        before = set(workdir.iterdir())
+        result = _python(_CLI, mode, *args, cwd=workdir)
+        assert result.returncode == 0, result.stderr
+        written = sorted(set(workdir.iterdir()) - before)
+        outputs[mode] = [result.stdout] + [(p.name, p.read_bytes()) for p in written]
+    assert outputs["blocked"] == outputs["unblocked"]
