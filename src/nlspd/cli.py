@@ -11,8 +11,9 @@ Conventions shared by every command:
   timestamps, so identical runs are byte-identical.
 
 ``modelfit`` and ``simulator`` load scipy when imported, so only the
-commands that run them import them; ``compare``, ``figure fig2b`` and
-``--version`` start without loading scipy.
+commands that run them import them; ``reconstruct`` (with or without
+``--scale-to-95``), ``compare``, ``figure fig2b`` and ``--version``
+start without loading scipy.
 """
 
 from __future__ import annotations

@@ -127,7 +127,10 @@ class FitReport:
     included probes; ``per_probe_residuals`` holds each probe's squared
     contribution, with excluded (zero-click) probes reported as 0. ``h``
     carries the raw log-survival vector, from which the pruning refits
-    start.
+    start. ``_data`` keeps the fit data the report was solved on, for
+    ``prune_mechanisms`` to reuse on the same probes and record; it takes
+    no part in comparison, ``repr`` or ``to_dict``, and a report read with
+    ``from_dict`` has none.
     """
 
     params: NonlinearSpdParams
@@ -136,6 +139,7 @@ class FitReport:
     per_probe_residuals: np.ndarray
     h: np.ndarray = field(repr=False)
     degenerate_pruning: bool = False
+    _data: _FitData | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         residuals = np.asarray(self.per_probe_residuals, dtype=float)
@@ -193,7 +197,8 @@ class _FitData:
     the union of those windows only, which the matrix's columns index. No
     truncation enters: no row runs from m = 0 to a cutoff, and none is cut
     short of its window. ``transposed`` is the CSR transpose of
-    ``probe_matrix``, kept for the Hessian's F^T (r / C).
+    ``probe_matrix``, kept for the Hessian's F^T (r / C). ``probes`` and
+    ``record`` are those the data was built from.
     """
 
     probe_matrix: csr_array
@@ -201,6 +206,18 @@ class _FitData:
     frequencies: np.ndarray
     design: np.ndarray
     included: np.ndarray
+    probes: ProbeSet
+    record: ClickRecord
+
+    def built_from(self, probes: ProbeSet, record: ClickRecord, order: int) -> bool:
+        """Whether this is the data of ``order`` mechanisms on these probes and record."""
+        return (
+            self.design.shape[1] == order
+            and self.probes.trials == probes.trials
+            and np.array_equal(self.probes.intensities, probes.intensities)
+            and self.record.trials == record.trials
+            and np.array_equal(self.record.clicks, record.clicks)
+        )
 
 
 def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
@@ -217,13 +234,20 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
         raise DegenerateDataError(
             "every probe recorded zero clicks; the normalized objective is undefined"
         )
-    m_values, probe_matrix = _poisson_rows(probes.intensities[included]).union()
+    rows = _poisson_rows(probes.intensities[included])
+    m_values, columns = rows.union()
+    normalized = rows.weights / rows.totals.repeat(np.diff(rows.starts))
+    probe_matrix = csr_array(
+        (normalized, columns, rows.starts), shape=(rows.totals.size, m_values.size)
+    )
     return _FitData(
         probe_matrix=probe_matrix,
         transposed=probe_matrix.T.tocsr(),
         frequencies=frequencies[included],
         design=binomial_table(m_values, order),
         included=included,
+        probes=probes,
+        record=record,
     )
 
 
@@ -373,6 +397,7 @@ def _build_report(
         per_probe_residuals=per_probe,
         h=h,
         degenerate_pruning=degenerate,
+        _data=data,
     )
 
 
@@ -439,6 +464,10 @@ def prune_mechanisms(
     report's optimum; a single final refit over the surviving orders
     produces the returned report.
 
+    The fit data (Poisson windows, their union and the binomial table) is
+    the report's own when it was fitted to these probes and record, and is
+    built afresh otherwise, e.g. for a report read with ``from_dict``.
+
     A trial refit is skipped when its start already passes the test. The
     start, the full report's h (clipped to the box) with h[n] = 0, is a
     feasible point of the pinned problem, so the minimized objective is no
@@ -463,7 +492,9 @@ def prune_mechanisms(
     if not report.kept_orders:
         raise ValueError("the report keeps no mechanism order, so there is nothing to prune")
     order = report.params.order
-    data = _fit_data(probes, record, order)
+    data = report._data
+    if data is None or not data.built_from(probes, record, order):
+        data = _fit_data(probes, record, order)
     kept = np.zeros(order, dtype=bool)
     kept[list(report.kept_orders)] = True
     base_norm = np.sqrt(report.objective)

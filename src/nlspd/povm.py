@@ -30,6 +30,7 @@ probe's Poisson mass.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -58,6 +59,12 @@ DEFAULT_TAIL_MASS = 1e-12
 # probability cannot see it.
 _WINDOW_MASS = 1e-16
 
+# Poisson probability mass a tail sum may leave out: 1e-16 of
+# DEFAULT_TAIL_MASS, so the sum decides a truncation to rounding. Leaving
+# out the window's 1e-16 would move truncation_for by one at some means
+# above 1e6.
+_TAIL_RESOLUTION = 1e-28
+
 _BOUND_FUZZ = 1e-12
 
 # Largest array, in bytes, that one step of the package may allocate: a
@@ -76,7 +83,7 @@ def _check_dense_size(size: int, what: str) -> None:
     """Raise ``ValueError`` if ``what``, of ``size`` bytes, exceeds ``MAX_DENSE_BYTES``."""
     if size > MAX_DENSE_BYTES:
         raise ValueError(
-            f"{what} would take {size / 2**20:.0f} MiB, "
+            f"{what} would take {size / 2**20:.4g} MiB, "
             f"above the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
         )
 
@@ -245,32 +252,91 @@ def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
     )
 
 
+def _bennett_excess(c):
+    """u >= 0 with ``h(1 + u) >= c`` for ``h(t) = t ln t - t + 1``.
+
+    Bennett's inequality ``h(1 + u) >= u^2 / (2 (1 + u / 3))`` turns the
+    bound into a quadratic in u; its root is within a few percent of h's
+    own where c is small and within a factor ln(c) where c is large.
+    """
+    return c / 3 + np.sqrt(c * (c / 9 + 2))
+
+
 def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]:
     """Photon numbers ``[m_lo, m_hi)``, as floats, outside which a Poisson
     law keeps at most ``mass`` on either side.
 
     The Chernoff bound ``e^-mu (e mu / k)^k`` holds P(M >= k) for k > mu and
-    P(M <= k) for k < mu. It equals ``mass`` at ``k = mu exp(1 + W(x))``,
-    ``x = (ln(1/mass) - mu) / (e mu)``: Lambert's W on its principal branch
-    gives the upper end and on its -1 branch the lower end, which exists
-    only where e^-mu < mass (x < 0; otherwise m_lo = 0). Near the branch
-    point x = -1/e, where x has lost the digits of ln(1/mass) / mu and
-    scipy's -1 branch stalls at -1 (mu above about 7e9), ``1 + W`` is the
-    branch-point series ``+-p - p^2/3 +- 11 p^3/72`` in
-    ``p = sqrt(2 ln(1/mass) / mu)`` (Corless et al. 1996), exact to rounding
-    for p < 1e-3. A window is at most a few percent wider than the exact
-    one. Means under ``mass`` take the window at ``mass``, which covers theirs.
+    P(M <= k) for k < mu. At ``k = t mu`` it equals ``mass`` where
+    ``h(t) = t ln t - t + 1 = c``, ``c = ln(1/mass) / mu``: once above t = 1,
+    the upper end, and once below, the lower end, which exists only where
+    c < 1, i.e. e^-mu < mass (otherwise m_lo = 0). h is convex with
+    ``h'(t) = ln t``, so Newton steps on ``t ln t - (t - 1) = c`` fall
+    monotonically onto the upper root from Bennett's bound above it
+    (``_bennett_excess``) and rise onto the lower root from below it, from
+    the larger of ``1 - sqrt(2c)`` (h'' >= 1 there) and
+    ``(1 - c) / (2 - 2 ln(1 - c))``. Five steps, both ends stacked in one
+    array, reach the roots to rounding at every mean. Where
+    ``p = sqrt(2 ln(1/mass) / mu) < 1e-3`` (means above about 7e7), both
+    ends are the branch-point series ``t = exp(+-p - p^2/3 +- 11 p^3/72)``
+    (Corless et al. 1996), exact to rounding there. A window is at most a
+    few percent wider than the exact one. Means under ``mass`` take the
+    window at ``mass``, which covers theirs.
     """
-    from scipy.special import lambertw
-
     log_mass = np.log(mass)
     mu = np.maximum(mean_photons, mass)
-    x = (-log_mass - mu) / (np.e * mu)
+    c = -log_mass / mu
     p = np.sqrt(-2.0 * log_mass / mu)
-    lower = np.where(p < 1e-3, -p - p**2 / 3 - 11 / 72 * p**3, 1.0 + lambertw(x, -1).real)
-    upper = np.where(p < 1e-3, p - p**2 / 3 + 11 / 72 * p**3, 1.0 + lambertw(x).real)
-    m_lo = np.where(x < 0, np.floor(mu * np.exp(lower)) + 1.0, 0.0)
-    return m_lo, np.ceil(mu * np.exp(upper))
+    # The steps run on c >= 5e-7 (p >= 1e-3), where t stays clear of 1; the
+    # series replaces the rest. A c of 1 or more has no lower root, so the
+    # lower steps run on a c just under 1 and are discarded.
+    target = np.empty((2,) + c.shape)
+    target[0] = np.maximum(c, 5e-7)
+    target[1] = np.minimum(target[0], 1.0 - 2.0**-53)
+    rest = 1.0 - target[1]
+    t = np.empty_like(target)
+    t[0] = 1.0 + _bennett_excess(target[0])
+    t[1] = np.maximum(1.0 - np.sqrt(2.0 * target[1]), rest / (2.0 - 2.0 * np.log(rest)))
+    # The Newton step t - (t ln t - t + 1 - c) / ln t, simplified.
+    shift = target - 1.0
+    for _ in range(5):
+        t = (t + shift) / np.log(t)
+    upper, lower = t
+    series = p < 1e-3
+    if series.any():
+        p = np.minimum(p, 1e-3)
+        square, cube = p**2 / 3, 11 / 72 * p**3
+        upper = np.where(series, np.exp(p - square + cube), upper)
+        lower = np.where(series, np.exp(-p - square - cube), lower)
+    m_lo = np.where(c < 1, np.floor(mu * lower) + 1.0, 0.0)
+    return m_lo, np.ceil(mu * upper)
+
+
+def _tails(start: int, mean_photons: float) -> np.ndarray:
+    """Poisson tail masses from the top of the tail down to ``start``.
+
+    Element k is the mass at photon numbers ``top - 1 - k`` to ``top - 1``.
+    The top leaves at most ``_TAIL_RESOLUTION`` beyond it: it is
+    ``mu (1 + u)`` for ``u = _bennett_excess(ln(1 / _TAIL_RESOLUTION) / mu)``,
+    where the Bennett form of the Chernoff bound reaches that mass, about
+    11.4 standard deviations above a large mean and at most 44 photon
+    numbers for means near 0. The masses are one cumulative sum of the
+    Poisson weights, highest photon number first, so ``truncation_for``
+    and ``_carries`` add the same terms in the same order. A start above
+    floor(mu) leaves under ``mu u + 1`` terms; if they would take more than
+    ``MAX_DENSE_BYTES`` (means above about 8.7e12), ``ValueError`` says so
+    before anything is allocated.
+    """
+    reach = max(mean_photons, _TAIL_RESOLUTION)
+    excess = reach * _bennett_excess(-math.log(_TAIL_RESOLUTION) / reach)
+    _check_dense_size(
+        8 * (excess + 1.0),
+        f"mean photon number {mean_photons:g} is too large to truncate: its Poisson tail",
+    )
+    top = math.ceil(reach + excess)
+    if start >= top:
+        return np.zeros(0)
+    return np.exp(poisson_log_pmf(np.arange(top - 1, start - 1, -1), mean_photons)).cumsum()
 
 
 def truncation_for(max_mean_photons: float) -> int:
@@ -278,32 +344,31 @@ def truncation_for(max_mean_photons: float) -> int:
 
     Guarantees ``sum_{m >= N} e^-mu mu^m / m! < DEFAULT_TAIL_MASS`` at
     ``mu = max_mean_photons``, so a photon-number expansion truncated at N
-    carries at most that much unaccounted probability. N is found by
-    bisection between floor(mu), which keeps about half the mass beyond
-    it, and the Chernoff end of ``_chernoff_window``, which passes.
+    carries at most that much unaccounted probability. The tails at every
+    N from floor(mu) + 1 up (``_tails``, one reverse cumulative sum of
+    the Poisson weights) give the first N that passes. Means above about
+    8.7e12, whose tail terms would take more than ``MAX_DENSE_BYTES``,
+    raise ``ValueError``.
     """
     mu = float(max_mean_photons)
     if not 0 <= mu < np.inf:
         raise ValueError(f"mean photon number must be finite and >= 0, got {max_mean_photons}")
-    lo, hi = int(mu), int(_chernoff_window(mu, DEFAULT_TAIL_MASS)[1])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _carries(mid, mu) else (mid, hi)
-    if not _carries(hi, mu):
-        # Above about 1e34 the Chernoff end no longer passes in floating point.
-        raise ValueError(f"mean photon number {mu:g} is too large to truncate")
-    return hi
+    start = math.floor(mu) + 1
+    return start + int(np.count_nonzero(_tails(start, mu) >= DEFAULT_TAIL_MASS))
 
 
-def _carries(truncation, mu):
+def _carries(truncation: int, mean_photons: float) -> bool:
     """Whether a truncation leaves under ``DEFAULT_TAIL_MASS`` of the Poisson mass beyond it.
 
-    gammainc(N, mu) is the Poisson probability of N or more events; it
-    falls with N, so ``truncation_for(mu)`` is the smallest N passing.
+    A truncation at or below floor(mu) leaves about half the mass or more
+    beyond it. Above, the tail is the last of the ``_tails`` down to the
+    truncation: the same sum ``truncation_for`` reads, so
+    ``truncation_for(mu)`` is the smallest N passing.
     """
-    from scipy.special import gammainc
-
-    return gammainc(truncation, mu) < DEFAULT_TAIL_MASS
+    if not truncation > mean_photons:
+        return False
+    tails = _tails(truncation, mean_photons)
+    return not tails.size or bool(tails[-1] < DEFAULT_TAIL_MASS)
 
 
 def _check_carries(truncation: int, mean_photons: float, what: str = "truncation") -> None:
@@ -328,8 +393,9 @@ class _PoissonRows:
     1e-16 of the Poisson mass lies on either side, normalized by its sum
     ``totals[i]``. ``rows @ values``, one value per term at ``m``, gives
     each row's normalized sum without a sparse matrix, which costs more
-    than a one-probe click probability; ``union()`` builds the CSR matrix
-    over the windows' union for reuse.
+    than a one-probe click probability; ``union()`` gives the windows'
+    union and the column of every term in it, from which ``modelfit``
+    builds a CSR matrix for reuse.
     """
 
     m: np.ndarray
@@ -340,10 +406,8 @@ class _PoissonRows:
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
         return np.add.reduceat(self.weights * values, self.starts[:-1]) / self.totals
 
-    def union(self) -> tuple[np.ndarray, csr_array]:
-        """Ascending union of the windows and the CSR matrix of the rows over it."""
-        from scipy.sparse import csr_array
-
+    def union(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending union of the windows and the column of each term in it."""
         sizes = np.diff(self.starts)
         m_lo, m_hi = self.m[self.starts[:-1]], self.m[self.starts[1:] - 1] + 1
         # Column of photon number m in the union: m less the photon numbers
@@ -356,10 +420,7 @@ class _PoissonRows:
         columns = self.m - skipped.repeat(sizes)
         m_values = np.empty(reach[-1] - skipped[order[-1]], dtype=np.int64)
         m_values[columns] = self.m
-        normalized = self.weights / self.totals.repeat(sizes)
-        return m_values, csr_array(
-            (normalized, columns, self.starts), shape=(self.totals.size, m_values.size)
-        )
+        return m_values, columns
 
 
 def _poisson_rows(intensities) -> _PoissonRows:

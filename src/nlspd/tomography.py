@@ -335,7 +335,8 @@ def _free_minimizer(
     ``w ||R z - r0||^2`` up to a constant, where R is the upper-bidiagonal
     Cholesky factor of the free block of D^T D (positive definite, since
     every run of free elements borders a held one) and
-    ``R^T r0 = -(D^T D x_held)[free]``. With ``u = R z`` the data term is
+    ``R^T r0 = -(D^T D x_held)[free]``; ``_PathFactor`` applies R^-T and
+    R^-1 in closed form. With ``u = R z`` the data term is
     ``||M u - t||^2`` for ``M = F_free R^-1`` and ``t = C - F x_held``, so
     u solves the ridge regression ``min ||M u - t||^2 + w ||u - r0||^2``
     by one thin SVD of the P x n matrix M: O(N P^2) instead of a dense
@@ -348,9 +349,6 @@ def _free_minimizer(
     ``f = F 1``. For any u the best intercept is ``c = f.(C - F y) / f.f``;
     putting it back projects ``q = f / |f|`` out of M and t.
     """
-    from scipy.linalg import cholesky_banded
-    from scipy.linalg.lapack import dtbtrs
-
     free = state == 0
     x = (state > 0).astype(float)
     if not free.any():
@@ -359,14 +357,12 @@ def _free_minimizer(
     if intercept:
         free = np.append(False, free[1:])
     index = np.flatnonzero(free)
-    # Upper band storage of the free block of D^T D: 2 on the diagonal
-    # (1 at the two ends of the range), -1 between adjacent elements.
-    block = np.zeros((2, index.size))
-    block[1] = 2.0 - (index == 0) - (index == state.size - 1)
-    block[0, 1:] = np.where(np.diff(index) == 1, -1.0, 0.0)
-    factor = cholesky_banded(block, check_finite=False)
-    shift = dtbtrs(factor, -_roughness_gradient(x)[index, None], trans="T")[0][:, 0]
-    columns = dtbtrs(factor, F[:, index].T, trans="T")[0].T
+    factor = _PathFactor(index, state.size)
+    # R^-T on the rows of F_free and on -(D^T D x_held)[free] in one pass.
+    rows = np.empty((F.shape[0] + 1, index.size))
+    np.take(F, index, axis=1, out=rows[:-1])
+    np.negative(_roughness_gradient(x)[index], out=rows[-1])
+    columns, shift = factor.solve_transposed(rows)[:-1], rows[-1]
     target = frequencies - F @ x - columns @ shift
     if intercept:
         f = F.sum(axis=1)
@@ -375,10 +371,60 @@ def _free_minimizer(
         target -= q * (q @ target)
     left, s, right = np.linalg.svd(columns, full_matrices=False)
     u = shift + right.T @ (s / (s * s + weight) * (left.T @ target))
-    x[index] = dtbtrs(factor, u[:, None])[0][:, 0]
+    x[index] = factor.solve(u)
     if intercept:
         x += f @ (frequencies - F @ x) / (f @ f)
     return x
+
+
+class _PathFactor:
+    """Cholesky factor R of the free block of D^T D, in closed form.
+
+    The free block of D^T D for the first difference D on 0..size-1 is the
+    path-graph Laplacian of each run of consecutive free elements: 2 on the
+    diagonal (1 at m = 0 and at m = size - 1) and -1 between neighbours.
+    With ``R = diag(sqrt(pivot)) L^T``, L unit lower bidiagonal with
+    ``-1 / pivot`` below the diagonal, the pivots are 1 along a run that
+    starts at m = 0 and ``(k + 1) / k`` at the k-th element of any other
+    run, except ``1 / L`` at the end of a run of length L that ends at
+    ``size - 1``. Each run then has gauge weights ``g`` (1 from m = 0, else
+    k) with ``pivot[k] = g[k + 1] / g[k]`` inside it, so ``L y = b`` is
+    ``g y = cumsum(g b)`` and ``L^T z = v`` is ``z / g = reverse cumsum(v / g)``,
+    each summed along its own run.
+    """
+
+    def __init__(self, index: np.ndarray, size: int):
+        breaks = np.flatnonzero(np.diff(index) != 1) + 1
+        self.runs = np.concatenate(([0], breaks, [index.size]))
+        starts = np.zeros(index.size, dtype=np.int64)
+        starts[self.runs[1:-1]] = breaks
+        np.maximum.accumulate(starts, out=starts)
+        position = np.arange(1.0, index.size + 1) - starts
+        self.gauge = np.where(index[starts] == 0, 1.0, position)
+        pivot = np.where(index[starts] == 0, 1.0, (position + 1) / position)
+        if index[-1] == size - 1:
+            pivot[-1] = 1.0 / position[-1]
+        self.root_pivot = np.sqrt(pivot)
+
+    def _run_cumsum(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """Cumulative sums of ``values`` along its last axis, in place, restarting at every run."""
+        for lo, hi in zip(self.runs[:-1], self.runs[1:]):
+            run = values[..., lo:hi]
+            if reverse:
+                run = run[..., ::-1]
+            np.cumsum(run, axis=-1, out=run)
+        return values
+
+    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+        """``R^-T b`` along the last axis of b, in place."""
+        b *= self.gauge
+        self._run_cumsum(b)
+        b /= self.gauge * self.root_pivot
+        return b
+
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """``R^-1 u`` along the last axis of u."""
+        return self._run_cumsum(u / (self.root_pivot * self.gauge), reverse=True) * self.gauge
 
 
 def _roughness_gradient(x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ import pytest
 
 import nlspd
 from nlspd import cli, simulator
+from nlspd.povm import NonlinearSpdParams
 from nlspd.reference import SCALED_PARAMS
-from nlspd.simulator import geometric_probe_grid
+from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
 from nlspd.tomography import ClickRecord, ProbeSet, read_click_data, write_click_data
 
 
@@ -379,6 +380,27 @@ def test_package_and_cli_import_load_no_scipy():
     assert result.stdout == "[]\n"
 
 
+def test_readme_record_reconstructs_without_scipy(tmp_path):
+    # The README experiment's record, read from CSV and reconstructed
+    # directly and after rescaling, in a fresh interpreter: only the
+    # bounded-variable fallback would load scipy, and neither needs it.
+    probes = ProbeSet(np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 75.0]), 100_000)
+    truth = NonlinearSpdParams(np.array([7.29e-4, 9.95e-2]))
+    record = simulate(ExperimentConfig(truth=truth, probes=probes, seed=7, trials=100_000))
+    write_click_data(tmp_path / "clicks.csv", probes, record)
+    code = """
+import sys
+from nlspd.tomography import read_click_data, reconstruct_povm, scaled_fit_workflow
+probes, record = read_click_data(sys.argv[1])
+reconstruct_povm(probes, record)
+scaled_fit_workflow(probes, record)
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+"""
+    result = _python(code, tmp_path / "clicks.csv")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_solver_modules_load_scipy_at_import():
     # Library processes that import the solvers pay for scipy at import,
     # not inside a solver's first call.
@@ -421,10 +443,12 @@ main(sys.argv[2:])
     "args",
     [
         ["--version"],
+        ["reconstruct", "../clicks.csv", "again.json"],
+        ["reconstruct", "--scale-to-95", "../clicks.csv", "scaled.json"],
         ["compare", "povm.json", "fit.json"],
         ["figure", "fig2b", "--bias-current", "20", "out.csv"],
     ],
-    ids=["version", "compare", "figure-fig2b"],
+    ids=["version", "reconstruct", "reconstruct-scaled", "compare", "figure-fig2b"],
 )
 def test_command_runs_without_scipy(tmp_path, data_csv, args):
     outputs = {}

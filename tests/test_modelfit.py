@@ -359,6 +359,34 @@ def test_prune_refuses_a_report_that_keeps_no_order():
         prune_mechanisms(report, base, record)
 
 
+def test_prune_reuses_the_fit_data_of_its_record(monkeypatch):
+    truth = NonlinearSpdParams([1e-3, 0.08])
+    base = geometric_probe_grid(truth)
+    record = simulate(ExperimentConfig(truth=truth, probes=base, seed=3, trials=100_000))
+    built = []
+    fit_data = modelfit._fit_data
+    monkeypatch.setattr(modelfit, "_fit_data", lambda *args: built.append(args) or fit_data(*args))
+    report = fit_params(base, record, max_order=3)
+    reused = prune_mechanisms(report, base, record)
+    # Equal copies of the probes and record are the same data.
+    copies = ProbeSet(base.intensities.copy(), base.trials), ClickRecord(record.clicks.copy(), 100_000)
+    assert prune_mechanisms(report, *copies).to_dict() == reused.to_dict()
+    assert len(built) == 1
+    # A report without data, as from_dict reads it, or another record
+    # builds the data again; the rebuilt data prunes to the same bits.
+    assert FitReport.from_dict(report.to_dict())._data is None
+    rebuilt = prune_mechanisms(dataclasses.replace(report, _data=None), base, record)
+    assert rebuilt.to_dict() == reused.to_dict()
+    np.testing.assert_array_equal(rebuilt.h, reused.h)
+    other = simulate(ExperimentConfig(truth=truth, probes=base, seed=4, trials=100_000))
+    prune_mechanisms(report, base, other)
+    assert len(built) == 3
+    # The data is no part of the report's repr, comparison or document.
+    (data_field,) = [f for f in dataclasses.fields(FitReport) if f.name == "_data"]
+    assert not data_field.compare and "_data" not in repr(report)
+    assert set(report.to_dict()) == {"p", "kept_orders", "objective", "per_probe_residuals"}
+
+
 def test_convergence_error_carries_best_report(monkeypatch):
     truth = NonlinearSpdParams([1e-3, 0.08])
     base = geometric_probe_grid(truth)

@@ -7,10 +7,18 @@ level float64 can represent.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
-from nlspd.numerics import binomial_exponents, design_matrix, poisson_log_weights
+from nlspd.numerics import (
+    _log_factorial,
+    binomial_exponents,
+    design_matrix,
+    poisson_log_pmf,
+    poisson_log_weights,
+)
 from nlspd.povm import truncation_for
 
 # (mean, m, extended-precision log weight)
@@ -26,6 +34,46 @@ POISSON_ORACLE = [
 def test_log_poisson_weight_matches_extended_precision(mean, m, expected):
     value = poisson_log_weights(mean, m + 1)[m]
     assert value == pytest.approx(expected, rel=1e-13, abs=5e-13)
+
+
+def test_log_factorial_matches_extended_precision():
+    # Table values below m = 1024 and Stirling values above, against
+    # 30-digit ln m!, to within two ulps.
+    m_values = np.unique(np.r_[np.arange(1100), np.geomspace(1100, 1e7, 200).astype(np.int64)])
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.loggamma(int(m) + 1)) for m in m_values])
+    np.testing.assert_allclose(_log_factorial(m_values), exact, rtol=4.5e-16, atol=0)
+
+
+def test_log_factorial_matches_scipy_gammaln():
+    # The Stirling sum follows Cephes lgam, so ln m! matches gammaln(m + 1)
+    # to the last bit but below m = 64, where the table is exact and Cephes
+    # can be an ulp off, and where numpy's logarithm of m + 1 rounds apart
+    # from the C library's.
+    m_values = np.arange(200_000)
+    np.testing.assert_allclose(_log_factorial(m_values), gammaln(m_values + 1.0), rtol=4e-16)
+
+
+def test_poisson_log_pmf_matches_scipy_formula():
+    # The old kernel, xlogy(m, mu) - mu - gammaln(m + 1), at every m below
+    # 1e4 and 301 means. Both round the terms m ln(mu), mu and ln m! alike,
+    # so they agree to two ulps of the largest term. That is within 1e-13
+    # of the value but where the value is a small difference of large
+    # terms and the two ln m! round apart: at m = 9169 and means near 9330
+    # the value is -6.9 against terms of 7e4, and gammaln is itself an ulp
+    # off the exact ln m! there.
+    m = np.arange(10_000)
+    loose = 0
+    for mu in np.r_[0.0, np.geomspace(1e-6, 1e5, 300)]:
+        got = poisson_log_pmf(m, mu)
+        expected = xlogy(m, mu) - mu - gammaln(m + 1)
+        finite = np.isfinite(expected)
+        np.testing.assert_array_equal(got[~finite], expected[~finite])
+        gap = np.abs(got[finite] - expected[finite])
+        scale = (np.abs(xlogy(m, mu)) + mu + gammaln(m + 1))[finite]
+        assert np.all(gap <= 4.5e-16 * scale)
+        loose += np.count_nonzero(gap > 1e-13 * np.abs(expected[finite]))
+    assert loose <= 10
 
 
 def test_poisson_log_weights_agree_with_scalar():

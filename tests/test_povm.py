@@ -3,11 +3,12 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, lambertw
 from scipy.stats import poisson
 
 from nlspd.exceptions import DataFormatError, TruncationError
@@ -90,11 +91,14 @@ def test_windowed_rows_match_dense_probe_rows(means, p):
     # row's tail (below 1e-12) plus the dense row's own rounding
     # (measured worst over these examples: 5.5e-13 and 1.1e-12).
     means = np.array(means)
-    m_values, matrix = _poisson_rows(means).union()
+    rows = _poisson_rows(means)
+    m_values, columns = rows.union()
+    assert np.all(np.diff(m_values) > 0) and np.array_equal(m_values[columns], rows.m)
     n = int(m_values[-1]) + 1
     dense = np.exp(poisson_log_weights(means, n))
     windowed = np.zeros_like(dense)
-    windowed[:, m_values] = matrix.toarray()
+    sizes = np.diff(rows.starts)
+    windowed[np.arange(means.size).repeat(sizes), rows.m] = rows.weights / rows.totals.repeat(sizes)
     assert np.abs(windowed - dense).max() <= 1e-12
     params = NonlinearSpdParams(np.array(p))
     clicks = _coherent_clicks(params, means)
@@ -137,6 +141,66 @@ def test_chernoff_windows_bound_the_dropped_mass():
     rows = _poisson_rows(means[small])
     assert np.array_equal(rows.m[rows.starts[:-1]], m_lo[small])
     assert np.array_equal(rows.m[rows.starts[1:] - 1] + 1, m_hi[small])
+
+
+def _lambertw_window(mean_photons, mass):
+    """The Chernoff window by scipy's Lambert W: the oracle of ``_chernoff_window``.
+
+    The bound equals ``mass`` at ``k = mu exp(1 + W(x))``,
+    ``x = (ln(1/mass) - mu) / (e mu)``, on W's principal branch above mu
+    and its -1 branch below, with the branch-point series for p < 1e-3.
+    """
+    log_mass = np.log(mass)
+    mu = np.maximum(mean_photons, mass)
+    x = (-log_mass - mu) / (np.e * mu)
+    p = np.sqrt(-2.0 * log_mass / mu)
+    lower = np.where(p < 1e-3, -p - p**2 / 3 - 11 / 72 * p**3, 1.0 + lambertw(x, -1).real)
+    upper = np.where(p < 1e-3, p - p**2 / 3 + 11 / 72 * p**3, 1.0 + lambertw(x).real)
+    m_lo = np.where(x < 0, np.floor(mu * np.exp(lower)) + 1.0, 0.0)
+    return m_lo, np.ceil(mu * np.exp(upper))
+
+
+@pytest.mark.parametrize("mass", [1e-16, 1e-12])
+def test_chernoff_window_matches_the_lambert_w_formula(mass):
+    # The Newton steps end on the windows the Lambert W formula gives, at
+    # 20,001 means from 1e-6 to 1e12 and at the extreme means above.
+    means = np.concatenate(
+        [[0.0, 5e-324, 1e-300, math.log(1e16)], np.geomspace(1e-6, 1e12, 20001), [1e10, 1e12]]
+    )
+    got, expected = _chernoff_window(means, mass), _lambertw_window(means, mass)
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
+def _exact_tail(n, mean):
+    """P(M >= n) for a Poisson mean, summed term by term in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        mu = mpmath.mpf(float(mean))
+        term = mpmath.exp(n * mpmath.log(mu) - mu - mpmath.loggamma(n + 1))
+        total = mpmath.mpf(0)
+        while term > total * mpmath.mpf(10) ** -20:
+            total += term
+            n += 1
+            term *= mu / n
+        return total
+
+
+def test_truncation_for_matches_the_incomplete_gamma_bisection():
+    # The oracle bisects gammainc(N, mu) = P(M >= N) between floor(mu) and
+    # the Lambert W end of the Chernoff window at DEFAULT_TAIL_MASS. The
+    # two agree at every mean up to 2.4e6. Above, gammainc's relative error
+    # reaches 2e-6, enough to move its N by one to four at 92 of the 310
+    # means from 1e6 to 1e7; at each, the exact tail picks truncation_for's
+    # N, as it does at the first two here.
+    means = np.concatenate([[0.0, 1.0, 30.0, 1e6], np.geomspace(1e-6, 1e7, 4010)])
+    expected = _first_passing(
+        lambda m: gammainc(m, means) < 1e-12, np.floor(means), _lambertw_window(means, 1e-12)[1]
+    )
+    got = np.array([truncation_for(mu) for mu in means])
+    differ = np.flatnonzero(got != expected)
+    assert means[differ].min() > 2e6
+    for i in differ[:2]:
+        assert _exact_tail(int(got[i]), means[i]) < 1e-12 <= _exact_tail(int(got[i]) - 1, means[i])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -242,9 +306,8 @@ def test_truncation_check_agrees_with_truncation_for():
     for offset in range(-2, 3):
         truncations = bounds + offset
         valid = truncations >= 1
-        np.testing.assert_array_equal(
-            _carries(truncations[valid], means[valid]), offset >= 0
-        )
+        carried = [_carries(int(n), mu) for n, mu in zip(truncations[valid], means[valid])]
+        np.testing.assert_array_equal(carried, offset >= 0)
         pairs += int(valid.sum())
     assert pairs >= 20000
     for mu in (0.0, 0.5, 30.0, 2500.0):

@@ -110,6 +110,51 @@ def test_reconstruct_interior_matches_dense_least_squares():
     assert np.max(np.abs(povm.click - dense)) <= 1e-12
 
 
+def _banded_solves(index, size, rhs):
+    """R^-T rhs and R^-1 rhs by scipy's banded Cholesky factor R: the oracle."""
+    from scipy.linalg import cholesky_banded
+    from scipy.linalg.lapack import dtbtrs
+
+    block = np.zeros((2, index.size))
+    block[1] = 2.0 - (index == 0) - (index == size - 1)
+    block[0, 1:] = np.where(np.diff(index) == 1, -1.0, 0.0)
+    factor = cholesky_banded(block, check_finite=False)
+    return (
+        dtbtrs(factor, rhs.T, trans="T")[0].T,
+        dtbtrs(factor, rhs.T)[0].T,
+    )
+
+
+def test_path_factor_matches_banded_cholesky():
+    # Random held sets on N = 2..145, plus every element free but the
+    # first (the intercept case): the closed-form solves against
+    # cholesky_banded and dtbtrs, with runs that start at m = 0, end at
+    # N - 1 or hold a single element.
+    rng = np.random.default_rng(5)
+    cases = [np.arange(1, size) for size in (2, 3, 145)]
+    for size in rng.integers(2, 146, 300):
+        free = rng.random(size) < rng.uniform(0.2, 0.9)
+        if free.any() and not free.all():
+            cases.append(np.flatnonzero(free))
+    seen = {"from 0": 0, "to N - 1": 0, "single": 0}
+    for index in cases:
+        size = int(index[-1]) + 1 + int(rng.integers(0, 2))
+        if index.size == size:
+            continue
+        runs = np.split(index, np.flatnonzero(np.diff(index) != 1) + 1)
+        seen["from 0"] += index[0] == 0
+        seen["to N - 1"] += index[-1] == size - 1
+        seen["single"] += any(run.size == 1 for run in runs)
+        rhs = rng.standard_normal((4, index.size))
+        factor = tomography._PathFactor(index, size)
+        for got, expected in zip(
+            (factor.solve_transposed(rhs.copy()), factor.solve(rhs)),
+            _banded_solves(index, size, rhs),
+        ):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    assert min(seen.values()) >= 20
+
+
 def test_smoothing_trades_data_fit_for_flatness():
     mu = np.array([0.0, 0.5, 1.5, 3.0, 6.0])
     probes = ProbeSet(intensities=mu, trials=50_000)
