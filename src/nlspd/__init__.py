@@ -6,13 +6,13 @@ probe data, fits the mechanism efficiencies, and transforms everything
 consistently under optical loss.
 
 Public names resolve on first access, each by importing the module that
-defines it. ``numerics``, ``povm`` and ``tomography`` need numpy alone
-(only the reconstruction's bounded-variable fallback imports
-``scipy.optimize``, where it runs), so ``import nlspd``, ``import
-nlspd.cli`` and a reconstruction load no scipy: an ``nlspd`` command
-loads only the scipy it runs. ``loss``, ``modelfit`` and ``simulator``
-import scipy at module level, so a process that imports them pays for
-scipy then, not inside a solver's first call.
+defines it. Every module but ``loss`` and ``simulator`` needs numpy
+alone; the reconstruction's bounded-variable fallback imports
+``scipy.optimize`` where it runs. So ``import nlspd``, ``import
+nlspd.cli``, a reconstruction and a mechanism fit load no scipy: an
+``nlspd`` command loads only the scipy it runs. ``loss`` and
+``simulator`` import scipy at module level, so a process that imports
+them pays for scipy then, not inside a solver's first call.
 """
 
 import importlib

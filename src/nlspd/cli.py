@@ -10,10 +10,11 @@ Conventions shared by every command:
   command, inputs, outputs, parameters, and seed that produced it; no
   timestamps, so identical runs are byte-identical.
 
-``modelfit`` and ``simulator`` load scipy when imported, so only the
-commands that run them import them; ``reconstruct`` (with or without
-``--scale-to-95``), ``compare``, ``figure fig2b`` and ``--version``
-start without loading scipy.
+``simulator`` loads scipy when imported, so only the commands that run
+it (``simulate`` and ``figure fig3b``) import it; every other command
+starts without loading scipy. ``modelfit`` needs numpy alone and is
+imported by the commands that run it too, which keeps the others'
+start-up short.
 """
 
 from __future__ import annotations

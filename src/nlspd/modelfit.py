@@ -19,7 +19,9 @@ Gauss-Newton fallback, solves it.
 
 ``prune_mechanisms`` then discards orders whose removal barely moves the
 optimum, and ``loss_scaling_analysis`` checks the fitted efficiencies
-against the loss law P_n -> eta^n P_n.
+against the loss law P_n -> eta^n P_n. The module needs numpy alone: F
+is kept as its rows' terms, and F q, the Jacobian and the Hessian are
+sums over those terms.
 """
 
 from __future__ import annotations
@@ -27,13 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse import csr_array
 
 from . import numerics
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
 from .numerics import binomial_table, log_survival_sum
-from .povm import NonlinearSpdParams, _check_carries, _poisson_rows, _whole_number
+from .povm import (
+    NonlinearSpdParams,
+    _check_carries,
+    _check_dense_size,
+    _poisson_rows,
+    _whole_number,
+)
 from .tomography import ClickRecord, ProbeSet, check_paired
 
 __all__ = [
@@ -189,20 +195,25 @@ class FitReport:
 
 @dataclass(frozen=True)
 class _FitData:
-    """Windowed probe matrix, design and frequencies of the included probes.
+    """Windowed probe rows, design and frequencies of the included probes.
 
-    ``probe_matrix`` (CSR) holds the normalized Poisson weights of each
-    included probe over its full photon-number window
-    (``povm._poisson_rows``), and ``design`` the binomial table C(m, n) at
-    the union of those windows only, which the matrix's columns index. No
-    truncation enters: no row runs from m = 0 to a cutoff, and none is cut
-    short of its window. ``transposed`` is the CSR transpose of
-    ``probe_matrix``, kept for the Hessian's F^T (r / C). ``probes`` and
-    ``record`` are those the data was built from.
+    The probe matrix F is kept as its rows' terms: ``weights`` holds the
+    normalized Poisson weights of each included probe over its full
+    photon-number window (``povm._poisson_rows``), ``columns`` the index of
+    each term's photon number in the union of the windows, and row i runs
+    over the ``sizes[i]`` terms from ``starts[i]``. ``design`` is the
+    binomial table C(m, n) at that union only, one row per order n, and
+    ``weighted_design`` its (order x terms) gather at every term times the
+    term's weight, from which the Jacobian sums. No truncation enters: no
+    row runs from m = 0 to a cutoff, and none is cut short of its window.
+    ``probes`` and ``record`` are those the data was built from.
     """
 
-    probe_matrix: csr_array
-    transposed: csr_array
+    weights: np.ndarray
+    columns: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    weighted_design: np.ndarray
     frequencies: np.ndarray
     design: np.ndarray
     included: np.ndarray
@@ -212,7 +223,7 @@ class _FitData:
     def built_from(self, probes: ProbeSet, record: ClickRecord, order: int) -> bool:
         """Whether this is the data of ``order`` mechanisms on these probes and record."""
         return (
-            self.design.shape[1] == order
+            self.design.shape[0] == order
             and self.probes.trials == probes.trials
             and np.array_equal(self.probes.intensities, probes.intensities)
             and self.record.trials == record.trials
@@ -225,7 +236,9 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
 
     Each included probe is summed over its Poisson window, which drops at
     most 1e-16 of its mass on either side, as ``simulate`` and
-    ``coherent_click_probability`` sum it.
+    ``coherent_click_probability`` sum it. A weighted design whose
+    (order x terms) doubles would exceed ``MAX_DENSE_BYTES`` raises
+    ``ValueError``.
     """
     check_paired(probes, record)
     frequencies = record.frequencies
@@ -236,15 +249,18 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
         )
     rows = _poisson_rows(probes.intensities[included])
     m_values, columns = rows.union()
-    normalized = rows.weights / rows.totals.repeat(np.diff(rows.starts))
-    probe_matrix = csr_array(
-        (normalized, columns, rows.starts), shape=(rows.totals.size, m_values.size)
-    )
+    sizes = np.diff(rows.starts)
+    _check_dense_size(8 * order * int(sizes.sum()), f"the weighted design of {order} orders")
+    weights = rows.weights / rows.totals.repeat(sizes)
+    design = binomial_table(m_values, order).T.copy()
     return _FitData(
-        probe_matrix=probe_matrix,
-        transposed=probe_matrix.T.tocsr(),
+        weights=weights,
+        columns=columns,
+        starts=rows.starts[:-1],
+        sizes=sizes,
+        weighted_design=design.take(columns, axis=1) * weights,
         frequencies=frequencies[included],
-        design=binomial_table(m_values, order),
+        design=design,
         included=included,
         probes=probes,
         record=record,
@@ -258,7 +274,8 @@ def _residual(data: _FitData, h: np.ndarray) -> np.ndarray:
     precision, so weak probes (click probabilities near the dark-count
     floor) add no rounding noise to the objective.
     """
-    model = data.probe_matrix @ -np.expm1(log_survival_sum(data.design, h))
+    clicks = -np.expm1(log_survival_sum(data.design.T, h))
+    model = np.add.reduceat(data.weights * clicks[data.columns], data.starts)
     return (data.frequencies - model) / data.frequencies
 
 
@@ -269,13 +286,15 @@ def _derivatives(data: _FitData, h: np.ndarray, r: np.ndarray):
     2 (J^T J + G^T diag(s * F^T (r / C)) G). Its second term sums each
     residual r_i times that residual's own curvature, which is positive
     semidefinite, so the Hessian can be indefinite only where some r_i < 0,
-    i.e. where the model overpredicts the data.
+    i.e. where the model overpredicts the data. F^T (r / C) is summed
+    into the union's photon numbers by ``np.bincount`` over the terms.
     """
-    survival = np.exp(log_survival_sum(data.design, h))
-    weighted = survival[:, None] * data.design
-    jacobian = data.probe_matrix @ weighted / data.frequencies[:, None]
-    curvature = data.transposed @ (r / data.frequencies)
-    hessian = 2.0 * (jacobian.T @ jacobian + data.design.T @ (curvature[:, None] * weighted))
+    survival = np.exp(log_survival_sum(data.design.T, h))
+    terms = data.weighted_design * survival[data.columns]
+    jacobian = np.add.reduceat(terms, data.starts, axis=1).T / data.frequencies[:, None]
+    spread = data.weights * (r / data.frequencies).repeat(data.sizes)
+    curvature = survival * np.bincount(data.columns, spread, minlength=survival.size)
+    hessian = 2.0 * (jacobian.T @ jacobian + (data.design * curvature) @ data.design.T)
     return jacobian, hessian
 
 
@@ -311,11 +330,16 @@ def _newton_direction(
     and at some fits. Where its Cholesky factorization fails, or the Newton
     step does not point downhill, the Gauss-Newton step takes its place:
     the least-squares solution of J d = -r, a descent direction whenever
-    g = 2 J^T r is nonzero.
+    g = 2 J^T r is nonzero. The factorization only tests for a positive
+    definite H: numpy solves with no triangular solver, so one
+    ``np.linalg.solve`` on H gives the step in one call instead of two.
     """
-    factor, info = dpotrf(hessian, lower=1)
-    if info == 0:
-        d = -dpotrs(factor, g, lower=1)[0]
+    try:
+        np.linalg.cholesky(hessian)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        d = -np.linalg.solve(hessian, g)
         if g @ d < 0:
             return d
     return np.linalg.lstsq(jacobian, -r, rcond=None)[0]
@@ -349,7 +373,7 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray):
         d = np.zeros_like(h)
         if np.any(move):
             d[move] = _newton_direction(
-                hessian[np.ix_(move, move)], jacobian[:, move], r, g[move]
+                hessian[move][:, move], jacobian[:, move], r, g[move]
             )
         if -(g @ d) <= _NEWTON_DECREMENT * f:
             return h, True
@@ -418,11 +442,10 @@ def fit_params(
     agree bitwise.
 
     No truncation enters the fit: each probe is summed over its own
-    Poisson window (a CSR row of about 15 sqrt(mu) photon numbers, 1e-16
-    of the mass cut on each side), and the survival is evaluated on the
-    union of the windows only. No P x N probe matrix or N x order design
-    is built, so raw records with probes up to mu = 1e9 fit in bounded
-    time and memory.
+    Poisson window (a row of about 17 sqrt(mu) terms, 1e-16 of the mass
+    cut on each side), and the survival is evaluated on the union of the
+    windows only. No P x N probe matrix or N x order design is built, so
+    raw records with probes up to mu = 1e9 fit in bounded time and memory.
 
     Parameters
     ----------
@@ -433,7 +456,8 @@ def fit_params(
     ------
     ValueError
         If ``max_order`` is not a whole number >= 1; a whole float such as
-        2.0 counts, a bool does not.
+        2.0 counts, a bool does not. Also if the windows' terms times
+        ``max_order`` would take more than ``MAX_DENSE_BYTES`` as doubles.
     DegenerateDataError
         If no probe recorded any click.
     ConvergenceError

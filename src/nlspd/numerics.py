@@ -5,8 +5,9 @@ factorials, each order one step past the one before (exact for m < 1142
 at n <= 6 and within a few ulps beyond), as a table over orders
 (``binomial_table``) or one order (``binomial_exponents``);
 ``poisson_log_pmf`` (log Poisson weights, ``-inf`` for impossible photon
-numbers, photon numbers and means broadcast, with ln m! read from a table
-below m = 1024 and from the Stirling series above); and ``log_survival_sum``
+numbers, photon numbers and means broadcast or each mean repeated over a
+run of photon numbers, with ln m! read from a table below m = 1024 and
+from the Stirling series above); and ``log_survival_sum``
 (G @ h with h[n] = ln(1 - p[n]), where a saturated mechanism, h = -inf,
 contributes ``-inf`` wherever C(m, n) > 0).
 
@@ -83,23 +84,29 @@ def _log_factorial(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def poisson_log_pmf(m_values: np.ndarray, mean_photons) -> np.ndarray:
+def poisson_log_pmf(m_values: np.ndarray, mean_photons, repeats=None) -> np.ndarray:
     """Log Poisson weights ``m ln(mu) - mu - ln(m!)``, photon numbers and means broadcast.
 
     The photon numbers are whole numbers >= 0 of an integer dtype.
     ``m ln(mu)`` is 0 at m = 0 for every mean, so a mean of 0 weighs m = 0
-    by 1 and every other m by 0 (log weight ``-inf``).
+    by 1 and every other m by 0 (log weight ``-inf``). With ``repeats``,
+    mean i weighs the next ``repeats[i]`` photon numbers, as
+    ``mean_photons.repeat(repeats)`` would, and its logarithm is taken once.
     """
     mu = np.asarray(mean_photons, dtype=float)
     lowest = mu.min(initial=np.inf)
     if lowest < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
     m = np.asarray(m_values)
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
+    if repeats is not None:
+        mu, log_mu = mu.repeat(repeats), log_mu.repeat(repeats)
     if lowest > 0:
-        out = m * np.log(mu)
+        out = m * log_mu
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(m == 0, 0.0, m * np.log(mu))
+        with np.errstate(invalid="ignore"):
+            out = np.where(m == 0, 0.0, m * log_mu)
     out -= mu
     out -= _log_factorial(m)
     return out

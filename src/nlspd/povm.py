@@ -394,8 +394,8 @@ class _PoissonRows:
     ``totals[i]``. ``rows @ values``, one value per term at ``m``, gives
     each row's normalized sum without a sparse matrix, which costs more
     than a one-probe click probability; ``union()`` gives the windows'
-    union and the column of every term in it, from which ``modelfit``
-    builds a CSR matrix for reuse.
+    union and the column of every term in it, at which ``modelfit`` keeps
+    its fit data.
     """
 
     m: np.ndarray
@@ -437,9 +437,10 @@ def _poisson_rows(intensities) -> _PoissonRows:
     nearly common to the window, so the normalization removes it.
 
     Every window comes from one closed-form evaluation over all rows, and
-    every weight from one ``poisson_log_pmf`` call. Windows whose terms
-    would take more than ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15
-    photons has 5.4e8) raise ``ValueError`` before anything is allocated.
+    every weight from one ``poisson_log_pmf`` call, which takes the
+    logarithm of each row's mean once. Windows whose terms would take more
+    than ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15 photons has
+    5.4e8) raise ``ValueError`` before anything is allocated.
     """
     mu = np.asarray(intensities, dtype=float)
     if not np.isfinite(mu).all():
@@ -450,7 +451,7 @@ def _poisson_rows(intensities) -> _PoissonRows:
     starts = np.zeros(mu.size + 1, dtype=np.int64)
     sizes.cumsum(out=starts[1:])
     m = np.arange(starts[-1]) + (m_lo - starts[:-1]).repeat(sizes)
-    weights = np.exp(poisson_log_pmf(m, mu.repeat(sizes)))
+    weights = np.exp(poisson_log_pmf(m, mu, repeats=sizes))
     return _PoissonRows(
         m=m, weights=weights, starts=starts, totals=np.add.reduceat(weights, starts[:-1])
     )

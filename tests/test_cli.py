@@ -401,16 +401,21 @@ print([m for m in sys.modules if m.split(".")[0] == "scipy"])
     assert result.stdout == "[]\n"
 
 
-def test_solver_modules_load_scipy_at_import():
-    # Library processes that import the solvers pay for scipy at import,
-    # not inside a solver's first call.
+def test_only_loss_and_simulator_load_scipy_at_import():
+    # The mechanism fit runs on numpy alone. The simulator's binomial
+    # inverse cdf and the loss transforms pay for scipy when imported, not
+    # inside their first call.
     code = """
-import sys, nlspd.loss, nlspd.modelfit, nlspd.simulator
-print([m for m in ("scipy.special", "scipy.linalg", "scipy.sparse") if m not in sys.modules])
+import sys, nlspd.modelfit
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+import nlspd.simulator
+print([m for m in ("scipy.special",) if m not in sys.modules])
+import nlspd.loss
+print([m for m in ("scipy.special", "scipy.linalg") if m not in sys.modules])
 """
     result = _python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n[]\n[]\n"
 
 
 def test_public_names_resolve_to_their_definitions():
@@ -445,10 +450,20 @@ main(sys.argv[2:])
         ["--version"],
         ["reconstruct", "../clicks.csv", "again.json"],
         ["reconstruct", "--scale-to-95", "../clicks.csv", "scaled.json"],
+        ["fit", "../clicks.csv", "again.json"],
         ["compare", "povm.json", "fit.json"],
+        ["figure", "fig1b", "out.csv"],
         ["figure", "fig2b", "--bias-current", "20", "out.csv"],
     ],
-    ids=["version", "reconstruct", "reconstruct-scaled", "compare", "figure-fig2b"],
+    ids=[
+        "version",
+        "reconstruct",
+        "reconstruct-scaled",
+        "fit",
+        "compare",
+        "figure-fig1b",
+        "figure-fig2b",
+    ],
 )
 def test_command_runs_without_scipy(tmp_path, data_csv, args):
     outputs = {}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from nlspd import modelfit
 from nlspd.exceptions import ConvergenceError, DegenerateDataError, TruncationError
@@ -20,8 +21,9 @@ from nlspd.modelfit import (
     loss_scaling_analysis,
     prune_mechanisms,
 )
-from nlspd.numerics import design_matrix
-from nlspd.povm import NonlinearSpdParams, truncation_for
+from nlspd.numerics import binomial_table, design_matrix
+from nlspd.povm import NonlinearSpdParams, _poisson_rows, truncation_for
+from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
 from nlspd.tomography import ClickRecord, ProbeSet, build_probe_matrix
 from test_acceptance import fit_objective_gradient
@@ -148,6 +150,42 @@ def test_gradient_matches_finite_differences():
                 - fit_objective(MechanismLogVector.at_truncation(bumped_dn, n), probes, record)
             ) / (2 * step)
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+def _csr_products(probes, record, order, h, r):
+    """Residual, Jacobian and Hessian by scipy CSR products over the same windows."""
+    frequencies = record.frequencies[record.frequencies > 0]
+    rows = _poisson_rows(probes.intensities[record.frequencies > 0])
+    m_values, columns = rows.union()
+    weights = rows.weights / rows.totals.repeat(np.diff(rows.starts))
+    matrix = csr_array((weights, columns, rows.starts), shape=(frequencies.size, m_values.size))
+    design = binomial_table(m_values, order)
+    residual = (frequencies - matrix @ -np.expm1(design @ h)) / frequencies
+    weighted = np.exp(design @ h)[:, None] * design
+    jacobian = matrix @ weighted / frequencies[:, None]
+    curvature = matrix.T @ (r / frequencies)
+    hessian = 2.0 * (jacobian.T @ jacobian + design.T @ (curvature[:, None] * weighted))
+    return residual, jacobian, hessian
+
+
+@pytest.mark.parametrize(
+    "truth, order",
+    [(SCALED_PARAMS[16], 6), (UNSCALED_PARAMS[20], 4)],
+    ids=["scaled-16uA", "raw-20uA"],
+)
+def test_fit_products_match_csr_products(truth, order):
+    # The fit sums its rows' terms with numpy; scipy's CSR products over the
+    # same windows are the oracle, at the flat start and at the fitted h.
+    probes = geometric_probe_grid(truth)
+    record = simulate(ExperimentConfig(truth=truth, probes=probes, seed=0, trials=probes.trials))
+    data = modelfit._fit_data(probes, record, order)
+    start = np.full(order, modelfit._NEAR_ZERO_H)
+    for h in (start, fit_params(probes, record, max_order=order).h):
+        residual = modelfit._residual(data, h)
+        jacobian, hessian = modelfit._derivatives(data, h, residual)
+        expected = _csr_products(probes, record, order, h, residual)
+        for got, want in zip((residual, jacobian, hessian), expected):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_norm_objective_not_globally_convex():

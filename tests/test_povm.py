@@ -12,7 +12,7 @@ from scipy.special import gammainc, gammaincc, lambertw
 from scipy.stats import poisson
 
 from nlspd.exceptions import DataFormatError, TruncationError
-from nlspd.numerics import poisson_log_weights
+from nlspd.numerics import poisson_log_pmf, poisson_log_weights
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
@@ -28,7 +28,8 @@ from nlspd.povm import (
     spd_povm,
     truncation_for,
 )
-from nlspd.reference import UNSCALED_PARAMS
+from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
+from nlspd.simulator import geometric_probe_grid
 
 # Extended-precision click probabilities for mechanisms (P0, P1, P2) =
 # (0.01, 0.2, 0.05): click[m] = 1 - 0.99 * 0.8^m * 0.95^C(m,2).
@@ -104,6 +105,20 @@ def test_windowed_rows_match_dense_probe_rows(means, p):
     clicks = _coherent_clicks(params, means)
     assert np.abs(clicks - dense @ nonlinear_povm(params, n).click).max() <= 2e-12
     assert np.array_equal(clicks, [coherent_click_probability(params, mu) for mu in means])
+
+
+def test_poisson_rows_take_each_mean_log_once_to_the_same_bits():
+    # One logarithm per row, repeated over its window, against one per term:
+    # on the fig1b grid and the scaled and raw reference grids, each with
+    # its vacuum probe, the weights agree bitwise.
+    grids = [np.geomspace(1.0, 1e6, 121)] + [
+        geometric_probe_grid(truth).intensities
+        for truth in (*SCALED_PARAMS.values(), *UNSCALED_PARAMS.values())
+    ]
+    for means in grids:
+        rows = _poisson_rows(means)
+        per_term = poisson_log_pmf(rows.m, means.repeat(np.diff(rows.starts)))
+        np.testing.assert_array_equal(rows.weights, np.exp(per_term))
 
 
 def _first_passing(passes, lo, hi):
