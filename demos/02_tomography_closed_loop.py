@@ -11,7 +11,6 @@ import numpy as np
 
 from nlspd import (
     ExperimentConfig,
-    build_probe_matrix,
     fidelity,
     geometric_probe_grid,
     nonlinear_povm,
@@ -19,6 +18,7 @@ from nlspd import (
     simulate,
     truncation_for,
 )
+from nlspd.numerics import poisson_log_weights
 from nlspd.reference import SCALED_PARAMS
 
 truth = SCALED_PARAMS[25]
@@ -49,10 +49,9 @@ f = fidelity(recon, ideal)
 print()
 print(f"Fidelity between reconstruction and truth: {f:.6f}")
 
-# The probe matrix conditioning explains why this works: each row is a
-# Poisson distribution, so neighboring photon numbers are blurred, and
-# the smoothing penalty picks the physical (slowly varying) solution.
-matrix = build_probe_matrix(probes, truncation)
-row_sums = matrix.sum(axis=1)
-print(f"Probe matrix rows capture {row_sums.min():.12f} of the Poisson mass "
-      "at worst")
+# The probe rows explain why this works: each row is a Poisson
+# distribution, so neighboring photon numbers are blurred, and the
+# smoothing penalty picks the physical (slowly varying) solution.
+row_sums = np.exp(poisson_log_weights(probes.intensities, truncation)).sum(axis=1)
+print(f"Probe rows up to the truncation capture {row_sums.min():.12f} of the "
+      "Poisson mass at worst")

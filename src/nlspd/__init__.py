@@ -55,7 +55,6 @@ _EXPORTS = {
     "tomography": (
         "ClickRecord",
         "ProbeSet",
-        "build_probe_matrix",
         "fidelity",
         "read_click_data",
         "reconstruct_povm",

@@ -116,7 +116,6 @@ def cmd_simulate(config_path, out_csv):
 @cli.command("reconstruct")
 @click.argument("data_csv")
 @click.argument("out_json")
-@click.option("--truncation", type=int, default=None, help="Photon-number cutoff.")
 @click.option(
     "--smoothing", type=float, default=None, help="Smoothing weight [default: 1e-3 per probe]."
 )
@@ -126,19 +125,17 @@ def cmd_simulate(config_path, out_csv):
     help="Rescale intensities so the click probability is 95% at mean 30, "
     "then reconstruct the effective POVM; records the scale factor k.",
 )
-def cmd_reconstruct(data_csv, out_json, truncation, smoothing, scale_to_95):
+def cmd_reconstruct(data_csv, out_json, smoothing, scale_to_95):
     """Reconstruct a diagonal POVM from the click data in DATA_CSV."""
     probes, record = read_click_data(data_csv)
     if smoothing is None:
         smoothing = default_smoothing_weight(probes)
     if scale_to_95:
-        if truncation is not None:
-            raise ValueError("--truncation cannot be combined with --scale-to-95")
         k, povm = scaled_fit_workflow(probes, record, smoothing_weight=smoothing)
         document = povm.to_dict()
         document["k"] = float(k)
     else:
-        povm = reconstruct_povm(probes, record, truncation, smoothing)
+        povm = reconstruct_povm(probes, record, smoothing_weight=smoothing)
         document = povm.to_dict()
     _write_json(out_json, document)
     _emit_manifests(

@@ -67,12 +67,13 @@ _TAIL_RESOLUTION = 1e-28
 
 _BOUND_FUZZ = 1e-12
 
-# Largest array, in bytes, that one step of the package may allocate: a
-# reconstruction's P x N probe matrix and the (P + N - 1) x N stacked
-# matrix of its bounded-variable fallback, the N x N loss map and the
-# (2N - 2) x N stacked loss inversion, and the terms of the Poisson
-# windows. Each costs several copies of its size in temporaries, so
-# 256 MiB keeps a step within a few GB.
+# Largest array, in bytes, that one step of the package may allocate: the
+# terms of the Poisson windows, a reconstruction's N-length click vector,
+# its P x |U| probe matrix on the union U of the windows and the
+# (P + |U| - 1) x |U| stacked matrix of its bounded-variable fallback, and
+# the N x N loss map and the (2N - 2) x N stacked loss inversion. Each
+# costs several copies of its size in temporaries, so 256 MiB keeps a
+# step within a few GB.
 MAX_DENSE_BYTES = 2**28
 
 # Below this argument exp rounds to exactly 0.

@@ -2,17 +2,23 @@
 
 A set of coherent probes with known mean photon numbers drives the
 detector; the measured click frequencies ``C_i`` relate to the diagonal
-POVM through the Poisson probe matrix ``F``::
+POVM through the Poisson probe rows ``F``::
 
     C = F @ click,   F[i, m] = e^-mu_i mu_i^m / m!
 
 ``reconstruct_povm`` inverts this linear model as a box-constrained
 quadratic program with an optional smoothing penalty on neighboring POVM
-elements. An active-set loop solves it: each step holds some elements at
-0 or 1 and minimizes over the rest in closed form, at O(N P^2) for N
-elements and P probes, until the first-order conditions certify the
-optimum. Bounded-variable least squares on the dense stacked problem is
-only the fallback.
+elements. Each probe weighs only the photon numbers of its Poisson window
+(``povm._poisson_rows``), so the program is solved on U, the union of
+the windows below the truncation. A photon number outside U enters only
+through the smoothing term, which a straight line between its covered
+neighbours minimizes, so it is eliminated exactly: each difference across
+a gap of L numbers is weighted 1/L, and the click vector is U's solution
+interpolated back onto 0..N-1. An active-set loop solves the program on
+U: each step holds some elements at 0 or 1 and minimizes over the rest in
+closed form, at O(|U| P^2) for P probes, until the first-order conditions
+certify the optimum. Bounded-variable least squares on the dense stacked
+problem is only the fallback.
 ``scaled_fit_workflow`` implements the intensity-rescaling technique for
 very inefficient detectors: the probe intensities are
 multiplied by a factor k chosen so the effective detector reaches a target
@@ -34,15 +40,14 @@ from .exceptions import (
     TargetUnreachableError,
     UndefinedFidelityError,
 )
-from .povm import MAX_DENSE_BYTES, DiagonalPovm, _check_carries, _whole_number, truncation_for
-from .numerics import poisson_log_weights
+from .povm import MAX_DENSE_BYTES, DiagonalPovm, _check_carries, _check_dense_size
+from .povm import _poisson_rows, _whole_number, truncation_for
 
 __all__ = [
     "CSV_HEADER",
     "ClickRecord",
     "ProbeSet",
     "SCALED_TARGET_MEAN",
-    "build_probe_matrix",
     "fidelity",
     "read_click_data",
     "reconstruct_povm",
@@ -176,15 +181,27 @@ def check_paired(probes: ProbeSet, record: ClickRecord) -> None:
         )
 
 
-def build_probe_matrix(probes: ProbeSet, truncation: int) -> np.ndarray:
-    """Poisson probe matrix ``F[i, m] = e^-mu_i mu_i^m / m!`` at a fixed truncation.
+def _probe_matrix(probes: ProbeSet, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probe rows on U, the union of the probes' Poisson windows below ``truncation``.
 
-    Raises ``TruncationError`` when the truncation cannot carry the largest
-    probe's Poisson mass to within ``DEFAULT_TAIL_MASS``, since rows would
-    then sum to visibly less than one and bias any fit against them.
+    Returns the P x |U| matrix and U. Row i holds probe i's normalized
+    ``_poisson_rows`` weights at the photon numbers of its window below
+    the truncation; a truncation that ``_check_carries`` the largest probe
+    drops at most 1e-12 of a row. The N-length click vector and the
+    matrix on the whole union are refused before they are allocated if
+    either would exceed ``MAX_DENSE_BYTES``.
     """
-    _check_carries(truncation, float(probes.intensities.max()))
-    return np.exp(poisson_log_weights(probes.intensities, truncation))
+    advice = "(rescale the intensities: --scale-to-95)"
+    _check_dense_size(8 * truncation, f"a click vector of {truncation} elements {advice}")
+    rows = _poisson_rows(probes.intensities)
+    photons, columns = rows.union()
+    shape = (len(probes), photons.size)
+    _check_dense_size(8 * shape[0] * shape[1], f"the {shape[0]} x {shape[1]} probe matrix {advice}")
+    probe = np.arange(shape[0]).repeat(np.diff(rows.starts))
+    matrix = np.zeros(shape)
+    matrix[probe, columns] = rows.weights / rows.totals[probe]
+    size = int(np.searchsorted(photons, truncation))
+    return matrix[:, :size], photons[:size]
 
 
 def default_smoothing_weight(probes: ProbeSet) -> float:
@@ -204,20 +221,33 @@ def reconstruct_povm(
 
         || F x - C ||_2^2 + w * sum_m (x[m+1] - x[m])^2,   0 <= x <= 1
 
-    The quadratic is convex, so the minimizer is unique and the solve is
-    deterministic. It runs in two steps:
+    over x of length N, the truncation. The quadratic is convex, so the
+    minimizer is unique and the solve is deterministic. Probe i weighs
+    only its Poisson window (``povm._poisson_rows``, normalized, at most
+    1e-16 of its mass left out on either side), so the program is solved
+    on U, the union of the windows below N (``_probe_matrix``). On a gap
+    of L photon numbers between two elements of U the smoothing term alone
+    acts, and the straight line between them minimizes it; past the last
+    element of U the constant does. Both stay in [0, 1], so eliminating
+    the gaps is exact: the differences across a gap are replaced by one
+    weighted 1/L (springs in series), and ``x = interp(0..N-1, U, y)``
+    restores the click vector from U's solution y. Where U covers
+    0..N-1, as it does for every grid from ``geometric_probe_grid`` below
+    mean photon numbers of a few thousand, nothing is eliminated.
+
+    The program on U is solved in two steps:
 
     1. An active-set loop (``_active_set_minimizer``). Each step holds a set
        of elements at 0 or 1 and minimizes over the others in closed form
-       (``_free_minimizer``, O(N P^2) for N unknowns and P probes). The
+       (``_free_minimizer``, O(|U| P^2) for P probes). The
        first step holds none: if that minimizer lies in [0, 1], it is
        returned. Otherwise each step holds the free elements that left
        [0, 1] at the bound they crossed, and frees the held elements
        whose gradient pushes them back inside. The loop stops when the
        first-order (KKT) conditions hold, which certifies the optimum.
     2. If the loop stalls or runs out of steps, scipy's bounded-variable
-       least squares solves the stacked problem ``[F; sqrt(w) D] x = [C; 0]``
-       (D the first difference) to its tolerance.
+       least squares solves the stacked problem ``[F; sqrt(w / L) D] y =
+       [C; 0]`` (D the first difference on U) to its tolerance.
 
     A weight below 1e-10 (in particular w = 0) is raised to 1e-10 on both
     paths: with more unknowns than probes the unsmoothed problem has a
@@ -230,49 +260,48 @@ def reconstruct_povm(
     probes, record:
         Matched probe set and click record.
     truncation:
-        Photon-number cutoff of the reconstruction; must satisfy the probe
-        matrix adequacy check. Defaults to ``truncation_for`` the largest
-        intensity, the smallest cutoff that passes it.
+        Length N of the click vector; it must carry the largest probe's
+        Poisson mass to within ``DEFAULT_TAIL_MASS``. Defaults to
+        ``truncation_for`` the largest intensity, the smallest that does.
     smoothing_weight:
         Weight w of the neighboring-element penalty; finite and >= 0.
         Defaults to ``default_smoothing_weight(probes)``.
 
     Raises
     ------
+    TruncationError
+        If the truncation is too small for the largest probe.
     ValueError
-        If the P x N probe matrix would exceed ``MAX_DENSE_BYTES``.
+        If the click vector (8 N bytes) or the P x |U| probe matrix would
+        exceed ``MAX_DENSE_BYTES``; the message suggests rescaling.
     ConvergenceError
         If the fallback is needed and its stacked matrix would exceed
         ``MAX_DENSE_BYTES``, or if it exhausts its iteration budget; in
         the latter case the error carries the solver result.
     """
     check_paired(probes, record)
+    largest = float(probes.intensities.max())
     if truncation is None:
-        truncation = truncation_for(float(probes.intensities.max()))
+        truncation = truncation_for(largest)
     if smoothing_weight is None:
         smoothing_weight = default_smoothing_weight(probes)
     if not 0 <= smoothing_weight < np.inf:
         raise ValueError(
             f"smoothing weight must be finite and >= 0, got {smoothing_weight}"
         )
-    size = 8 * len(probes) * truncation
-    if size > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"the {len(probes)} x {truncation} probe matrix would take "
-            f"{size / 2**20:.0f} MiB, above the {MAX_DENSE_BYTES / 2**20:.0f} MiB "
-            "limit; rescale the intensities (--scale-to-95) or lower the truncation"
-        )
+    _check_carries(truncation, largest)
 
-    F = build_probe_matrix(probes, truncation)
+    F, photons = _probe_matrix(probes, truncation)
+    lengths = np.diff(photons).astype(float)
     weight = max(smoothing_weight, _TIE_BREAK_WEIGHT)
-    click = _active_set_minimizer(F, record.frequencies, weight)
-    if click is None:
-        click = _bounded_least_squares(F, record.frequencies, weight)
-    return DiagonalPovm(click=click, truncation=truncation)
+    y = _active_set_minimizer(F, record.frequencies, weight, lengths)
+    if y is None:
+        y = _bounded_least_squares(F, record.frequencies, weight, lengths)
+    return DiagonalPovm(click=np.interp(np.arange(truncation), photons, y), truncation=truncation)
 
 
 def _active_set_minimizer(
-    F: np.ndarray, frequencies: np.ndarray, weight: float
+    F: np.ndarray, frequencies: np.ndarray, weight: float, lengths: np.ndarray
 ) -> np.ndarray | None:
     """Box minimizer by primal-dual active-set steps, or None if they fail.
 
@@ -293,10 +322,10 @@ def _active_set_minimizer(
     freed = np.zeros(size, dtype=bool)
     reach, extend, visited = 1, True, set()
     for _ in range(1 if weight < _ACTIVE_SET_MIN_WEIGHT else _ACTIVE_SET_STEPS):
-        x = _free_minimizer(F, frequencies, weight, state)
+        x = _free_minimizer(F, frequencies, weight, state, lengths)
         free = state == 0
         below, above = free & (x < 0.0), free & (x > 1.0)
-        breach = _kkt_breach(x, _objective_gradient(F, frequencies, weight, x))
+        breach = _kkt_breach(x, _objective_gradient(F, frequencies, weight, x, lengths))
         released = (state != 0) & (breach > _KKT_TOLERANCE)
         if not (below.any() or above.any() or released.any()):
             return x if breach.max(initial=0.0) <= _KKT_TOLERANCE else None
@@ -326,23 +355,27 @@ def _active_set_minimizer(
 
 
 def _free_minimizer(
-    F: np.ndarray, frequencies: np.ndarray, weight: float, state: np.ndarray
+    F: np.ndarray, frequencies: np.ndarray, weight: float, state: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """Minimizer of ``||F x - C||^2 + w ||D x||^2`` with the held elements fixed.
+    """Minimizer of ``||F x - C||^2 + w ||D x||_c^2`` with the held elements fixed.
 
-    Elements with ``state < 0`` are held at 0 and those with ``state > 0``
-    at 1; the free elements z are unconstrained. On z the smoothing term is
-    ``w ||R z - r0||^2`` up to a constant, where R is the upper-bidiagonal
-    Cholesky factor of the free block of D^T D (positive definite, since
-    every run of free elements borders a held one) and
-    ``R^T r0 = -(D^T D x_held)[free]``; ``_PathFactor`` applies R^-T and
-    R^-1 in closed form. With ``u = R z`` the data term is
-    ``||M u - t||^2`` for ``M = F_free R^-1`` and ``t = C - F x_held``, so
-    u solves the ridge regression ``min ||M u - t||^2 + w ||u - r0||^2``
-    by one thin SVD of the P x n matrix M: O(N P^2) instead of a dense
-    solve of the (P + N - 1) x N stacked system. The map from C to the
-    free elements is linear, ``z = R^-1 (r0 + V diag(s / (s^2 + w)) U^T
-    (C - F x_held - M r0))`` for ``M = U diag(s) V^T``.
+    ``||D x||_c^2 = sum_k (x[k+1] - x[k])^2 / lengths[k]`` is the
+    smoothing term with each difference weighted by its reciprocal length
+    c = 1 / lengths. Elements with ``state < 0`` are held at 0 and those
+    with ``state > 0`` at 1; the free elements z are unconstrained. On z
+    the smoothing term is ``w ||R z - r0||^2`` up to a constant, where R
+    is the upper-bidiagonal Cholesky factor of the free block of
+    ``D^T diag(c) D`` (positive definite, since every run of free elements
+    borders a held one) and ``R^T r0 = -(D^T diag(c) D x_held)[free]``;
+    ``_PathFactor`` applies R^-T and R^-1 in closed form. With ``u = R z``
+    the data term is ``||M u - t||^2`` for ``M = F_free R^-1`` and
+    ``t = C - F x_held``, so u solves the ridge regression
+    ``min ||M u - t||^2 + w ||u - r0||^2`` by one thin SVD of the n x P
+    matrix M^T (LAPACK's divide and conquer took 2.7 times as long on the
+    wide 61 x 113,821 M of a raw record): O(n P^2) instead of
+    a dense solve of the (P + n - 1) x n stacked system. The map from C
+    to the free elements is linear, ``z = R^-1 (r0 + V diag(s / (s^2 +
+    w)) U^T (C - F x_held - M r0))`` for ``M = U diag(s) V^T``.
 
     With nothing held, element 0 is solved as if held at 0, giving y, and
     x = y + c 1 adds an unpenalized intercept c (D 1 = 0) along
@@ -357,11 +390,11 @@ def _free_minimizer(
     if intercept:
         free = np.append(False, free[1:])
     index = np.flatnonzero(free)
-    factor = _PathFactor(index, state.size)
+    factor = _PathFactor(index, lengths)
     # R^-T on the rows of F_free and on -(D^T D x_held)[free] in one pass.
     rows = np.empty((F.shape[0] + 1, index.size))
     np.take(F, index, axis=1, out=rows[:-1])
-    np.negative(_roughness_gradient(x)[index], out=rows[-1])
+    np.negative(_roughness_gradient(x, lengths)[index], out=rows[-1])
     columns, shift = factor.solve_transposed(rows)[:-1], rows[-1]
     target = frequencies - F @ x - columns @ shift
     if intercept:
@@ -369,8 +402,8 @@ def _free_minimizer(
         q = f / np.linalg.norm(f)
         columns -= np.outer(q, q @ columns)
         target -= q * (q @ target)
-    left, s, right = np.linalg.svd(columns, full_matrices=False)
-    u = shift + right.T @ (s / (s * s + weight) * (left.T @ target))
+    right, s, left = np.linalg.svd(columns.T, full_matrices=False)
+    u = shift + right @ (s / (s * s + weight) * (left @ target))
     x[index] = factor.solve(u)
     if intercept:
         x += f @ (frequencies - F @ x) / (f @ f)
@@ -378,33 +411,39 @@ def _free_minimizer(
 
 
 class _PathFactor:
-    """Cholesky factor R of the free block of D^T D, in closed form.
+    """Cholesky factor R of the free block of ``D^T diag(c) D``, in closed form.
 
-    The free block of D^T D for the first difference D on 0..size-1 is the
-    path-graph Laplacian of each run of consecutive free elements: 2 on the
-    diagonal (1 at m = 0 and at m = size - 1) and -1 between neighbours.
-    With ``R = diag(sqrt(pivot)) L^T``, L unit lower bidiagonal with
-    ``-1 / pivot`` below the diagonal, the pivots are 1 along a run that
-    starts at m = 0 and ``(k + 1) / k`` at the k-th element of any other
-    run, except ``1 / L`` at the end of a run of length L that ends at
-    ``size - 1``. Each run then has gauge weights ``g`` (1 from m = 0, else
-    k) with ``pivot[k] = g[k + 1] / g[k]`` inside it, so ``L y = b`` is
-    ``g y = cumsum(g b)`` and ``L^T z = v`` is ``z / g = reverse cumsum(v / g)``,
-    each summed along its own run.
+    For the first difference D on elements 0..n-1 with weights
+    ``c = 1 / lengths``, the free block is the weighted path-graph
+    Laplacian of each run of consecutive free elements: ``c[k-1] + c[k]``
+    on the diagonal (no ``c[-1]`` at element 0, no ``c[n-1]`` at n - 1)
+    and ``-c[k]`` between neighbours k and k + 1. With
+    ``R = diag(sqrt(pivot)) L^T``, L unit lower bidiagonal with
+    ``-c[k] / pivot[k]`` below the diagonal, each run has gauge weights
+    g: 1 along a run that starts at element 0, else the summed lengths
+    from the run's held left neighbour to the element, its resistance to
+    that neighbour through springs in series. The pivots are
+    ``c[k] g[k+1] / g[k] = c[k] + 1 / g[k]``, the ``1 / g`` dropped on a
+    run from element 0 and ``c[k]`` dropped at element n - 1. Then
+    ``-c[k] / pivot[k] = -g[k] / g[k+1]``, so ``L y = b`` is
+    ``g y = cumsum(g b)`` and ``L^T z = v`` is
+    ``z / g = reverse cumsum(v / g)``, each summed along its own run. With
+    every length 1 the gauge counts the elements of the run and the
+    pivots are ``(k + 1) / k``.
     """
 
-    def __init__(self, index: np.ndarray, size: int):
+    def __init__(self, index: np.ndarray, lengths: np.ndarray):
         breaks = np.flatnonzero(np.diff(index) != 1) + 1
         self.runs = np.concatenate(([0], breaks, [index.size]))
         starts = np.zeros(index.size, dtype=np.int64)
         starts[self.runs[1:-1]] = breaks
         np.maximum.accumulate(starts, out=starts)
-        position = np.arange(1.0, index.size + 1) - starts
-        self.gauge = np.where(index[starts] == 0, 1.0, position)
-        pivot = np.where(index[starts] == 0, 1.0, (position + 1) / position)
-        if index[-1] == size - 1:
-            pivot[-1] = 1.0 / position[-1]
-        self.root_pivot = np.sqrt(pivot)
+        first = index[starts]
+        position = np.concatenate(([0.0], np.cumsum(lengths)))
+        from_zero = first == 0
+        self.gauge = np.where(from_zero, 1.0, position[index] - position[first - 1])
+        conductance = np.append(1.0 / lengths, 0.0)[index]
+        self.root_pivot = np.sqrt(conductance + np.where(from_zero, 0.0, 1.0 / self.gauge))
 
     def _run_cumsum(self, values: np.ndarray, reverse: bool = False) -> np.ndarray:
         """Cumulative sums of ``values`` along its last axis, in place, restarting at every run."""
@@ -427,9 +466,9 @@ class _PathFactor:
         return self._run_cumsum(u / (self.root_pivot * self.gauge), reverse=True) * self.gauge
 
 
-def _roughness_gradient(x: np.ndarray) -> np.ndarray:
-    """``D^T D x`` for the first difference D, without forming D."""
-    steps = np.diff(x)
+def _roughness_gradient(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``D^T diag(1 / lengths) D x`` for the first difference D, without forming D."""
+    steps = np.diff(x) / lengths
     gradient = np.zeros_like(x)
     gradient[:-1] -= steps
     gradient[1:] += steps
@@ -437,10 +476,10 @@ def _roughness_gradient(x: np.ndarray) -> np.ndarray:
 
 
 def _objective_gradient(
-    F: np.ndarray, frequencies: np.ndarray, weight: float, x: np.ndarray
+    F: np.ndarray, frequencies: np.ndarray, weight: float, x: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """Gradient ``2 (F^T (F x - C) + w D^T D x)`` of the reconstruction objective."""
-    return 2.0 * (F.T @ (F @ x - frequencies) + weight * _roughness_gradient(x))
+    """Gradient ``2 (F^T (F x - C) + w D^T diag(1 / lengths) D x)`` of the objective on U."""
+    return 2.0 * (F.T @ (F @ x - frequencies) + weight * _roughness_gradient(x, lengths))
 
 
 def _kkt_breach(x: np.ndarray, gradient: np.ndarray) -> np.ndarray:
@@ -457,33 +496,36 @@ def _kkt_breach(x: np.ndarray, gradient: np.ndarray) -> np.ndarray:
 
 
 def _bounded_least_squares(
-    F: np.ndarray, frequencies: np.ndarray, weight: float
+    F: np.ndarray, frequencies: np.ndarray, weight: float, lengths: np.ndarray
 ) -> np.ndarray:
     """Box minimizer by scipy's BVLS on the dense stacked problem.
+
+    Row k of the smoothing block is ``sqrt(w / lengths[k])`` times the
+    k-th first difference.
 
     ``scipy.optimize`` is imported here, not at module level: only this
     fallback needs it, and importing it costs every CLI process time.
     """
     from scipy.optimize import lsq_linear
 
-    probes, truncation = F.shape
-    size = 8 * (probes + truncation - 1) * truncation
+    probes, unknowns = F.shape
+    size = 8 * (probes + unknowns - 1) * unknowns
     if size > MAX_DENSE_BYTES:
         raise ConvergenceError(
             "the active-set steps certified no minimizer, and the "
             f"bounded-variable fallback would need a {size / 2**20:.0f} MiB "
             f"stacked matrix, above the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
         )
-    # [F; sqrt(w) D] is filled in place: at raw-data truncations (N in the
-    # thousands) every extra dense N x N temporary costs tens of MB.
-    root_weight = np.sqrt(weight)
-    rows = probes + np.arange(truncation - 1)
-    cols = np.arange(truncation - 1)
-    stacked = np.zeros((probes + truncation - 1, truncation))
+    # [F; sqrt(w / L) D] is filled in place: at raw-data sizes (thousands
+    # of unknowns) every extra dense square temporary costs tens of MB.
+    root_weight = np.sqrt(weight / lengths)
+    rows = probes + np.arange(unknowns - 1)
+    cols = np.arange(unknowns - 1)
+    stacked = np.zeros((probes + unknowns - 1, unknowns))
     stacked[:probes] = F
     stacked[rows, cols] = -root_weight
     stacked[rows, cols + 1] = root_weight
-    rhs = np.concatenate([frequencies, np.zeros(truncation - 1)])
+    rhs = np.concatenate([frequencies, np.zeros(unknowns - 1)])
 
     result = lsq_linear(
         stacked,
@@ -491,7 +533,7 @@ def _bounded_least_squares(
         bounds=(0.0, 1.0),
         method="bvls",
         tol=_BVLS_TOL,
-        max_iter=_BVLS_ITERATIONS_PER_UNKNOWN * truncation,
+        max_iter=_BVLS_ITERATIONS_PER_UNKNOWN * unknowns,
     )
     if result.status == 0:
         raise ConvergenceError(

@@ -25,14 +25,14 @@ from nlspd.numerics import binomial_table, design_matrix
 from nlspd.povm import NonlinearSpdParams, _poisson_rows, truncation_for
 from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
-from nlspd.tomography import ClickRecord, ProbeSet, build_probe_matrix
-from test_acceptance import fit_objective_gradient
+from nlspd.tomography import ClickRecord, ProbeSet
+from test_acceptance import dense_probe_rows, fit_objective_gradient
 
 
 def _record_from_exact_model(probes, p, trials):
     """Click record sampled from the model itself at a common truncation."""
     n = truncation_for(float(probes.intensities.max()))
-    matrix = build_probe_matrix(probes, n)
+    matrix = dense_probe_rows(probes.intensities, n)
     design = design_matrix(n, len(p))
     survival = np.prod((1.0 - np.asarray(p))[None, :] ** design, axis=1)
     q = matrix @ (1.0 - survival)
@@ -42,7 +42,7 @@ def _record_from_exact_model(probes, p, trials):
 def _brute_objective(p, probes, record):
     """Direct per-row evaluation of the weighted residual sum."""
     n = truncation_for(float(probes.intensities.max()))
-    matrix = build_probe_matrix(probes, n)
+    matrix = dense_probe_rows(probes.intensities, n)
     total = 0.0
     for i, freq in enumerate(record.frequencies):
         if freq <= 0.0:
@@ -543,7 +543,7 @@ def test_seed_spread_is_consistent_with_sampling_theory():
 
     h_true = np.log1p(-truth.p)
     n = truncation_for(float(grid.intensities.max()))
-    matrix = build_probe_matrix(grid, n)
+    matrix = dense_probe_rows(grid.intensities, n)
     design = design_matrix(n, 2)
     survival = np.exp(design @ h_true)
     q = matrix @ (1.0 - survival)

@@ -25,35 +25,47 @@ from nlspd.tomography import (
     CSV_HEADER,
     ClickRecord,
     ProbeSet,
-    build_probe_matrix,
     fidelity,
     read_click_data,
     reconstruct_povm,
     scaled_fit_workflow,
     write_click_data,
 )
+from test_acceptance import dense_probe_rows
 
 
-def _noiseless_record(probes: ProbeSet, povm: DiagonalPovm) -> ClickRecord:
-    q = build_probe_matrix(probes, povm.truncation) @ povm.click
+def _noiseless_record(probes: ProbeSet, truth: DiagonalPovm) -> ClickRecord:
+    q = dense_probe_rows(probes.intensities, truth.truncation) @ truth.click
     clicks = np.rint(q * probes.trials).astype(np.int64)
     return ClickRecord(clicks=clicks, trials=probes.trials)
 
 
 def test_probe_matrix_rows_are_poisson():
+    # The reconstruction's rows on U, the union of the Poisson windows
+    # below the truncation: here all of 0..24.
     probes = ProbeSet(intensities=np.array([0.0, 0.8, 3.7]), trials=1000)
-    matrix = build_probe_matrix(probes, 25)
+    matrix, photons = tomography._probe_matrix(probes, 25)
     assert matrix.shape == (3, 25)
+    np.testing.assert_array_equal(photons, np.arange(25))
     np.testing.assert_allclose(matrix[0], np.eye(25)[0], atol=1e-15)
     np.testing.assert_allclose(matrix[2], poisson.pmf(np.arange(25), 3.7), atol=1e-13)
+    # A probe of 1e4 photons leaves a gap of 9152 numbers after the
+    # vacuum's window {0, 1}; its row on U is the Poisson law there.
+    probes = ProbeSet(intensities=np.array([0.0, 1e4]), trials=1000)
+    n = truncation_for(1e4)
+    matrix, photons = tomography._probe_matrix(probes, n)
+    assert photons[:2].tolist() == [0, 1] and photons[2] > 9000 and photons[-1] < n
+    np.testing.assert_allclose(matrix[1], poisson.pmf(photons, 1e4), rtol=1e-10, atol=1e-16)
+    np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_probe_matrix_requires_adequate_truncation():
     probes = ProbeSet(intensities=np.array([0.0, 30.0]), trials=1000)
+    record = ClickRecord(clicks=np.array([1, 900]), trials=1000)
     with pytest.raises(TruncationError):
-        build_probe_matrix(probes, 20)
+        reconstruct_povm(probes, record, 20)
     # the documented minimum is accepted
-    build_probe_matrix(probes, truncation_for(30.0))
+    reconstruct_povm(probes, record, truncation_for(30.0))
 
 
 def test_reconstruct_recovers_noiseless_spd():
@@ -72,7 +84,7 @@ def test_reconstruct_matches_independent_box_solver():
     n = truncation_for(7.0)
     truth = spd_povm(0.35, n)
     rng = np.random.default_rng(3)
-    q = build_probe_matrix(probes, n) @ truth.click
+    q = dense_probe_rows(probes.intensities, n) @ truth.click
     record = ClickRecord(clicks=rng.binomial(100_000, q), trials=100_000)
 
     povm = reconstruct_povm(probes, record, n)
@@ -82,7 +94,7 @@ def test_reconstruct_matches_independent_box_solver():
     idx = np.arange(n - 1)
     first_diff[idx, idx] = -1.0
     first_diff[idx, idx + 1] = 1.0
-    stacked = np.vstack([build_probe_matrix(probes, n), np.sqrt(weight) * first_diff])
+    stacked = np.vstack([dense_probe_rows(probes.intensities, n), np.sqrt(weight) * first_diff])
     rhs = np.concatenate([record.frequencies, np.zeros(n - 1)])
     oracle = lsq_linear(stacked, rhs, bounds=(0.0, 1.0), tol=1e-14)
     assert np.max(np.abs(oracle.x - povm.click)) <= 1e-6
@@ -103,21 +115,27 @@ def test_reconstruct_interior_matches_dense_least_squares():
 
     weight = 1e-3 * len(probes)
     stacked = np.vstack(
-        [build_probe_matrix(probes, n), np.sqrt(weight) * np.diff(np.eye(n), axis=0)]
+        [dense_probe_rows(probes.intensities, n), np.sqrt(weight) * np.diff(np.eye(n), axis=0)]
     )
     rhs = np.concatenate([record.frequencies, np.zeros(n - 1)])
     dense = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
     assert np.max(np.abs(povm.click - dense)) <= 1e-12
 
 
-def _banded_solves(index, size, rhs):
-    """R^-T rhs and R^-1 rhs by scipy's banded Cholesky factor R: the oracle."""
+def _banded_solves(index, lengths, rhs):
+    """R^-T rhs and R^-1 rhs by scipy's banded Cholesky factor R: the oracle.
+
+    R factors the free block of the weighted path Laplacian: -1 / L
+    between neighbours a difference of length L apart.
+    """
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dtbtrs
 
+    right = np.append(1.0 / lengths, 0.0)
+    left = np.append(0.0, 1.0 / lengths)
     block = np.zeros((2, index.size))
-    block[1] = 2.0 - (index == 0) - (index == size - 1)
-    block[0, 1:] = np.where(np.diff(index) == 1, -1.0, 0.0)
+    block[1] = (left + right)[index]
+    block[0, 1:] = np.where(np.diff(index) == 1, -right[index[:-1]], 0.0)
     factor = cholesky_banded(block, check_finite=False)
     return (
         dtbtrs(factor, rhs.T, trans="T")[0].T,
@@ -129,14 +147,16 @@ def test_path_factor_matches_banded_cholesky():
     # Random held sets on N = 2..145, plus every element free but the
     # first (the intercept case): the closed-form solves against
     # cholesky_banded and dtbtrs, with runs that start at m = 0, end at
-    # N - 1 or hold a single element.
+    # N - 1 or hold a single element. Each set is solved with every
+    # difference of length 1 and on a gapped index set, with lengths
+    # 1..6 between neighbours.
     rng = np.random.default_rng(5)
     cases = [np.arange(1, size) for size in (2, 3, 145)]
     for size in rng.integers(2, 146, 300):
         free = rng.random(size) < rng.uniform(0.2, 0.9)
         if free.any() and not free.all():
             cases.append(np.flatnonzero(free))
-    seen = {"from 0": 0, "to N - 1": 0, "single": 0}
+    seen = {"from 0": 0, "to N - 1": 0, "single": 0, "gapped": 0}
     for index in cases:
         size = int(index[-1]) + 1 + int(rng.integers(0, 2))
         if index.size == size:
@@ -145,13 +165,17 @@ def test_path_factor_matches_banded_cholesky():
         seen["from 0"] += index[0] == 0
         seen["to N - 1"] += index[-1] == size - 1
         seen["single"] += any(run.size == 1 for run in runs)
-        rhs = rng.standard_normal((4, index.size))
-        factor = tomography._PathFactor(index, size)
-        for got, expected in zip(
-            (factor.solve_transposed(rhs.copy()), factor.solve(rhs)),
-            _banded_solves(index, size, rhs),
-        ):
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        for lengths in (np.ones(size - 1), rng.integers(1, 7, size - 1).astype(float)):
+            seen["gapped"] += bool(np.any(lengths > 1))
+            rhs = rng.standard_normal((4, index.size))
+            factor = tomography._PathFactor(index, lengths)
+            for got, expected in zip(
+                (factor.solve_transposed(rhs.copy()), factor.solve(rhs)),
+                _banded_solves(index, lengths, rhs),
+            ):
+                np.testing.assert_allclose(
+                    got, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+                )
     assert min(seen.values()) >= 20
 
 
@@ -161,9 +185,9 @@ def test_smoothing_trades_data_fit_for_flatness():
     n = truncation_for(6.0)
     truth = nonlinear_povm(NonlinearSpdParams([0.01, 0.25]), n)
     rng = np.random.default_rng(8)
-    q = build_probe_matrix(probes, n) @ truth.click
+    q = dense_probe_rows(probes.intensities, n) @ truth.click
     record = ClickRecord(clicks=rng.binomial(50_000, q), trials=50_000)
-    matrix = build_probe_matrix(probes, n)
+    matrix = dense_probe_rows(probes.intensities, n)
 
     data_terms = []
     for weight in (0.0, 1e-4, 1e-2, 1.0):
@@ -174,15 +198,25 @@ def test_smoothing_trades_data_fit_for_flatness():
 
 
 def test_reconstruct_guards_dense_sizes(monkeypatch):
-    # A probe matrix above MAX_DENSE_BYTES is refused before it is built.
+    # A click vector above MAX_DENSE_BYTES is refused before it is built:
+    # a probe of 1e9 photons needs about 1e9 elements (7.5 GiB).
+    probes = ProbeSet(intensities=np.array([0.0, 1e3, 1e9]), trials=100)
+    record = ClickRecord(clicks=np.array([1, 40, 70]), trials=100)
+    with pytest.raises(ValueError, match="click vector.*--scale-to-95"):
+        reconstruct_povm(probes, record)
+
+    # So is the P x |U| probe matrix on the windows' union, here 3 x 24,
+    # under a limit just below it that the 45 window terms and the
+    # 19-element click vector pass.
     probes = ProbeSet(intensities=np.array([0.0, 1.0, 2.0]), trials=100)
     record = ClickRecord(clicks=np.array([1, 40, 70]), trials=100)
-    too_long = tomography.MAX_DENSE_BYTES // (8 * len(probes)) + 1
-    with pytest.raises(ValueError, match="--scale-to-95"):
-        reconstruct_povm(probes, record, too_long)
+    n = truncation_for(2.0)
+    monkeypatch.setattr("nlspd.povm.MAX_DENSE_BYTES", 8 * 3 * 24 - 8)
+    with pytest.raises(ValueError, match="probe matrix.*--scale-to-95"):
+        reconstruct_povm(probes, record, n)
+    monkeypatch.undo()
 
     # So is the fallback's stacked matrix, once the active-set steps fail.
-    n = truncation_for(2.0)
     monkeypatch.setattr(tomography, "_ACTIVE_SET_STEPS", 0)
     monkeypatch.setattr(tomography, "MAX_DENSE_BYTES", 8 * len(probes) * n)
     with pytest.raises(ConvergenceError, match="stacked matrix"):
