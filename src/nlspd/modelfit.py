@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
 from .numerics import binomial_table, log_survival_sum
 from .povm import (
@@ -38,6 +37,7 @@ from .povm import (
     _check_carries,
     _check_dense_size,
     _poisson_rows,
+    _PoissonRows,
     _whole_number,
 )
 from .tomography import ClickRecord, ProbeSet, check_paired
@@ -102,7 +102,7 @@ class MechanismLogVector:
             raise ValueError("h must satisfy h[n] <= 0 for every mechanism")
         h = np.minimum(h, 0.0)
         design = np.asarray(self.binomial_design, dtype=float)
-        if design.ndim != 2 or design.shape[1] != h.size:
+        if design.ndim != 2 or design.shape[0] < 1 or design.shape[1] != h.size:
             raise ValueError(
                 f"design matrix shape {design.shape} does not match {h.size} mechanisms"
             )
@@ -117,7 +117,7 @@ class MechanismLogVector:
     def at_truncation(cls, h: np.ndarray, truncation: int) -> "MechanismLogVector":
         """Build the design matrix for the given truncation automatically."""
         h = np.asarray(h, dtype=float)
-        return cls(h=h, binomial_design=numerics.design_matrix(truncation, h.size))
+        return cls(h=h, binomial_design=binomial_table(np.arange(truncation), h.size))
 
     @property
     def params(self) -> NonlinearSpdParams:
@@ -197,22 +197,20 @@ class FitReport:
 class _FitData:
     """Windowed probe rows, design and frequencies of the included probes.
 
-    The probe matrix F is kept as its rows' terms: ``weights`` holds the
+    The probe matrix F is kept as its rows' terms: ``rows`` holds the
     normalized Poisson weights of each included probe over its full
-    photon-number window (``povm._poisson_rows``), ``columns`` the index of
-    each term's photon number in the union of the windows, and row i runs
-    over the ``sizes[i]`` terms from ``starts[i]``. ``design`` is the
-    binomial table C(m, n) at that union only, one row per order n, and
-    ``weighted_design`` its (order x terms) gather at every term times the
-    term's weight, from which the Jacobian sums. No truncation enters: no
-    row runs from m = 0 to a cutoff, and none is cut short of its window.
-    ``probes`` and ``record`` are those the data was built from.
+    photon-number window (``povm._poisson_rows``), and ``columns`` the
+    index of each term's photon number in the union of the windows.
+    ``design`` is the binomial table C(m, n) at that union only, one row
+    per order n, and ``weighted_design`` its (order x terms) gather at
+    every term times the term's weight, from which the Jacobian sums. No
+    truncation enters: no row runs from m = 0 to a cutoff, and none is cut
+    short of its window. ``probes`` and ``record`` are those the data was
+    built from.
     """
 
-    weights: np.ndarray
+    rows: _PoissonRows
     columns: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
     weighted_design: np.ndarray
     frequencies: np.ndarray
     design: np.ndarray
@@ -249,16 +247,12 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
         )
     rows = _poisson_rows(probes.intensities[included])
     m_values, columns = rows.union()
-    sizes = np.diff(rows.starts)
-    _check_dense_size(8 * order * int(sizes.sum()), f"the weighted design of {order} orders")
-    weights = rows.weights / rows.totals.repeat(sizes)
+    _check_dense_size(8 * order * rows.m.size, f"the weighted design of {order} orders")
     design = binomial_table(m_values, order).T.copy()
     return _FitData(
-        weights=weights,
+        rows=rows,
         columns=columns,
-        starts=rows.starts[:-1],
-        sizes=sizes,
-        weighted_design=design.take(columns, axis=1) * weights,
+        weighted_design=design.take(columns, axis=1) * rows.weights,
         frequencies=frequencies[included],
         design=design,
         included=included,
@@ -275,7 +269,7 @@ def _residual(data: _FitData, h: np.ndarray) -> np.ndarray:
     floor) add no rounding noise to the objective.
     """
     clicks = -np.expm1(log_survival_sum(data.design.T, h))
-    model = np.add.reduceat(data.weights * clicks[data.columns], data.starts)
+    model = data.rows @ clicks[data.columns]
     return (data.frequencies - model) / data.frequencies
 
 
@@ -290,9 +284,10 @@ def _derivatives(data: _FitData, h: np.ndarray, r: np.ndarray):
     into the union's photon numbers by ``np.bincount`` over the terms.
     """
     survival = np.exp(log_survival_sum(data.design.T, h))
+    rows = data.rows
     terms = data.weighted_design * survival[data.columns]
-    jacobian = np.add.reduceat(terms, data.starts, axis=1).T / data.frequencies[:, None]
-    spread = data.weights * (r / data.frequencies).repeat(data.sizes)
+    jacobian = np.add.reduceat(terms, rows.starts[:-1], axis=1).T / data.frequencies[:, None]
+    spread = rows.weights * (r / data.frequencies).repeat(np.diff(rows.starts))
     curvature = survival * np.bincount(data.columns, spread, minlength=survival.size)
     hessian = 2.0 * (jacobian.T @ jacobian + (data.design * curvature) @ data.design.T)
     return jacobian, hessian

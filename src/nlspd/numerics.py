@@ -12,9 +12,10 @@ from the Stirling series above); and ``log_survival_sum``
 contributes ``-inf`` wherever C(m, n) > 0).
 
 The kernels take arbitrary photon numbers, so a caller can evaluate a
-window [m_lo, m_hi) only. ``design_matrix`` and ``poisson_log_weights``
-are their forms over the full range m = 0..truncation-1. The module
-needs numpy alone.
+window [m_lo, m_hi) only. ``poisson_log_weights`` is the Poisson form
+over the full range m = 0..truncation-1; the binomial one is
+``binomial_table(np.arange(truncation), order)``. The module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 __all__ = [
     "binomial_exponents",
     "binomial_table",
-    "design_matrix",
     "log_survival_sum",
     "poisson_log_pmf",
     "poisson_log_weights",
@@ -167,13 +167,6 @@ def _binomial_columns(m_values: np.ndarray, order: int):
         falling = falling * np.maximum(factor, 0.0, out=factor)
         falling /= n
         yield falling
-
-
-def design_matrix(truncation: int, order: int) -> np.ndarray:
-    """``binomial_table`` over m = 0..truncation-1: G[m, n] = C(m, n)."""
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    return binomial_table(np.arange(truncation), order)
 
 
 def log_survival_sum(design: np.ndarray, h: np.ndarray) -> np.ndarray:

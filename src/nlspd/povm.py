@@ -21,11 +21,14 @@ A coherent probe of mean mu weighs photon number m by the Poisson law. One
 private operator, ``_poisson_rows``, holds those weights for any set of
 probes, each over the O(sqrt(mu)) window of photon numbers outside which
 a closed-form Chernoff bound leaves at most 1e-16 of the mass on either
-side; the coherent click probability, the simulator and the mechanism fit
-all sum through it, and none of them chooses a truncation. A truncation
-belongs to an explicit click vector (``DiagonalPovm``): ``truncation_for``
-picks the default one, which carries all but ``DEFAULT_TAIL_MASS`` of a
-probe's Poisson mass.
+side, and each row divided by its own sum once. The coherent click
+probability, the simulator, the mechanism fit and the reconstruction all
+read their rows from it as they are: none divides by a row sum again, and
+none chooses a truncation. A click is summed as ``F (-expm1(log
+survival))``, so a click probability near the dark-count floor keeps full
+relative precision. A truncation belongs to an explicit click vector
+(``DiagonalPovm``): ``truncation_for`` picks the default one, which
+carries all but ``DEFAULT_TAIL_MASS`` of a probe's Poisson mass.
 """
 
 from __future__ import annotations
@@ -75,9 +78,6 @@ _BOUND_FUZZ = 1e-12
 # costs several copies of its size in temporaries, so 256 MiB keeps a
 # step within a few GB.
 MAX_DENSE_BYTES = 2**28
-
-# Below this argument exp rounds to exactly 0.
-_EXP_UNDERFLOW = -746.0
 
 
 def _check_dense_size(size: int, what: str) -> None:
@@ -200,8 +200,10 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
     """Log no-click probability per photon number for mechanism efficiencies p.
 
     Returns ``sum_n C(m, n) * log(1 - p[n])`` for m = 0..truncation-1, with
-    ``-inf`` wherever a unit-efficiency mechanism applies.
+    ``-inf`` wherever a unit-efficiency mechanism applies. The truncation
+    is a whole number >= 1; a whole float counts, a bool does not.
     """
+    truncation = _whole_number(truncation, "truncation")
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     return _log_survival_at(p, np.arange(truncation))
@@ -387,13 +389,13 @@ def _check_carries(truncation: int, mean_photons: float, what: str = "truncation
 
 @dataclass(frozen=True)
 class _PoissonRows:
-    """Poisson rows of coherent probes in compressed sparse row form.
+    """Normalized Poisson rows of coherent probes in compressed sparse row form.
 
     Row i holds ``weights[starts[i]:starts[i + 1]]`` at the consecutive
     photon numbers ``m[starts[i]:starts[i + 1]]``, outside which at most
-    1e-16 of the Poisson mass lies on either side, normalized by its sum
-    ``totals[i]``. ``rows @ values``, one value per term at ``m``, gives
-    each row's normalized sum without a sparse matrix, which costs more
+    1e-16 of the Poisson mass lies on either side; each row sums to one
+    within rounding. ``rows @ values``, one value per term at ``m``, gives
+    each row's weighted sum without a sparse matrix, which costs more
     than a one-probe click probability; ``union()`` gives the windows'
     union and the column of every term in it, at which ``modelfit`` keeps
     its fit data.
@@ -402,10 +404,9 @@ class _PoissonRows:
     m: np.ndarray
     weights: np.ndarray
     starts: np.ndarray
-    totals: np.ndarray
 
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self.weights * values, self.starts[:-1]) / self.totals
+        return np.add.reduceat(self.weights * values, self.starts[:-1])
 
     def union(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending union of the windows and the column of each term in it."""
@@ -432,10 +433,11 @@ def _poisson_rows(intensities) -> _PoissonRows:
     1e-16 of the Poisson mass lies below ``m_lo`` and at most 1e-16 at or
     above ``m_hi``. No truncation enters: a row ends where its own Poisson
     mass does. A window is about 17 standard deviations, O(sqrt(mu))
-    photon numbers, wide. Each row is divided by its sum: at large m the
-    log weight ``m ln(mu) - mu - ln(m!)`` loses digits to cancellation
-    (the full weights sum to 1 - 5.5e-10 at mu = 1e6), and the error is
-    nearly common to the window, so the normalization removes it.
+    photon numbers, wide. Each weight is ``exp(log pmf)`` divided by its
+    row's sum, here and nowhere else: at large m the log weight
+    ``m ln(mu) - mu - ln(m!)`` loses digits to cancellation (the full
+    weights sum to 1 - 5.5e-10 at mu = 1e6), and the error is nearly
+    common to the window, so the normalization removes it.
 
     Every window comes from one closed-form evaluation over all rows, and
     every weight from one ``poisson_log_pmf`` call, which takes the
@@ -453,25 +455,23 @@ def _poisson_rows(intensities) -> _PoissonRows:
     sizes.cumsum(out=starts[1:])
     m = np.arange(starts[-1]) + (m_lo - starts[:-1]).repeat(sizes)
     weights = np.exp(poisson_log_pmf(m, mu, repeats=sizes))
-    return _PoissonRows(
-        m=m, weights=weights, starts=starts, totals=np.add.reduceat(weights, starts[:-1])
-    )
+    weights /= np.add.reduceat(weights, starts[:-1]).repeat(sizes)
+    return _PoissonRows(m=m, weights=weights, starts=starts)
 
 
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """Click probabilities of the composite detector on coherent probes.
 
     One ``_poisson_rows`` call: each row drops at most 1e-16 of its
-    Poisson mass on either side. The survival is evaluated at every term
-    of every row, as each probe's own sum would.
+    Poisson mass on either side. The click ``-expm1(log survival)`` is
+    evaluated at every term of every row, as each probe's own sum would,
+    and summed through the rows, so a click probability near the
+    dark-count floor keeps its relative precision. The rows sum to one
+    only within rounding, so a saturated probe can come out an ulp above
+    one; it is clipped to 1.
     """
     rows = _poisson_rows(intensities)
-    log_survival = _log_survival_at(params.p, rows.m)
-    # exp takes a slow path on arguments whose result underflows to 0
-    # (16 times slower), so those are left at 0 without calling it.
-    survival = np.zeros_like(log_survival)
-    np.exp(log_survival, out=survival, where=log_survival > _EXP_UNDERFLOW)
-    return 1.0 - rows @ survival
+    return np.minimum(rows @ -np.expm1(_log_survival_at(params.p, rows.m)), 1.0)
 
 
 def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) -> float:
@@ -479,11 +479,13 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
 
     Poisson-averages the photon-number response::
 
-        1 - sum_m e^-mu mu^m / m! * prod_n (1 - p[n]) ** C(m, n)
+        sum_m e^-mu mu^m / m! * (1 - prod_n (1 - p[n]) ** C(m, n))
 
     over the one row ``_poisson_rows`` builds for the probe: the window of
     photon numbers that carries all but at most 1e-16 of the Poisson mass
-    on either side, with its weights normalized to sum to one. The window
+    on either side, with its weights normalized to sum to one. Each term's
+    click is formed by ``expm1``, so the sum keeps full relative precision
+    however small the click probability. The window
     is O(sqrt(mu)) wide, so a probe at mu = 1e6 sums about 17,000 terms
     instead of a million.
 
@@ -503,7 +505,11 @@ def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
     """Coherent-probe click probability of an explicit click vector.
 
     Computes ``sum_m e^-mu mu^m / m! * click[m]`` over the POVM's stored
-    range. The truncation must dominate the probe: if the Poisson tail
+    range, divided by the sum of the same weights: their log form loses
+    digits to cancellation at large means (they sum to 1 + 7.7e-12 at
+    mu = 37,330), and the error is nearly common to the terms. Both sums
+    take the same reduction, so a click vector in [0, 1] gives a result in
+    [0, 1]. The truncation must dominate the probe: if the Poisson tail
     beyond it exceeds ``DEFAULT_TAIL_MASS`` the result would silently miss
     response, so a ``TruncationError`` is raised instead.
     """
@@ -511,4 +517,4 @@ def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
     _check_carries(povm.truncation, mean_photons, "POVM truncation")
     weights = np.exp(poisson_log_weights(mean_photons, povm.truncation))
-    return float(weights @ povm.click)
+    return float((weights * povm.click).sum() / weights.sum())

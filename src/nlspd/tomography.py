@@ -184,12 +184,13 @@ def check_paired(probes: ProbeSet, record: ClickRecord) -> None:
 def _probe_matrix(probes: ProbeSet, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Probe rows on U, the union of the probes' Poisson windows below ``truncation``.
 
-    Returns the P x |U| matrix and U. Row i holds probe i's normalized
-    ``_poisson_rows`` weights at the photon numbers of its window below
-    the truncation; a truncation that ``_check_carries`` the largest probe
-    drops at most 1e-12 of a row. The N-length click vector and the
-    matrix on the whole union are refused before they are allocated if
-    either would exceed ``MAX_DENSE_BYTES``.
+    Returns the P x |U| matrix and U. Row i holds probe i's
+    ``_poisson_rows`` weights, as that normalizes them, at the photon
+    numbers of its window below the truncation; a truncation that
+    ``_check_carries`` the largest probe drops at most 1e-12 of a row.
+    The N-length click vector and the matrix on the whole union are
+    refused before they are allocated if either would exceed
+    ``MAX_DENSE_BYTES``.
     """
     advice = "(rescale the intensities: --scale-to-95)"
     _check_dense_size(8 * truncation, f"a click vector of {truncation} elements {advice}")
@@ -199,7 +200,7 @@ def _probe_matrix(probes: ProbeSet, truncation: int) -> tuple[np.ndarray, np.nda
     _check_dense_size(8 * shape[0] * shape[1], f"the {shape[0]} x {shape[1]} probe matrix {advice}")
     probe = np.arange(shape[0]).repeat(np.diff(rows.starts))
     matrix = np.zeros(shape)
-    matrix[probe, columns] = rows.weights / rows.totals[probe]
+    matrix[probe, columns] = rows.weights
     size = int(np.searchsorted(photons, truncation))
     return matrix[:, :size], photons[:size]
 
@@ -260,8 +261,9 @@ def reconstruct_povm(
     probes, record:
         Matched probe set and click record.
     truncation:
-        Length N of the click vector; it must carry the largest probe's
-        Poisson mass to within ``DEFAULT_TAIL_MASS``. Defaults to
+        Length N of the click vector, a whole number (146.0 counts, a bool
+        does not); it must carry the largest probe's Poisson mass to
+        within ``DEFAULT_TAIL_MASS``. Defaults to
         ``truncation_for`` the largest intensity, the smallest that does.
     smoothing_weight:
         Weight w of the neighboring-element penalty; finite and >= 0.
@@ -272,8 +274,9 @@ def reconstruct_povm(
     TruncationError
         If the truncation is too small for the largest probe.
     ValueError
-        If the click vector (8 N bytes) or the P x |U| probe matrix would
-        exceed ``MAX_DENSE_BYTES``; the message suggests rescaling.
+        If the truncation is not a whole number, or if the click vector
+        (8 N bytes) or the P x |U| probe matrix would exceed
+        ``MAX_DENSE_BYTES``; the message suggests rescaling.
     ConvergenceError
         If the fallback is needed and its stacked matrix would exceed
         ``MAX_DENSE_BYTES``, or if it exhausts its iteration budget; in
@@ -283,6 +286,7 @@ def reconstruct_povm(
     largest = float(probes.intensities.max())
     if truncation is None:
         truncation = truncation_for(largest)
+    truncation = _whole_number(truncation, "truncation")
     if smoothing_weight is None:
         smoothing_weight = default_smoothing_weight(probes)
     if not 0 <= smoothing_weight < np.inf:

@@ -26,7 +26,7 @@ from nlspd.modelfit import (
     loss_scaling_analysis,
     prune_mechanisms,
 )
-from nlspd.numerics import design_matrix, poisson_log_weights
+from nlspd.numerics import binomial_table, poisson_log_weights
 from nlspd.povm import (
     NonlinearSpdParams,
     coherent_click_probability,
@@ -270,7 +270,7 @@ def _a7_instance():
     record = _simulated(truth, base, seed=0)
     n = truncation_for(float(base.intensities.max()))
     matrix = dense_probe_rows(base.intensities, n)
-    design = design_matrix(n, 4)
+    design = binomial_table(np.arange(n), 4)
     freq = record.frequencies
     included = freq > 0
     return base, record, n, matrix, design, freq, included
@@ -704,7 +704,7 @@ def test_fit_hessian_matches_gradient_differences():
         record = _simulated(truth, probes, seed)
         n = truncation_for(float(probes.intensities.max()))
         data = modelfit._fit_data(probes, record, 6)
-        steps = 1e-4 / design_matrix(n, 6)[-1]
+        steps = 1e-4 / binomial_table(np.arange(n), 6)[-1]
 
         def gradient(h):
             return fit_objective_gradient(

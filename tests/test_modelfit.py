@@ -21,7 +21,7 @@ from nlspd.modelfit import (
     loss_scaling_analysis,
     prune_mechanisms,
 )
-from nlspd.numerics import binomial_table, design_matrix
+from nlspd.numerics import binomial_table
 from nlspd.povm import NonlinearSpdParams, _poisson_rows, truncation_for
 from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
@@ -33,7 +33,7 @@ def _record_from_exact_model(probes, p, trials):
     """Click record sampled from the model itself at a common truncation."""
     n = truncation_for(float(probes.intensities.max()))
     matrix = dense_probe_rows(probes.intensities, n)
-    design = design_matrix(n, len(p))
+    design = binomial_table(np.arange(n), len(p))
     survival = np.prod((1.0 - np.asarray(p))[None, :] ** design, axis=1)
     q = matrix @ (1.0 - survival)
     return ClickRecord(clicks=np.rint(q * trials).astype(np.int64), trials=trials)
@@ -58,7 +58,7 @@ def _brute_objective(p, probes, record):
 
 
 def test_design_matrix_is_binomial_table():
-    design = design_matrix(12, 4)
+    design = binomial_table(np.arange(12), 4)
     assert design.shape == (12, 4)
     for m in range(12):
         for order in range(4):
@@ -157,8 +157,8 @@ def _csr_products(probes, record, order, h, r):
     frequencies = record.frequencies[record.frequencies > 0]
     rows = _poisson_rows(probes.intensities[record.frequencies > 0])
     m_values, columns = rows.union()
-    weights = rows.weights / rows.totals.repeat(np.diff(rows.starts))
-    matrix = csr_array((weights, columns, rows.starts), shape=(frequencies.size, m_values.size))
+    shape = (frequencies.size, m_values.size)
+    matrix = csr_array((rows.weights, columns, rows.starts), shape=shape)
     design = binomial_table(m_values, order)
     residual = (frequencies - matrix @ -np.expm1(design @ h)) / frequencies
     weighted = np.exp(design @ h)[:, None] * design
@@ -456,7 +456,7 @@ def test_fit_rejects_all_zero_records():
 
 
 def test_log_vector_validation():
-    design = design_matrix(6, 2)
+    design = binomial_table(np.arange(6), 2)
     MechanismLogVector(h=np.array([-1.0, -np.inf]), binomial_design=design)
     clipped = MechanismLogVector(h=np.array([5e-13, -1.0]), binomial_design=design)
     assert clipped.h[0] == 0.0
@@ -466,6 +466,8 @@ def test_log_vector_validation():
         MechanismLogVector(h=np.array([np.nan, -1.0]), binomial_design=design)
     with pytest.raises(ValueError):
         MechanismLogVector(h=np.array([-1.0]), binomial_design=design)
+    with pytest.raises(ValueError):
+        MechanismLogVector.at_truncation(np.array([-1.0, -1.0]), 0)
 
 
 def test_log_vector_params_have_plain_zeros():
@@ -544,7 +546,7 @@ def test_seed_spread_is_consistent_with_sampling_theory():
     h_true = np.log1p(-truth.p)
     n = truncation_for(float(grid.intensities.max()))
     matrix = dense_probe_rows(grid.intensities, n)
-    design = design_matrix(n, 2)
+    design = binomial_table(np.arange(n), 2)
     survival = np.exp(design @ h_true)
     q = matrix @ (1.0 - survival)
     included = q > 0

@@ -15,7 +15,7 @@ from scipy.special import gammaln, xlogy
 from nlspd.numerics import (
     _log_factorial,
     binomial_exponents,
-    design_matrix,
+    binomial_table,
     poisson_log_pmf,
     poisson_log_weights,
 )
@@ -129,7 +129,7 @@ def test_binomial_exponents_vectorizes():
 
 
 def test_log_binomial_consistency():
-    design = design_matrix(401, 7)
+    design = binomial_table(np.arange(401), 7)
     for m, n in ((5, 2), (80, 4), (400, 6)):
         assert design[m, n] == math.comb(m, n)
         assert binomial_exponents(np.array([m]), n)[0] == math.comb(m, n)

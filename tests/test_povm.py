@@ -98,8 +98,7 @@ def test_windowed_rows_match_dense_probe_rows(means, p):
     n = int(m_values[-1]) + 1
     dense = np.exp(poisson_log_weights(means, n))
     windowed = np.zeros_like(dense)
-    sizes = np.diff(rows.starts)
-    windowed[np.arange(means.size).repeat(sizes), rows.m] = rows.weights / rows.totals.repeat(sizes)
+    windowed[np.arange(means.size).repeat(np.diff(rows.starts)), rows.m] = rows.weights
     assert np.abs(windowed - dense).max() <= 1e-12
     params = NonlinearSpdParams(np.array(p))
     clicks = _coherent_clicks(params, means)
@@ -110,15 +109,18 @@ def test_windowed_rows_match_dense_probe_rows(means, p):
 def test_poisson_rows_take_each_mean_log_once_to_the_same_bits():
     # One logarithm per row, repeated over its window, against one per term:
     # on the fig1b grid and the scaled and raw reference grids, each with
-    # its vacuum probe, the weights agree bitwise.
+    # its vacuum probe, the weights agree bitwise once each is divided by
+    # the same row sums.
     grids = [np.geomspace(1.0, 1e6, 121)] + [
         geometric_probe_grid(truth).intensities
         for truth in (*SCALED_PARAMS.values(), *UNSCALED_PARAMS.values())
     ]
     for means in grids:
         rows = _poisson_rows(means)
-        per_term = poisson_log_pmf(rows.m, means.repeat(np.diff(rows.starts)))
-        np.testing.assert_array_equal(rows.weights, np.exp(per_term))
+        sizes = np.diff(rows.starts)
+        per_term = np.exp(poisson_log_pmf(rows.m, means.repeat(sizes)))
+        per_term /= np.add.reduceat(per_term, rows.starts[:-1]).repeat(sizes)
+        np.testing.assert_array_equal(rows.weights, per_term)
 
 
 def _first_passing(passes, lo, hi):
@@ -228,6 +230,72 @@ def test_non_finite_means_are_refused(bad):
         coherent_click_probability(PARAMS, bad)
 
 
+def _exact_coherent_click(p, mean):
+    """Coherent click probability of mechanisms p, summed term by term in
+    30-digit arithmetic until the Poisson terms fall under 1e-40."""
+    with mpmath.workdps(30):
+        mu = mpmath.mpf(float(mean))
+        h = [mpmath.log1p(-mpmath.mpf(float(v))) for v in p]
+        total, weight, m = mpmath.mpf(0), mpmath.exp(-mu), 0
+        while m <= mu or weight >= mpmath.mpf(10) ** -40:
+            log_survival = sum(mpmath.binomial(m, n) * h_n for n, h_n in enumerate(h))
+            total += weight * -mpmath.expm1(log_survival)
+            m += 1
+            weight *= mu / m
+        return float(total)
+
+
+@pytest.mark.parametrize(
+    "params, mean",
+    [
+        (UNSCALED_PARAMS[16], 1.0),
+        (UNSCALED_PARAMS[16], 10.0),
+        (UNSCALED_PARAMS[16], 100.0),
+        (SCALED_PARAMS[16], 0.01),
+        (SCALED_PARAMS[16], 0.1),
+    ],
+    ids=["raw16-1", "raw16-10", "raw16-100", "scaled16-0.01", "scaled16-0.1"],
+)
+def test_coherent_click_keeps_relative_precision(params, mean):
+    # Click probabilities from 7.3e-8 up, where 1 - F s would lose the
+    # digits that the complement cancels (2.5e-10 relative at raw 16 uA,
+    # mu = 1): each term's click is formed by expm1 and summed through the
+    # normalized rows.
+    exact = _exact_coherent_click(params.p, mean)
+    assert abs(coherent_click_probability(params, mean) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("bias", sorted(UNSCALED_PARAMS))
+def test_coherent_clicks_on_the_fig1b_grid_stay_in_unit_interval(bias):
+    # The raw detectors from mu = 1 to 1e6 rise to saturation. The
+    # normalized rows sum to one within rounding, so a saturated probe
+    # may come out one or two ulps under 1 after an earlier 1.0, and the
+    # curve need only be nondecreasing to within one ulp at 1.
+    clicks = _coherent_clicks(UNSCALED_PARAMS[bias], np.geomspace(1.0, 1e6, 121))
+    assert np.all((clicks >= 0.0) & (clicks <= 1.0))
+    assert np.all(np.maximum.accumulate(clicks) - clicks <= np.finfo(float).eps)
+    assert clicks[-1] > 1.0 - 1e-15
+
+
+def test_povm_click_probability_normalizes_its_weights():
+    # A linear detector at mu = 37,330, where the full Poisson weights sum
+    # to 1 + 7.7e-12: divided by that sum, the click probability is within
+    # 2e-12 of the 30-digit sum over the same truncation (closed form by
+    # the regularized incomplete gamma function, P(M < N) = Q(N, mu)).
+    mean, efficiency = 37_330.0, 2e-5
+    n = truncation_for(mean)
+    with mpmath.workdps(30):
+        mu, q = mpmath.mpf(mean), mpmath.mpf(efficiency)
+        exact = float(
+            mpmath.gammainc(n, mu, regularized=True)
+            - mpmath.exp(-mu * q) * mpmath.gammainc(n, mu * (1 - q), regularized=True)
+        )
+    got = povm_click_probability(spd_povm(efficiency, n), mean)
+    assert abs(got - exact) <= 2e-12 * exact
+    # Both sums take the same reduction, so a saturated POVM stays at 1.
+    assert povm_click_probability(spd_povm(1.0, n), mean) <= 1.0
+
+
 @pytest.mark.parametrize("mean", [1e3, 1e6, 1e9])
 def test_coherent_click_dark_plus_linear_closed_form(mean):
     # Dark counts plus a linear mechanism: 1 - (1 - p0) exp(-p1 mu).
@@ -296,6 +364,16 @@ def test_click_vector_monotone_and_bounded():
         assert np.all(povm.click >= 0.0)
         assert np.all(povm.click <= 1.0)
         assert np.all(np.diff(povm.click) >= -1e-15)
+
+
+def test_log_survival_truncation_is_a_whole_number():
+    # A whole float is the same truncation; a fraction or a bool is refused
+    # rather than rounded up by np.arange.
+    p = PARAMS.p
+    np.testing.assert_array_equal(log_survival(p, 6.0), log_survival(p, 6))
+    for bad in (5.5, True):
+        with pytest.raises(ValueError, match="whole number"):
+            log_survival(p, bad)
 
 
 def test_saturated_mechanism_gives_unit_clicks():

@@ -68,6 +68,20 @@ def test_probe_matrix_requires_adequate_truncation():
     reconstruct_povm(probes, record, truncation_for(30.0))
 
 
+def test_reconstruct_truncation_is_a_whole_number():
+    # A whole float is the same truncation; a fraction or a bool is refused
+    # before the tail check reads its ln m! table at it.
+    probes = ProbeSet(intensities=np.array([0.0, 30.0]), trials=1000)
+    record = ClickRecord(clicks=np.array([1, 900]), trials=1000)
+    whole = reconstruct_povm(probes, record, 146)
+    again = reconstruct_povm(probes, record, 146.0)
+    assert again.truncation == 146
+    np.testing.assert_array_equal(again.click, whole.click)
+    for bad in (146.5, True):
+        with pytest.raises(ValueError, match="whole number"):
+            reconstruct_povm(probes, record, bad)
+
+
 def test_reconstruct_recovers_noiseless_spd():
     mu = np.r_[0.0, np.geomspace(0.05, 60.0, 49)]
     probes = ProbeSet(intensities=mu, trials=10**12)
