@@ -70,10 +70,7 @@ def scale_povm(povm: DiagonalPovm, eta: float) -> DiagonalPovm:
     eta, n = _validated_eta(eta), povm.truncation
     _check_dense_size(8 * n * n, f"the {n} x {n} loss matrix")
     matrix = _loss_matrix(eta, n)
-    return DiagonalPovm(
-        click=np.clip(matrix @ povm.click, 0.0, 1.0),
-        truncation=n,
-    )
+    return DiagonalPovm(click=np.clip(matrix @ povm.click, 0.0, 1.0))
 
 
 def unscale_povm(
@@ -141,7 +138,7 @@ def unscale_povm(
             f"too strong for the recorded range",
             violation=violation,
         )
-    recovered = DiagonalPovm(click=np.clip(solution, 0.0, 1.0), truncation=n)
+    recovered = DiagonalPovm(click=np.clip(solution, 0.0, 1.0))
     if return_violation:
         return recovered, violation
     return recovered

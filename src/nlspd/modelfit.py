@@ -31,15 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
-from .numerics import binomial_table, log_survival_sum
-from .povm import (
-    NonlinearSpdParams,
-    _check_carries,
-    _check_dense_size,
-    _poisson_rows,
-    _PoissonRows,
-    _whole_number,
-)
+from .numerics import _whole_number, binomial_table, log_survival_sum
+from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _PoissonRows
 from .tomography import ClickRecord, ProbeSet, check_paired
 
 __all__ = [
@@ -115,8 +108,9 @@ class MechanismLogVector:
 
     @classmethod
     def at_truncation(cls, h: np.ndarray, truncation: int) -> "MechanismLogVector":
-        """Build the design matrix for the given truncation automatically."""
+        """Build the design matrix for the given truncation, a whole number >= 1."""
         h = np.asarray(h, dtype=float)
+        truncation = _whole_number(truncation, "truncation")
         return cls(h=h, binomial_design=binomial_table(np.arange(truncation), h.size))
 
     @property
@@ -246,7 +240,7 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
             "every probe recorded zero clicks; the normalized objective is undefined"
         )
     rows = _poisson_rows(probes.intensities[included])
-    m_values, columns = rows.union()
+    m_values, columns = np.unique(rows.m, return_inverse=True)
     _check_dense_size(8 * order * rows.m.size, f"the weighted design of {order} orders")
     design = binomial_table(m_values, order).T.copy()
     return _FitData(

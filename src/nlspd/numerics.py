@@ -21,6 +21,7 @@ numpy alone.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +35,19 @@ __all__ = [
 
 
 _HALF_LOG_2PI = 0.91893853320467274178
+
+
+def _whole_number(value, what: str) -> int:
+    """``value`` as an int, refusing bools, strings and values that are not whole.
+
+    Whole floats pass, since JSON reads a count written as 1e5 as 100000.0.
+    Every count argument of the package, a truncation, a mechanism order or
+    a number of trials, goes through it.
+    """
+    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not (number and float(value).is_integer()):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _stirling_log_factorial(x: np.ndarray) -> np.ndarray:
@@ -116,8 +130,10 @@ def poisson_log_weights(mean_photons, truncation: int) -> np.ndarray:
     """``poisson_log_pmf`` over m = 0..truncation-1.
 
     A scalar mean gives one vector; an array of means gives one such
-    vector per mean along a new last axis.
+    vector per mean along a new last axis. The truncation is a whole
+    number >= 1.
     """
+    truncation = _whole_number(truncation, "truncation")
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     mu = np.asarray(mean_photons, dtype=float)
@@ -128,8 +144,10 @@ def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
     """Binomial coefficients C(m, n) as floats, with C(m, n) = 0 for m < n.
 
     The n = 0 column is identically 1, so the zeroth mechanism order acts
-    on every photon number including vacuum.
+    on every photon number including vacuum. The order n is a whole
+    number >= 0.
     """
+    n = _whole_number(n, "mechanism order")
     if n < 0:
         raise ValueError(f"binomial_exponents requires n >= 0, got n={n}")
     for column in _binomial_columns(m_values, n + 1):
@@ -141,8 +159,9 @@ def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     """Table T[k, n] = C(m_values[k], n) for mechanism orders n = 0..order-1.
 
     Column 0 is all ones (the dark-count mechanism sees every Fock state
-    once).
+    once). The order count is a whole number >= 1.
     """
+    order = _whole_number(order, "order count")
     if order < 1:
         raise ValueError(f"order count must be >= 1, got {order}")
     m_values = np.asarray(m_values)

@@ -27,20 +27,26 @@ read their rows from it as they are: none divides by a row sum again, and
 none chooses a truncation. A click is summed as ``F (-expm1(log
 survival))``, so a click probability near the dark-count floor keeps full
 relative precision. A truncation belongs to an explicit click vector
-(``DiagonalPovm``): ``truncation_for`` picks the default one, which
-carries all but ``DEFAULT_TAIL_MASS`` of a probe's Poisson mass.
+(``DiagonalPovm``), whose length it is: ``truncation_for`` picks the
+default one, the smallest that carries all but ``DEFAULT_TAIL_MASS`` of
+a probe's Poisson mass, and every truncation check compares with it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DataFormatError, TruncationError
-from .numerics import binomial_table, log_survival_sum, poisson_log_pmf, poisson_log_weights
+from .numerics import (
+    _whole_number,
+    binomial_table,
+    log_survival_sum,
+    poisson_log_pmf,
+    poisson_log_weights,
+)
 
 __all__ = [
     "DEFAULT_TAIL_MASS",
@@ -89,17 +95,6 @@ def _check_dense_size(size: int, what: str) -> None:
         )
 
 
-def _whole_number(value, what: str) -> int:
-    """``value`` as an int, refusing bools, strings and values that are not whole.
-
-    Whole floats pass, since JSON reads a count written as 1e5 as 100000.0.
-    """
-    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    if not (number and float(value).is_integer()):
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _validated_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -119,27 +114,25 @@ class DiagonalPovm:
     ----------
     click:
         ``click[m]`` is the click probability for an m-photon input,
-        m = 0..truncation-1. Each element lies in [0, 1]; the no-click
+        m = 0..N-1, N >= 1. Each element lies in [0, 1]; the no-click
         element is ``1 - click[m]``.
     truncation:
-        Number of photon-number components retained.
+        N, the number of photon-number components retained: the click
+        vector's length, read-only.
     """
 
     click: np.ndarray
-    truncation: int
 
     def __post_init__(self):
-        truncation = _whole_number(self.truncation, "truncation")
-        if truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {truncation}")
         click = _validated_unit_interval(self.click, "click probabilities")
-        if click.shape != (truncation,):
-            raise ValueError(
-                f"click vector has length {click.shape[0]}, expected {truncation}"
-            )
+        if click.size < 1:
+            raise ValueError("a click vector needs at least one element")
         click.setflags(write=False)
         object.__setattr__(self, "click", click)
-        object.__setattr__(self, "truncation", truncation)
+
+    @property
+    def truncation(self) -> int:
+        return self.click.size
 
     def to_dict(self) -> dict:
         """JSON-ready document: ``{"truncation": N, "click": [...]}``."""
@@ -147,16 +140,20 @@ class DiagonalPovm:
 
     @classmethod
     def from_dict(cls, document: dict) -> "DiagonalPovm":
+        """POVM of a ``to_dict`` document, whose truncation must be the click length."""
         try:
             truncation = document["truncation"]
             click = np.asarray(document["click"], dtype=float)
         except (KeyError, TypeError) as err:
             raise DataFormatError(f"malformed POVM document: {err}") from err
-        return cls(click=click, truncation=truncation)
+        truncation = _whole_number(truncation, "truncation")
+        if click.size != truncation:
+            raise ValueError(f"click vector has length {click.size}, expected {truncation}")
+        return cls(click=click)
 
     def padded(self, length: int) -> np.ndarray:
-        """Click vector extended to ``length`` by repeating its trailing value."""
-        out = np.empty(length)
+        """Click vector extended to ``length``, a whole number, by repeating its trailing value."""
+        out = np.empty(_whole_number(length, "length"))
         out[: self.truncation] = self.click
         out[self.truncation :] = self.click[-1]
         return out
@@ -237,11 +234,12 @@ def npd_povm(pn: float, n: int, truncation: int) -> DiagonalPovm:
     """
     if not 0 <= pn <= 1:
         raise ValueError(f"efficiency must lie in [0, 1], got {pn}")
+    n = _whole_number(n, "mechanism order")
     if n < 0:
         raise ValueError(f"mechanism order must be >= 0, got {n}")
     p = np.zeros(n + 1)
     p[n] = pn
-    return DiagonalPovm(click=-np.expm1(log_survival(p, truncation)), truncation=truncation)
+    return DiagonalPovm(click=-np.expm1(log_survival(p, truncation)))
 
 
 def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
@@ -250,9 +248,7 @@ def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
     ``click[m] = 1 - prod_n (1 - p[n]) ** C(m, n)``, the complement of the
     joint no-fire probability of all mechanisms.
     """
-    return DiagonalPovm(
-        click=-np.expm1(log_survival(params.p, truncation)), truncation=truncation
-    )
+    return DiagonalPovm(click=-np.expm1(log_survival(params.p, truncation)))
 
 
 def _bennett_excess(c):
@@ -315,75 +311,50 @@ def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]
     return m_lo, np.ceil(mu * upper)
 
 
-def _tails(start: int, mean_photons: float) -> np.ndarray:
-    """Poisson tail masses from the top of the tail down to ``start``.
-
-    Element k is the mass at photon numbers ``top - 1 - k`` to ``top - 1``.
-    The top leaves at most ``_TAIL_RESOLUTION`` beyond it: it is
-    ``mu (1 + u)`` for ``u = _bennett_excess(ln(1 / _TAIL_RESOLUTION) / mu)``,
-    where the Bennett form of the Chernoff bound reaches that mass, about
-    11.4 standard deviations above a large mean and at most 44 photon
-    numbers for means near 0. The masses are one cumulative sum of the
-    Poisson weights, highest photon number first, so ``truncation_for``
-    and ``_carries`` add the same terms in the same order. A start above
-    floor(mu) leaves under ``mu u + 1`` terms; if they would take more than
-    ``MAX_DENSE_BYTES`` (means above about 8.7e12), ``ValueError`` says so
-    before anything is allocated.
-    """
-    reach = max(mean_photons, _TAIL_RESOLUTION)
-    excess = reach * _bennett_excess(-math.log(_TAIL_RESOLUTION) / reach)
-    _check_dense_size(
-        8 * (excess + 1.0),
-        f"mean photon number {mean_photons:g} is too large to truncate: its Poisson tail",
-    )
-    top = math.ceil(reach + excess)
-    if start >= top:
-        return np.zeros(0)
-    return np.exp(poisson_log_pmf(np.arange(top - 1, start - 1, -1), mean_photons)).cumsum()
-
-
 def truncation_for(max_mean_photons: float) -> int:
     """Smallest truncation N whose Poisson tail mass beyond N-1 is < DEFAULT_TAIL_MASS.
 
     Guarantees ``sum_{m >= N} e^-mu mu^m / m! < DEFAULT_TAIL_MASS`` at
     ``mu = max_mean_photons``, so a photon-number expansion truncated at N
-    carries at most that much unaccounted probability. The tails at every
-    N from floor(mu) + 1 up (``_tails``, one reverse cumulative sum of
-    the Poisson weights) give the first N that passes. Means above about
-    8.7e12, whose tail terms would take more than ``MAX_DENSE_BYTES``,
-    raise ``ValueError``.
+    carries at most that much unaccounted probability. N is above
+    floor(mu), below which about half the mass or more lies beyond. The
+    tails at every N from floor(mu) + 1 up are one cumulative sum of the
+    Poisson weights, highest photon number first, from a top that leaves
+    at most ``_TAIL_RESOLUTION`` beyond it: ``mu (1 + u)`` for
+    ``u = _bennett_excess(ln(1 / _TAIL_RESOLUTION) / mu)``, where the
+    Bennett form of the Chernoff bound reaches that mass, about 11.4
+    standard deviations above a large mean and at most 44 photon numbers
+    for means near 0. The sum has under ``mu u + 1`` terms; if they would
+    take more than ``MAX_DENSE_BYTES`` (means above about 8.7e12),
+    ``ValueError`` says so before anything is allocated.
     """
     mu = float(max_mean_photons)
     if not 0 <= mu < np.inf:
         raise ValueError(f"mean photon number must be finite and >= 0, got {max_mean_photons}")
-    start = math.floor(mu) + 1
-    return start + int(np.count_nonzero(_tails(start, mu) >= DEFAULT_TAIL_MASS))
-
-
-def _carries(truncation: int, mean_photons: float) -> bool:
-    """Whether a truncation leaves under ``DEFAULT_TAIL_MASS`` of the Poisson mass beyond it.
-
-    A truncation at or below floor(mu) leaves about half the mass or more
-    beyond it. Above, the tail is the last of the ``_tails`` down to the
-    truncation: the same sum ``truncation_for`` reads, so
-    ``truncation_for(mu)`` is the smallest N passing.
-    """
-    if not truncation > mean_photons:
-        return False
-    tails = _tails(truncation, mean_photons)
-    return not tails.size or bool(tails[-1] < DEFAULT_TAIL_MASS)
+    reach = max(mu, _TAIL_RESOLUTION)
+    excess = reach * _bennett_excess(-math.log(_TAIL_RESOLUTION) / reach)
+    _check_dense_size(
+        8 * (excess + 1.0),
+        f"mean photon number {mu:g} is too large to truncate: its Poisson tail",
+    )
+    start, top = math.floor(mu) + 1, math.ceil(reach + excess)
+    if start >= top:
+        return start
+    tails = np.exp(poisson_log_pmf(np.arange(top - 1, start - 1, -1), mu)).cumsum()
+    return start + int(np.count_nonzero(tails >= DEFAULT_TAIL_MASS))
 
 
 def _check_carries(truncation: int, mean_photons: float, what: str = "truncation") -> None:
-    """Raise ``TruncationError`` unless ``truncation`` carries a probe of ``mean_photons``.
+    """Raise ``TruncationError`` if ``truncation`` is below ``truncation_for(mean_photons)``.
 
     A sum truncated short of the probe's Poisson mass would silently miss
     response and bias any fit against that probe.
     """
-    if not _carries(truncation, mean_photons):
+    needed = truncation_for(mean_photons)
+    if truncation < needed:
         raise TruncationError(
             f"{what} {truncation} is too small for mean photon number "
-            f"{mean_photons:g} (needs >= {truncation_for(mean_photons)})"
+            f"{mean_photons:g} (needs >= {needed})"
         )
 
 
@@ -396,9 +367,9 @@ class _PoissonRows:
     1e-16 of the Poisson mass lies on either side; each row sums to one
     within rounding. ``rows @ values``, one value per term at ``m``, gives
     each row's weighted sum without a sparse matrix, which costs more
-    than a one-probe click probability; ``union()`` gives the windows'
-    union and the column of every term in it, at which ``modelfit`` keeps
-    its fit data.
+    than a one-probe click probability. ``np.unique(rows.m,
+    return_inverse=True)`` gives the windows' union and the column of
+    every term in it.
     """
 
     m: np.ndarray
@@ -407,22 +378,6 @@ class _PoissonRows:
 
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
         return np.add.reduceat(self.weights * values, self.starts[:-1])
-
-    def union(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending union of the windows and the column of each term in it."""
-        sizes = np.diff(self.starts)
-        m_lo, m_hi = self.m[self.starts[:-1]], self.m[self.starts[1:] - 1] + 1
-        # Column of photon number m in the union: m less the photon numbers
-        # below it that no window covers. In order of m_lo, window k adds
-        # the gap between its start and the reach of the windows before it.
-        order = m_lo.argsort(kind="stable")
-        reach = np.maximum.accumulate(m_hi[order])
-        skipped = np.empty_like(m_lo)
-        skipped[order] = np.maximum(m_lo[order] - np.concatenate(([0], reach[:-1])), 0).cumsum()
-        columns = self.m - skipped.repeat(sizes)
-        m_values = np.empty(reach[-1] - skipped[order[-1]], dtype=np.int64)
-        m_values[columns] = self.m
-        return m_values, columns
 
 
 def _poisson_rows(intensities) -> _PoissonRows:

@@ -18,13 +18,8 @@ import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
 from .exceptions import DataFormatError, SaturationCapError
-from .povm import (
-    DiagonalPovm,
-    NonlinearSpdParams,
-    _coherent_clicks,
-    _whole_number,
-    povm_click_probability,
-)
+from .numerics import _whole_number
+from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, povm_click_probability
 from .tomography import ClickRecord, ProbeSet
 
 __all__ = [

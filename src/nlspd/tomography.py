@@ -40,8 +40,9 @@ from .exceptions import (
     TargetUnreachableError,
     UndefinedFidelityError,
 )
+from .numerics import _whole_number
 from .povm import MAX_DENSE_BYTES, DiagonalPovm, _check_carries, _check_dense_size
-from .povm import _poisson_rows, _whole_number, truncation_for
+from .povm import _poisson_rows, truncation_for
 
 __all__ = [
     "CSV_HEADER",
@@ -186,8 +187,8 @@ def _probe_matrix(probes: ProbeSet, truncation: int) -> tuple[np.ndarray, np.nda
 
     Returns the P x |U| matrix and U. Row i holds probe i's
     ``_poisson_rows`` weights, as that normalizes them, at the photon
-    numbers of its window below the truncation; a truncation that
-    ``_check_carries`` the largest probe drops at most 1e-12 of a row.
+    numbers of its window below the truncation; a truncation of at least
+    ``truncation_for`` the largest probe drops at most 1e-12 of a row.
     The N-length click vector and the matrix on the whole union are
     refused before they are allocated if either would exceed
     ``MAX_DENSE_BYTES``.
@@ -195,7 +196,7 @@ def _probe_matrix(probes: ProbeSet, truncation: int) -> tuple[np.ndarray, np.nda
     advice = "(rescale the intensities: --scale-to-95)"
     _check_dense_size(8 * truncation, f"a click vector of {truncation} elements {advice}")
     rows = _poisson_rows(probes.intensities)
-    photons, columns = rows.union()
+    photons, columns = np.unique(rows.m, return_inverse=True)
     shape = (len(probes), photons.size)
     _check_dense_size(8 * shape[0] * shape[1], f"the {shape[0]} x {shape[1]} probe matrix {advice}")
     probe = np.arange(shape[0]).repeat(np.diff(rows.starts))
@@ -301,7 +302,7 @@ def reconstruct_povm(
     y = _active_set_minimizer(F, record.frequencies, weight, lengths)
     if y is None:
         y = _bounded_least_squares(F, record.frequencies, weight, lengths)
-    return DiagonalPovm(click=np.interp(np.arange(truncation), photons, y), truncation=truncation)
+    return DiagonalPovm(click=np.interp(np.arange(truncation), photons, y))
 
 
 def _active_set_minimizer(

@@ -373,7 +373,7 @@ def test_a8_invariant_suite():
         click = np.sort(rng.uniform(0.0, 1.0, size=30))
         from nlspd.povm import DiagonalPovm
 
-        candidate = DiagonalPovm(click=click, truncation=30)
+        candidate = DiagonalPovm(click=click)
         a, b = rng.uniform(0.3, 1.0, size=2)
         np.testing.assert_allclose(
             scale_povm(candidate, a * b).click,

@@ -25,7 +25,7 @@ SCALE_ORACLE = np.array([0.0, 0.06, 0.156, 0.288, 0.456, 0.62112])
 
 
 def test_scale_povm_matches_binomial_oracle():
-    pi = DiagonalPovm(click=np.array([0.0, 0.1, 0.3, 0.6, 1.0, 1.0]), truncation=6)
+    pi = DiagonalPovm(click=np.array([0.0, 0.1, 0.3, 0.6, 1.0, 1.0]))
     scaled = scale_povm(pi, 0.6)
     np.testing.assert_allclose(scaled.click, SCALE_ORACLE, atol=1e-14)
 
@@ -54,7 +54,7 @@ def test_matrix_application_equals_scale_povm():
 def test_semigroup_property(click, a, b):
     # Loss eta_1 then eta_2 is loss eta_1 eta_2. A nondecreasing click
     # vector stays nondecreasing, and more loss never adds clicks.
-    povm = DiagonalPovm(click=np.sort(click), truncation=len(click))
+    povm = DiagonalPovm(click=np.sort(click))
     once = scale_povm(povm, a * b)
     twice = scale_povm(scale_povm(povm, a), b)
     np.testing.assert_allclose(twice.click, once.click, rtol=0, atol=1e-12)
@@ -90,7 +90,7 @@ def test_unscale_inverts_scale_inside_its_conditioning_bound(case):
     # Any click vector in [0, 1], monotone or not: its loss image lies in
     # [0, 1] too, so the inversion sees it unclipped.
     eta, click = case
-    povm = DiagonalPovm(click=np.array(click), truncation=len(click))
+    povm = DiagonalPovm(click=np.array(click))
     recovered, violation = unscale_povm(scale_povm(povm, eta), eta, return_violation=True)
     np.testing.assert_allclose(recovered.click, povm.click, rtol=0, atol=1e-8)
     assert violation <= 1e-8
@@ -99,7 +99,7 @@ def test_unscale_inverts_scale_inside_its_conditioning_bound(case):
 def test_loss_maps_refuse_oversized_matrices():
     # N = 6,000: the N x N loss matrix takes 275 MiB and the (2N - 2) x N
     # stacked inversion 549 MiB, both above MAX_DENSE_BYTES (256 MiB).
-    povm = DiagonalPovm(click=np.linspace(0.0, 1.0, 6000), truncation=6000)
+    povm = DiagonalPovm(click=np.linspace(0.0, 1.0, 6000))
     with pytest.raises(ValueError, match="MiB limit"):
         scale_povm(povm, 0.5)
     with pytest.raises(ValueError, match="MiB limit"):
@@ -159,7 +159,7 @@ def test_unscale_reports_clean_violation():
 def test_unscale_flags_ill_conditioned_inversion():
     # A hard step is far outside the image of a strong loss channel; its
     # exact inverse oscillates violently and must be refused, not clamped.
-    step = DiagonalPovm(click=np.r_[np.zeros(50), np.ones(10)], truncation=60)
+    step = DiagonalPovm(click=np.r_[np.zeros(50), np.ones(10)])
     with pytest.raises(IllConditionedInversionError) as excinfo:
         unscale_povm(step, 0.3)
     assert excinfo.value.violation > 0.1

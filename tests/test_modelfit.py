@@ -156,7 +156,7 @@ def _csr_products(probes, record, order, h, r):
     """Residual, Jacobian and Hessian by scipy CSR products over the same windows."""
     frequencies = record.frequencies[record.frequencies > 0]
     rows = _poisson_rows(probes.intensities[record.frequencies > 0])
-    m_values, columns = rows.union()
+    m_values, columns = np.unique(rows.m, return_inverse=True)
     shape = (frequencies.size, m_values.size)
     matrix = csr_array((rows.weights, columns, rows.starts), shape=shape)
     design = binomial_table(m_values, order)

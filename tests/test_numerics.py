@@ -19,7 +19,8 @@ from nlspd.numerics import (
     poisson_log_pmf,
     poisson_log_weights,
 )
-from nlspd.povm import truncation_for
+from nlspd.modelfit import MechanismLogVector
+from nlspd.povm import npd_povm, truncation_for
 
 # (mean, m, extended-precision log weight)
 POISSON_ORACLE = [
@@ -160,3 +161,32 @@ def test_truncation_for_rejects_bad_arguments():
     # In floating point no truncation clears the tail at 1e300.
     with pytest.raises(ValueError, match="too large"):
         truncation_for(1e300)
+
+
+@pytest.mark.parametrize(
+    "call, whole",
+    [
+        (lambda k: poisson_log_weights(1.0, k), 5),
+        (lambda k: binomial_exponents(np.arange(4), k), 2),
+        (lambda k: binomial_table(np.arange(4), k), 3),
+        (lambda k: npd_povm(0.1, k, 10).click, 2),
+        (lambda k: MechanismLogVector.at_truncation(np.zeros(2), k).binomial_design, 5),
+        (lambda k: npd_povm(0.1, 1, 4).padded(k), 6),
+    ],
+    ids=[
+        "poisson_log_weights",
+        "binomial_exponents",
+        "binomial_table",
+        "npd_povm",
+        "at_truncation",
+        "padded",
+    ],
+)
+def test_count_arguments_are_whole_numbers(call, whole):
+    # A whole float is the same count; a fraction or a bool is refused
+    # rather than rounded by np.arange, read as order 1 or left to fail
+    # with an IndexError or TypeError.
+    np.testing.assert_array_equal(call(float(whole)), call(whole))
+    for bad in (whole + 0.5, True):
+        with pytest.raises(ValueError, match="whole number"):
+            call(bad)

@@ -16,7 +16,7 @@ from nlspd.numerics import poisson_log_pmf, poisson_log_weights
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
-    _carries,
+    _check_carries,
     _chernoff_window,
     _coherent_clicks,
     _poisson_rows,
@@ -93,7 +93,7 @@ def test_windowed_rows_match_dense_probe_rows(means, p):
     # (measured worst over these examples: 5.5e-13 and 1.1e-12).
     means = np.array(means)
     rows = _poisson_rows(means)
-    m_values, columns = rows.union()
+    m_values, columns = np.unique(rows.m, return_inverse=True)
     assert np.all(np.diff(m_values) > 0) and np.array_equal(m_values[columns], rows.m)
     n = int(m_values[-1]) + 1
     dense = np.exp(poisson_log_weights(means, n))
@@ -389,17 +389,26 @@ def test_povm_click_probability_requires_adequate_truncation():
         povm_click_probability(povm, 5.0)
 
 
+def _carried(truncation, mean_photons):
+    try:
+        _check_carries(truncation, mean_photons)
+    except TruncationError:
+        return False
+    return True
+
+
 def test_truncation_check_agrees_with_truncation_for():
-    # povm_click_probability tests its truncation with one _carries call
-    # instead of searching for truncation_for(mu). The two must agree at
-    # every truncation within 2 of the bound, for mu from 0 to 1e7.
+    # povm_click_probability, reconstruct_povm and fit_objective refuse a
+    # truncation through _check_carries. It must refuse exactly those
+    # below truncation_for(mu), at every truncation within 2 of the bound,
+    # for mu from 0 to 1e7.
     means = np.concatenate([[0.0, 1.0, 30.0, 1e6], np.geomspace(1e-6, 1e7, 4010)])
     bounds = np.array([truncation_for(mu) for mu in means])
     pairs = 0
     for offset in range(-2, 3):
         truncations = bounds + offset
         valid = truncations >= 1
-        carried = [_carries(int(n), mu) for n, mu in zip(truncations[valid], means[valid])]
+        carried = [_carried(int(n), mu) for n, mu in zip(truncations[valid], means[valid])]
         np.testing.assert_array_equal(carried, offset >= 0)
         pairs += int(valid.sum())
     assert pairs >= 20000
@@ -417,21 +426,25 @@ def test_coherent_click_rejects_negative_mean():
 
 
 def test_diagonal_povm_validation():
+    # The truncation is the click vector's length; a document must agree.
     with pytest.raises(ValueError):
-        DiagonalPovm(click=np.array([0.0, 1.2]), truncation=2)
+        DiagonalPovm(click=np.array([0.0, 1.2]))
     with pytest.raises(ValueError):
-        DiagonalPovm(click=np.array([-0.1, 0.5]), truncation=2)
+        DiagonalPovm(click=np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
-        DiagonalPovm(click=np.array([0.0, 0.5]), truncation=3)
+        DiagonalPovm(click=np.array([]))
+    assert DiagonalPovm(click=np.array([0.0, 0.5])).truncation == 2
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        DiagonalPovm.from_dict({"truncation": 3, "click": [0.0, 0.5]})
     with pytest.raises(ValueError):
-        DiagonalPovm(click=np.array([0.0]), truncation=0)
+        DiagonalPovm.from_dict({"truncation": 0, "click": []})
     with pytest.raises(ValueError, match="whole number"):
         DiagonalPovm.from_dict({"truncation": 2.7, "click": [0.0, 0.5]})
     assert DiagonalPovm.from_dict({"truncation": 2.0, "click": [0.0, 0.5]}).truncation == 2
 
 
 def test_diagonal_povm_clips_rounding_fuzz():
-    povm = DiagonalPovm(click=np.array([0.0, 1.0 + 1e-13]), truncation=2)
+    povm = DiagonalPovm(click=np.array([0.0, 1.0 + 1e-13]))
     assert povm.click[1] == 1.0
 
 
@@ -456,7 +469,7 @@ def test_diagonal_povm_dict_round_trip():
     p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
 )
 def test_povm_and_params_json_round_trips(click, p):
-    povm = DiagonalPovm(click=np.array(click), truncation=len(click))
+    povm = DiagonalPovm(click=np.array(click))
     doc = povm.to_dict()
     again = DiagonalPovm.from_dict(json.loads(json.dumps(doc)))
     assert again.to_dict() == doc

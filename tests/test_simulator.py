@@ -94,7 +94,7 @@ def test_zero_probability_rows_never_click():
 
 
 def test_unit_probability_rows_always_click():
-    always = DiagonalPovm(click=np.ones(40), truncation=40)
+    always = DiagonalPovm(click=np.ones(40))
     record = simulate(_config(always, [0.0, 2.0], seed=3, trials=1000))
     np.testing.assert_array_equal(record.clicks, [1000, 1000])
 
@@ -148,7 +148,7 @@ def test_config_dict_round_trip():
 )
 def test_config_json_round_trip(values, povm_truth, positive, seed, trials):
     truth = (
-        DiagonalPovm(click=np.array(values), truncation=len(values))
+        DiagonalPovm(click=np.array(values))
         if povm_truth
         else NonlinearSpdParams(np.array(values))
     )

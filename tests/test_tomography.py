@@ -395,7 +395,7 @@ def test_crossing_at_a_data_point_is_that_probe(x, y, j):
 def test_fidelity_properties():
     a = nonlinear_povm(NonlinearSpdParams([0.01, 0.2]), 30)
     b = nonlinear_povm(NonlinearSpdParams([0.05, 0.1]), 30)
-    half = DiagonalPovm(click=0.5 * a.click, truncation=30)
+    half = DiagonalPovm(click=0.5 * a.click)
 
     assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
     # normalization makes proportional vectors indistinguishable
@@ -406,14 +406,12 @@ def test_fidelity_properties():
 
 def test_fidelity_pads_shorter_operand():
     a = spd_povm(0.3, 25)
-    longer = DiagonalPovm(
-        click=np.r_[a.click, np.full(5, a.click[-1])], truncation=30
-    )
+    longer = DiagonalPovm(click=np.r_[a.click, np.full(5, a.click[-1])])
     assert fidelity(a, longer) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fidelity_undefined_for_zero_vector():
-    zero = DiagonalPovm(click=np.zeros(5), truncation=5)
+    zero = DiagonalPovm(click=np.zeros(5))
     other = spd_povm(0.2, 5)
     with pytest.raises(UndefinedFidelityError):
         fidelity(zero, other)
