@@ -6,8 +6,16 @@ binomial average of the bare one::
 
     click_scaled[n] = sum_{m <= n} C(n, m) eta^m (1 - eta)^{n-m} click[m]
 
-``scale_povm`` applies this forward map; ``unscale_povm`` inverts it.
-The inverse amplifies high-photon-number noise roughly as
+Row n of this map is the binomial law Bin(n, eta), and one private
+operator, ``_binomial_rows``, holds the rows: each over the O(sqrt(n))
+window of photon numbers outside which Bernstein's inequality leaves at
+most 2^-64 of its mass on either side, normalized once, as
+``povm._poisson_rows`` holds a probe's Poisson law. ``scale_povm`` applies
+the forward map as a sum through those rows; ``unscale_povm`` inverts it
+on the same rows scattered into the dense lower triangle, by forward
+substitution where that is well conditioned and otherwise by a penalized
+least-squares solve with a column-pivoted QR (LAPACK ``gelsy``). The
+inverse amplifies high-photon-number noise roughly as
 ``((2 - eta)/eta)^m``, so for strongly attenuating channels only the
 response encoded well inside the observed range is recoverable. The
 forward-prediction route (``lossy_click_probability``) avoids the
@@ -18,15 +26,14 @@ inverse map.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 
-# The binomial pmf that scipy.stats.binom.pmf wraps, without importing
-# scipy.stats; tests pin it against binom.pmf.
-from scipy.special._ufuncs import _binom_pmf
-
 from .exceptions import IllConditionedInversionError
-from .povm import DiagonalPovm, _check_dense_size, povm_click_probability
+from .numerics import _HALF_LOG_2PI
+from .povm import DiagonalPovm, _check_dense_size, _WindowRows, povm_click_probability
 
 __all__ = [
     "lossy_click_probability",
@@ -44,6 +51,119 @@ _STABILIZER = 1e-12
 # Largest tolerated pre-clamp excursion of the solution outside [0, 1].
 _MAX_VIOLATION = 0.1
 
+# ln(2^64): a binomial row's window leaves at most 2^-64 of its mass on
+# either side, under the resolution of a double near one.
+_WINDOW_LOG_MASS = 64 * math.log(2)
+
+
+def _stirling_series(k: np.ndarray) -> np.ndarray:
+    """``ln k! - (k ln k - k)`` of k >= 16 by Stirling's series to the k^-9 term.
+
+    The first omitted term, 691 / (360360 k^11), is under 1.2e-16 there.
+    """
+    k = np.asarray(k, dtype=float)
+    r = 1.0 / (k * k)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
+    return _HALF_LOG_2PI + 0.5 * np.log(k) + series
+
+
+# ln k! - (k ln k - k) for k = 1..15, rounded from 40-digit values: below
+# k = 16 the series above drops more than rounding.
+_SMALL_STIRLING_GAPS = [
+    1.0, 1.3068528194400546, 1.4959226032237258, 1.6328763858683832,
+    1.7403021806115442, 1.828694396641771, 1.9037903176782212,
+    1.9690705693065629, 2.0268062840554952, 2.0785616431350586,
+    2.12545984509181, 2.168334698205882, 2.207822206123445,
+    2.244418568125061, 2.2785183673077407,
+]
+_STIRLING_GAP = np.concatenate(
+    [[0.0], _SMALL_STIRLING_GAPS, _stirling_series(np.arange(16, 1024))]
+)
+
+
+def _stirling_gap(k: np.ndarray) -> np.ndarray:
+    """``ln k! - (k ln k - k)`` of whole k >= 0: the table below 1024, the series above."""
+    if k.max(initial=0) < _STIRLING_GAP.size:
+        return _STIRLING_GAP[k]
+    out = np.empty(k.shape)
+    tabled = k < _STIRLING_GAP.size
+    out[tabled] = _STIRLING_GAP[k[tabled]]
+    out[~tabled] = _stirling_series(k[~tabled])
+    return out
+
+
+def _deviance(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``x ln(x / mean) + mean - x`` of whole x >= 0 about means > 0; ``mean`` at x = 0.
+
+    Formed as ``x log1p((x - mean) / mean) - (x - mean)``: near the mean
+    both terms are about ``x - mean``, so the difference keeps its digits
+    where ``x ln x`` and ``x ln mean`` would cancel.
+    """
+    distance = x - mean
+    out = np.zeros(distance.shape)
+    # A mean under about 1e-308 (eta that small) overflows the ratio, and
+    # the deviance, to inf: its weight is then 0 where it would be
+    # subnormal.
+    with np.errstate(over="ignore"):
+        np.divide(distance, mean, out=out, where=x > 0)
+    np.log1p(out, out=out)
+    out *= x
+    out -= distance
+    return out
+
+
+def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
+    """Rows n = 0..truncation-1 of the thinning map, row n holding Bin(n, eta).
+
+    Bernstein's inequality holds each tail of Bin(n, eta) beyond
+    ``n eta +- t`` under ``exp(-t^2 / (2 (sigma^2 + t / 3)))``, sigma^2 =
+    n eta (1 - eta). Row n's window, clipped to [0, n], reaches
+    ``t = L / 3 + sqrt(L^2 / 9 + 2 L sigma^2)`` to either side, L = 64 ln 2,
+    where that bound is 2^-64: this is ``sigma^2 _bennett_excess(L /
+    sigma^2)`` of ``povm``, written so that sigma = 0 does not divide. It
+    is about 9.4 sigma + 15 photon numbers. Each row is divided by its own
+    sum once.
+
+    A weight is Loader's saddle-point form (Loader 2000, "Fast and
+    accurate computation of binomial probabilities")::
+
+        ln Bin(n, eta)[m] = g(n) - g(m) - g(n - m)
+                            - D(m, n eta) - D(n - m, n (1 - eta))
+
+    with ``g = _stirling_gap`` and ``D = _deviance``; g(n) is common to
+    the row, so the normalization stands in for it. In the window D is
+    formed to within about ``eps |m - n eta|`` and g to a few ulps, so a
+    weight is within ``4 eps (|m - n eta| + 1)`` of its 40-digit value:
+    6e-14 across the window at n = 3000, eta = 0.5, where the differences
+    of ln-factorials ``ln n! - ln m! - ln (n - m)!``, each rounded at its
+    own magnitude, lose 3e-12 (5e-11 at n = 38,696). At eta = 1 each row
+    is its own photon number with weight one: the map is exactly the
+    identity. Windows whose terms would take more than ``MAX_DENSE_BYTES``
+    as doubles raise ``ValueError`` before anything is allocated.
+    """
+    n = np.arange(truncation)
+    if eta == 1.0:
+        return _WindowRows(m=n, weights=np.ones(truncation), starts=np.arange(truncation + 1))
+    mean = n * eta
+    reach = _WINDOW_LOG_MASS / 3 + np.sqrt(
+        _WINDOW_LOG_MASS * (_WINDOW_LOG_MASS / 9 + 2 * (1.0 - eta) * mean)
+    )
+    lo = np.maximum(np.ceil(mean - reach), 0.0).astype(np.int64)
+    sizes = np.minimum(np.floor(mean + reach).astype(np.int64), n) + 1 - lo
+    starts = np.zeros(truncation + 1, dtype=np.int64)
+    sizes.cumsum(out=starts[1:])
+    _check_dense_size(
+        8 * int(starts[-1]), f"the binomial windows of the {truncation}-element loss map"
+    )
+    m = np.arange(starts[-1]) + (lo - starts[:-1]).repeat(sizes)
+    log_weights = np.zeros(m.size)
+    for count, count_mean in ((m, mean), (n.repeat(sizes) - m, n * (1.0 - eta))):
+        log_weights -= _stirling_gap(count)
+        log_weights -= _deviance(count, count_mean.repeat(sizes))
+    weights = np.exp(log_weights, out=log_weights)
+    weights /= np.add.reduceat(weights, starts[:-1]).repeat(sizes)
+    return _WindowRows(m=m, weights=weights, starts=starts)
+
 
 def _validated_eta(eta: float) -> float:
     if not 0 < eta <= 1:
@@ -52,25 +172,29 @@ def _validated_eta(eta: float) -> float:
 
 
 def _loss_matrix(eta: float, truncation: int) -> np.ndarray:
-    """Binomial thinning matrix ``L[n, m] = C(n, m) eta^m (1-eta)^{n-m}``, lower triangular."""
-    n = np.arange(truncation)[:, None]
-    m = np.arange(truncation)[None, :]
-    # The ufunc gives nan above the diagonal (m > n), where binom.pmf gives 0.
-    return np.where(m <= n, _binom_pmf(m, n, eta), 0.0)
+    """Binomial thinning matrix ``L[n, m] = C(n, m) eta^m (1-eta)^{n-m}``, lower triangular.
+
+    The rows of ``_binomial_rows`` scattered into the dense N x N map; an
+    entry outside its row's window, under 2^-64 of the row's mass, is 0.
+    """
+    rows = _binomial_rows(truncation, eta)
+    matrix = np.zeros((truncation, truncation))
+    matrix[np.arange(truncation).repeat(np.diff(rows.starts)), rows.m] = rows.weights
+    return matrix
 
 
 def scale_povm(povm: DiagonalPovm, eta: float) -> DiagonalPovm:
     """Click vector of the detector preceded by a transmissivity-eta loss.
 
-    The forward binomial average is a convex combination per row, so the
-    output stays in [0, 1] and monotonicity of the input is preserved.
-    Raises ``ValueError`` if the N x N loss matrix would exceed
-    ``povm.MAX_DENSE_BYTES``.
+    Element n is the click vector summed through row n of
+    ``_binomial_rows``, Bin(n, eta) over its window. The forward binomial
+    average is a convex combination per row, so the output stays in [0, 1]
+    and monotonicity of the input is preserved. Raises ``ValueError`` if
+    the terms of the windows would exceed ``povm.MAX_DENSE_BYTES`` (at
+    eta = 0.5, truncations above about 30,000).
     """
-    eta, n = _validated_eta(eta), povm.truncation
-    _check_dense_size(8 * n * n, f"the {n} x {n} loss matrix")
-    matrix = _loss_matrix(eta, n)
-    return DiagonalPovm(click=np.clip(matrix @ povm.click, 0.0, 1.0))
+    rows = _binomial_rows(povm.truncation, _validated_eta(eta))
+    return DiagonalPovm(click=np.clip(rows @ povm.click[rows.m], 0.0, 1.0))
 
 
 def unscale_povm(
@@ -82,11 +206,13 @@ def unscale_povm(
     """Remove a transmissivity-eta loss from a click vector.
 
     Solves the lower-triangular system ``L x = click`` for the bare click
-    vector x. When the worst-case rounding amplification of forward
+    vector x, L being the rows of ``_binomial_rows`` scattered into the
+    dense triangle. When the worst-case rounding amplification of forward
     substitution, ``~eps * ((2 - eta)/eta)^(N-1)``, stays below 1e-9 the
     system is solved directly and exactly. Otherwise a least-squares solve
-    with a small second-difference penalty (weight 1e-12) suppresses the
-    exponentially amplified high-frequency noise. That weight is at the
+    with a small second-difference penalty (weight 1e-12), by a
+    column-pivoted QR (LAPACK ``gelsy``), suppresses the exponentially
+    amplified high-frequency noise. That weight is at the
     scale of the small singular values of L, so the result is a
     smoothness-regularized estimate, biased even on noise-free curved
     input: the round trip of ``nonlinear_povm([0.01, 0.1], 14)`` through
@@ -128,7 +254,11 @@ def unscale_povm(
         penalty = np.sqrt(_STABILIZER) * np.diff(np.eye(n), 2, axis=0)
         stacked = np.vstack([matrix, penalty])
         rhs = np.concatenate([povm.click, np.zeros(n - 2)])
-        solution, *_ = lstsq(stacked, rhs)
+        # The stacked matrix's condition number is 3.6e7 at N = 40 and 1.1e9
+        # at N = 146 (eta = 0.5), far under 1 / eps: no driver truncates its
+        # rank, so the pivoted QR solves the same problem as the SVD-based
+        # default, at under half its cost, and they differ by rounding.
+        solution, *_ = lstsq(stacked, rhs, lapack_driver="gelsy")
 
     violation = float(max(0.0, -solution.min(), solution.max() - 1.0))
     if violation > _MAX_VIOLATION:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
 from .numerics import _whole_number, binomial_table, log_survival_sum
-from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _PoissonRows
+from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
 
 __all__ = [
@@ -203,7 +203,7 @@ class _FitData:
     built from.
     """
 
-    rows: _PoissonRows
+    rows: _WindowRows
     columns: np.ndarray
     weighted_design: np.ndarray
     frequencies: np.ndarray

@@ -79,10 +79,10 @@ _BOUND_FUZZ = 1e-12
 # Largest array, in bytes, that one step of the package may allocate: the
 # terms of the Poisson windows, a reconstruction's N-length click vector,
 # its P x |U| probe matrix on the union U of the windows and the
-# (P + |U| - 1) x |U| stacked matrix of its bounded-variable fallback, and
-# the N x N loss map and the (2N - 2) x N stacked loss inversion. Each
-# costs several copies of its size in temporaries, so 256 MiB keeps a
-# step within a few GB.
+# (P + |U| - 1) x |U| stacked matrix of its bounded-variable fallback, the
+# terms of the loss map's binomial windows and the (2N - 2) x N stacked
+# loss inversion. Each costs several copies of its size in temporaries, so
+# 256 MiB keeps a step within a few GB.
 MAX_DENSE_BYTES = 2**28
 
 
@@ -348,8 +348,17 @@ def _check_carries(truncation: int, mean_photons: float, what: str = "truncation
     """Raise ``TruncationError`` if ``truncation`` is below ``truncation_for(mean_photons)``.
 
     A sum truncated short of the probe's Poisson mass would silently miss
-    response and bias any fit against that probe.
+    response and bias any fit against that probe. A truncation of at
+    least ``mu (1 + u) + 1``, ``u = _bennett_excess(ln(1 / DEFAULT_TAIL_MASS)
+    / mu)``, passes at once: the Chernoff bound already holds the tail
+    beyond ``mu (1 + u)`` under ``DEFAULT_TAIL_MASS``, so
+    ``truncation_for`` is no larger. Only a truncation nearer the bound
+    pays for the tail sum.
     """
+    reach = max(mean_photons, _TAIL_RESOLUTION)
+    excess = reach * _bennett_excess(-math.log(DEFAULT_TAIL_MASS) / reach)
+    if mean_photons >= 0 and truncation >= reach + excess + 1.0:
+        return
     needed = truncation_for(mean_photons)
     if truncation < needed:
         raise TruncationError(
@@ -359,17 +368,18 @@ def _check_carries(truncation: int, mean_photons: float, what: str = "truncation
 
 
 @dataclass(frozen=True)
-class _PoissonRows:
-    """Normalized Poisson rows of coherent probes in compressed sparse row form.
+class _WindowRows:
+    """Normalized rows of photon-number weights in compressed sparse row form.
 
     Row i holds ``weights[starts[i]:starts[i + 1]]`` at the consecutive
-    photon numbers ``m[starts[i]:starts[i + 1]]``, outside which at most
-    1e-16 of the Poisson mass lies on either side; each row sums to one
-    within rounding. ``rows @ values``, one value per term at ``m``, gives
-    each row's weighted sum without a sparse matrix, which costs more
-    than a one-probe click probability. ``np.unique(rows.m,
-    return_inverse=True)`` gives the windows' union and the column of
-    every term in it.
+    photon numbers ``m[starts[i]:starts[i + 1]]``, its window, outside
+    which its law keeps a negligible mass; each row sums to one within
+    rounding. ``rows @ values``, one value per term at ``m``, gives each
+    row's weighted sum without a sparse matrix, which costs more than a
+    one-probe click probability. ``np.unique(rows.m, return_inverse=True)``
+    gives the windows' union and the column of every term in it. The
+    probes' Poisson rows (``_poisson_rows``) and the loss map's binomial
+    rows (``loss._binomial_rows``) are its two kinds.
     """
 
     m: np.ndarray
@@ -380,7 +390,7 @@ class _PoissonRows:
         return np.add.reduceat(self.weights * values, self.starts[:-1])
 
 
-def _poisson_rows(intensities) -> _PoissonRows:
+def _poisson_rows(intensities) -> _WindowRows:
     """Normalized Poisson rows of coherent probes over the photon numbers they weigh.
 
     Row i holds the weights ``e^-mu mu^m / m!`` of mean ``mu = intensities[i]``
@@ -411,7 +421,7 @@ def _poisson_rows(intensities) -> _PoissonRows:
     m = np.arange(starts[-1]) + (m_lo - starts[:-1]).repeat(sizes)
     weights = np.exp(poisson_log_pmf(m, mu, repeats=sizes))
     weights /= np.add.reduceat(weights, starts[:-1]).repeat(sizes)
-    return _PoissonRows(m=m, weights=weights, starts=starts)
+    return _WindowRows(m=m, weights=weights, starts=starts)
 
 
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:

@@ -1,14 +1,23 @@
 """Tests for the binomial loss channel and its inverse."""
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 from nlspd import loss
 from nlspd.exceptions import IllConditionedInversionError
-from nlspd.loss import _loss_matrix, lossy_click_probability, scale_povm, unscale_povm
+from nlspd.loss import (
+    _binomial_rows,
+    _loss_matrix,
+    _stirling_gap,
+    lossy_click_probability,
+    scale_povm,
+    unscale_povm,
+)
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
@@ -18,6 +27,8 @@ from nlspd.povm import (
     spd_povm,
     truncation_for,
 )
+from nlspd.reference import BIAS_CURRENTS_UA, SCALED_PARAMS
+from nlspd.simulator import geometric_probe_grid
 
 # Extended-precision binomial average of pi = [0, .1, .3, .6, 1, 1] at
 # transmissivity 0.6: entry m is sum_k C(m,k) .6^k .4^(m-k) pi[k].
@@ -36,6 +47,73 @@ def test_loss_matrix_is_binomial_and_stochastic():
         row = binom.pmf(np.arange(12), m, 0.35)
         np.testing.assert_allclose(matrix[m], row, atol=1e-13)
     np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _scaled_reference_povms():
+    """The three rescaled detectors at the truncation of their probe grids (N = 146, 112, 99)."""
+    povms = []
+    for bias in BIAS_CURRENTS_UA:
+        truth = SCALED_PARAMS[bias]
+        largest = float(geometric_probe_grid(truth).intensities.max())
+        povms.append(nonlinear_povm(truth, truncation_for(largest)))
+    return povms
+
+
+def test_stirling_gap_matches_extended_precision():
+    # ln k! - (k ln k - k): the 40-digit table below 16, the series from 16
+    # on, in the table below 1024 and evaluated above it, each within an ulp.
+    k = np.r_[np.arange(1100), [5000, 38_696, 10**6, 10**9]]
+    with mpmath.workdps(40):
+        exact = np.array(
+            [0.0] + [float(mpmath.loggamma(j + 1) - j * mpmath.log(j) + j) for j in k[1:].tolist()]
+        )
+    assert np.all(np.abs(_stirling_gap(k) - exact) <= np.spacing(exact))
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+def test_binomial_rows_match_dense_binomial_map(eta):
+    # Row n of the windowed operator against the dense Bin(n, eta) law,
+    # outside the window as well, and its sum through each reference POVM.
+    for povm in _scaled_reference_povms():
+        n = povm.truncation
+        photons = np.arange(n)
+        dense = binom.pmf(photons[None, :], photons[:, None], eta)
+        np.testing.assert_allclose(_loss_matrix(eta, n), dense, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            scale_povm(povm, eta).click, dense @ povm.click, rtol=0, atol=1e-14
+        )
+
+
+@pytest.mark.parametrize(
+    "n, eta",
+    # The raw 20 uA grid's truncation behind the loss that rescales it.
+    [(10, 0.5), (500, 0.5), (3000, 0.5), (38_696, 1.481e-3)],
+)
+def test_binomial_rows_match_extended_precision(n, eta):
+    # Row n against 40-digit binomial weights: each weight within
+    # 8 eps (|m - n eta| + 1), the window's tails each under 2^-64, and the
+    # row's sum through a click vector that rises across the window,
+    # 1 - (1 - p)^m with p n eta = 1, within 1e-15.
+    rows = _binomial_rows(n + 1, eta)
+    window = slice(rows.starts[n], rows.starts[n + 1])
+    m, weights = rows.m[window], rows.weights[window]
+    p = 1.0 / (n * eta)
+    click = -np.expm1(m * np.log1p(-p))
+    with mpmath.workdps(40):
+        q = mpmath.mpf(eta)
+
+        def pmf(k):
+            return mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)
+
+        exact = [pmf(int(k)) for k in m]
+        below = mpmath.fsum(pmf(k) for k in range(max(0, m[0] - 60), m[0]))
+        above = mpmath.fsum(pmf(k) for k in range(m[-1] + 1, min(n, m[-1] + 60) + 1))
+        total = mpmath.fsum(w * mpmath.mpf(float(c)) for w, c in zip(exact, click))
+        exact = np.array([float(w) for w in exact])
+    assert below < 2.0**-64 and above < 2.0**-64
+    bound = 8 * np.finfo(float).eps * (np.abs(m - n * eta) + 1)
+    assert np.all(np.abs(weights / exact - 1) <= bound)
+    assert abs(float((weights * click).sum() / total) - 1) <= 1e-15
 
 
 def test_matrix_application_equals_scale_povm():
@@ -97,13 +175,18 @@ def test_unscale_inverts_scale_inside_its_conditioning_bound(case):
 
 
 def test_loss_maps_refuse_oversized_matrices():
-    # N = 6,000: the N x N loss matrix takes 275 MiB and the (2N - 2) x N
-    # stacked inversion 549 MiB, both above MAX_DENSE_BYTES (256 MiB).
+    # N = 6,000: the (2N - 2) x N stacked inversion takes 549 MiB, above
+    # MAX_DENSE_BYTES (256 MiB), while the binomial windows of the forward
+    # map hold 3.1e6 terms (24 MiB) and scale. At N = 1e6 the windows
+    # would hold 6.3e9 terms and are refused before they are built.
     povm = DiagonalPovm(click=np.linspace(0.0, 1.0, 6000))
     with pytest.raises(ValueError, match="MiB limit"):
-        scale_povm(povm, 0.5)
-    with pytest.raises(ValueError, match="MiB limit"):
         unscale_povm(povm, 0.5)
+    scaled = scale_povm(povm, 0.5)
+    assert scaled.truncation == 6000
+    np.testing.assert_allclose(scaled.click, 0.5 * povm.click, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="MiB limit"):
+        scale_povm(DiagonalPovm(click=np.zeros(10**6)), 0.5)
 
 
 def test_identity_transmissivity_is_noop():
@@ -148,6 +231,28 @@ def test_unscale_round_trip():
             np.testing.assert_allclose(recovered.click, povm.click, atol=1e-8)
 
 
+def test_pivoted_qr_matches_svd_least_squares():
+    # The stacked penalized system has condition number 3.6e7 at N = 40 and
+    # 1.1e9 at N = 146 (eta = 0.5), far under 1 / eps, so neither the
+    # pivoted QR (gelsy) nor the SVD-based default driver (gelsd)
+    # truncates its rank: both solve the same problem and differ by
+    # rounding.
+    calls = []
+
+    def default_driver(a, b, lapack_driver):
+        calls.append(lapack_driver)
+        return scipy.linalg.lstsq(a, b)
+
+    for povm in _scaled_reference_povms():
+        lossy = scale_povm(povm, 0.5)
+        pivoted = unscale_povm(lossy, 0.5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loss, "lstsq", default_driver)
+            svd = unscale_povm(lossy, 0.5)
+        np.testing.assert_allclose(pivoted.click, svd.click, rtol=0, atol=1e-8)
+    assert calls == ["gelsy"] * 3
+
+
 def test_unscale_reports_clean_violation():
     povm, violation = unscale_povm(
         scale_povm(spd_povm(0.2, 30), 0.7), 0.7, return_violation=True
@@ -163,6 +268,14 @@ def test_unscale_flags_ill_conditioned_inversion():
     with pytest.raises(IllConditionedInversionError) as excinfo:
         unscale_povm(step, 0.3)
     assert excinfo.value.violation > 0.1
+
+
+def test_subnormal_transmissivity_scales_without_overflow():
+    # Warnings are errors here: a mean n eta under 1e-308 must not overflow
+    # the deviance's ratio into a RuntimeWarning.
+    for eta in (1e-310, 5e-324):
+        scaled = scale_povm(spd_povm(0.5, 50), eta)
+        np.testing.assert_allclose(scaled.click, 0.0, rtol=0, atol=1e-300)
 
 
 def test_eta_validation():

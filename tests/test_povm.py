@@ -397,6 +397,39 @@ def _carried(truncation, mean_photons):
     return True
 
 
+def _refused(truncation, mean_photons):
+    try:
+        povm_click_probability(DiagonalPovm(click=np.full(truncation, 0.5)), mean_photons)
+    except TruncationError:
+        return True
+    return False
+
+
+def _offsets(mu):
+    # Truncations relative to truncation_for(mu): the tail sum decides at
+    # -1, 0 and +1, and the shortcut of _check_carries at 50 + sqrt(mu),
+    # past its threshold at every mean (401 above at mu = 1e6); +50 lies
+    # past it for means up to 1e4.
+    return (-1, 0, 1, 50, 50 + math.ceil(math.sqrt(mu)))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-6, 0.3, 15.0, 37.9, 1e3, 37_330.0, 1e6])
+def test_chernoff_shortcut_refuses_exactly_below_truncation_for(mu):
+    needed = truncation_for(mu)
+    for offset in _offsets(mu):
+        if needed + offset >= 1:
+            assert _refused(needed + offset, mu) == (offset < 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mu=st.floats(0.0, 1e6), which=st.integers(0, 4))
+def test_chernoff_shortcut_agrees_with_truncation_for(mu, which):
+    offset = _offsets(mu)[which]
+    truncation = truncation_for(mu) + offset
+    if truncation >= 1:
+        assert _refused(truncation, mu) == (offset < 0)
+
+
 def test_truncation_check_agrees_with_truncation_for():
     # povm_click_probability, reconstruct_povm and fit_objective refuse a
     # truncation through _check_carries. It must refuse exactly those
