@@ -10,7 +10,10 @@ Row n of this map is the binomial law Bin(n, eta), and one private
 operator, ``_binomial_rows``, holds the rows: each over the O(sqrt(n))
 window of photon numbers outside which Bernstein's inequality leaves at
 most 2^-64 of its mass on either side, normalized once, as
-``povm._poisson_rows`` holds a probe's Poisson law. ``scale_povm`` applies
+``povm._poisson_rows`` holds a probe's Poisson law. Its kernels live in
+``nlspd.numerics``: the window's reach is ``_bernstein_reach``, and each
+weight is Loader's saddle-point form on ``_stirling_gap`` and
+``_deviance``; this module defines none of its own. ``scale_povm`` applies
 the forward map as a sum through those rows; ``unscale_povm`` inverts it
 on the same rows scattered into the dense lower triangle, by forward
 substitution where that is well conditioned and otherwise by a penalized
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 
 from .exceptions import IllConditionedInversionError
-from .numerics import _HALF_LOG_2PI
+from .numerics import _bernstein_reach, _deviance, _stirling_gap
 from .povm import DiagonalPovm, _check_dense_size, _WindowRows, povm_click_probability
 
 __all__ = [
@@ -56,73 +59,15 @@ _MAX_VIOLATION = 0.1
 _WINDOW_LOG_MASS = 64 * math.log(2)
 
 
-def _stirling_series(k: np.ndarray) -> np.ndarray:
-    """``ln k! - (k ln k - k)`` of k >= 16 by Stirling's series to the k^-9 term.
-
-    The first omitted term, 691 / (360360 k^11), is under 1.2e-16 there.
-    """
-    k = np.asarray(k, dtype=float)
-    r = 1.0 / (k * k)
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
-    return _HALF_LOG_2PI + 0.5 * np.log(k) + series
-
-
-# ln k! - (k ln k - k) for k = 1..15, rounded from 40-digit values: below
-# k = 16 the series above drops more than rounding.
-_SMALL_STIRLING_GAPS = [
-    1.0, 1.3068528194400546, 1.4959226032237258, 1.6328763858683832,
-    1.7403021806115442, 1.828694396641771, 1.9037903176782212,
-    1.9690705693065629, 2.0268062840554952, 2.0785616431350586,
-    2.12545984509181, 2.168334698205882, 2.207822206123445,
-    2.244418568125061, 2.2785183673077407,
-]
-_STIRLING_GAP = np.concatenate(
-    [[0.0], _SMALL_STIRLING_GAPS, _stirling_series(np.arange(16, 1024))]
-)
-
-
-def _stirling_gap(k: np.ndarray) -> np.ndarray:
-    """``ln k! - (k ln k - k)`` of whole k >= 0: the table below 1024, the series above."""
-    if k.max(initial=0) < _STIRLING_GAP.size:
-        return _STIRLING_GAP[k]
-    out = np.empty(k.shape)
-    tabled = k < _STIRLING_GAP.size
-    out[tabled] = _STIRLING_GAP[k[tabled]]
-    out[~tabled] = _stirling_series(k[~tabled])
-    return out
-
-
-def _deviance(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``x ln(x / mean) + mean - x`` of whole x >= 0 about means > 0; ``mean`` at x = 0.
-
-    Formed as ``x log1p((x - mean) / mean) - (x - mean)``: near the mean
-    both terms are about ``x - mean``, so the difference keeps its digits
-    where ``x ln x`` and ``x ln mean`` would cancel.
-    """
-    distance = x - mean
-    out = np.zeros(distance.shape)
-    # A mean under about 1e-308 (eta that small) overflows the ratio, and
-    # the deviance, to inf: its weight is then 0 where it would be
-    # subnormal.
-    with np.errstate(over="ignore"):
-        np.divide(distance, mean, out=out, where=x > 0)
-    np.log1p(out, out=out)
-    out *= x
-    out -= distance
-    return out
-
-
 def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
     """Rows n = 0..truncation-1 of the thinning map, row n holding Bin(n, eta).
 
-    Bernstein's inequality holds each tail of Bin(n, eta) beyond
-    ``n eta +- t`` under ``exp(-t^2 / (2 (sigma^2 + t / 3)))``, sigma^2 =
-    n eta (1 - eta). Row n's window, clipped to [0, n], reaches
-    ``t = L / 3 + sqrt(L^2 / 9 + 2 L sigma^2)`` to either side, L = 64 ln 2,
-    where that bound is 2^-64: this is ``sigma^2 _bennett_excess(L /
-    sigma^2)`` of ``povm``, written so that sigma = 0 does not divide. It
-    is about 9.4 sigma + 15 photon numbers. Each row is divided by its own
-    sum once.
+    Row n's window, clipped to [0, n], reaches
+    ``t = numerics._bernstein_reach(sigma^2, L)`` to either side of
+    ``n eta``, sigma^2 = n eta (1 - eta) and L = 64 ln 2: beyond it
+    Bernstein's inequality leaves at most 2^-64 of Bin(n, eta) on either
+    side. It is about 9.4 sigma + 15 photon numbers. Each row is divided
+    by its own sum once.
 
     A weight is Loader's saddle-point form (Loader 2000, "Fast and
     accurate computation of binomial probabilities")::
@@ -130,7 +75,7 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
         ln Bin(n, eta)[m] = g(n) - g(m) - g(n - m)
                             - D(m, n eta) - D(n - m, n (1 - eta))
 
-    with ``g = _stirling_gap`` and ``D = _deviance``; g(n) is common to
+    with ``g = numerics._stirling_gap`` and ``D = numerics._deviance``; g(n) is common to
     the row, so the normalization stands in for it. In the window D is
     formed to within about ``eps |m - n eta|`` and g to a few ulps, so a
     weight is within ``4 eps (|m - n eta| + 1)`` of its 40-digit value:
@@ -145,9 +90,7 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
     if eta == 1.0:
         return _WindowRows(m=n, weights=np.ones(truncation), starts=np.arange(truncation + 1))
     mean = n * eta
-    reach = _WINDOW_LOG_MASS / 3 + np.sqrt(
-        _WINDOW_LOG_MASS * (_WINDOW_LOG_MASS / 9 + 2 * (1.0 - eta) * mean)
-    )
+    reach = _bernstein_reach((1.0 - eta) * mean, _WINDOW_LOG_MASS)
     lo = np.maximum(np.ceil(mean - reach), 0.0).astype(np.int64)
     sizes = np.minimum(np.floor(mean + reach).astype(np.int64), n) + 1 - lo
     starts = np.zeros(truncation + 1, dtype=np.int64)

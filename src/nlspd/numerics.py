@@ -1,15 +1,27 @@
-"""The numerical kernels of ``click[m] = 1 - prod_n (1 - p[n]) ** C(m, n)``.
+"""The numerical kernels of ``click[m] = 1 - prod_n (1 - p[n]) ** C(m, n)``
+and of the Poisson and binomial laws that weigh it.
 
-One kernel per job: the binomial coefficients C(m, n) as falling
-factorials, each order one step past the one before (exact for m < 1142
-at n <= 6 and within a few ulps beyond), as a table over orders
-(``binomial_table``) or one order (``binomial_exponents``);
+One kernel per job, shared by ``povm``, ``modelfit``, ``tomography`` and
+``loss``: the binomial coefficients C(m, n) as falling factorials, each
+order one step past the one before (exact for m < 1142 at n <= 6 and
+within a few ulps beyond), as a table over orders (``binomial_table``)
+or one order, its last column (``binomial_exponents``);
 ``poisson_log_pmf`` (log Poisson weights, ``-inf`` for impossible photon
 numbers, photon numbers and means broadcast or each mean repeated over a
 run of photon numbers, with ln m! read from a table below m = 1024 and
 from the Stirling series above); and ``log_survival_sum``
 (G @ h with h[n] = ln(1 - p[n]), where a saturated mechanism, h = -inf,
 contributes ``-inf`` wherever C(m, n) > 0).
+
+Three private kernels serve the window operators of ``povm`` and
+``loss``: ``_bernstein_reach``, the distance from a mean beyond which
+Bernstein's inequality leaves a given mass (the Chernoff start of
+``povm._chernoff_window``, ``povm.truncation_for``, ``povm._check_carries``
+and the binomial windows of ``loss._binomial_rows``); and Loader's
+saddle-point pieces of a binomial weight, the Stirling gap
+``_stirling_gap`` (ln k! - (k ln k - k)) and the deviance ``_deviance``.
+One table-or-series dispatcher, ``_tabled``, serves ``_stirling_gap``
+and the ln m! of ``poisson_log_pmf``.
 
 The kernels take arbitrary photon numbers, so a caller can evaluate a
 window [m_lo, m_hi) only. ``poisson_log_weights`` is the Poisson form
@@ -87,15 +99,94 @@ _LOG_FACTORIAL = np.concatenate(
 )
 
 
+def _tabled(table: np.ndarray, series, k: np.ndarray) -> np.ndarray:
+    """``table[k]`` of whole k >= 0 below the table's size, ``series(k)`` at and above it.
+
+    The series runs on every element, and the tabled ones overwrite it only
+    where some k is below the table: gathering and scattering the two parts
+    costs more than the series on the tabled few.
+    """
+    if k.max(initial=0) < table.size:
+        return table[k]
+    out = series(k)
+    if k.min() < table.size:
+        tabled = k < table.size
+        out[tabled] = table[k[tabled]]
+    return out
+
+
 def _log_factorial(m: np.ndarray) -> np.ndarray:
     """ln m! of whole photon numbers m >= 0: the table below 1024, Stirling above."""
-    if m.max(initial=0) < _LOG_FACTORIAL.size:
-        return _LOG_FACTORIAL[m]
-    out = _stirling_log_factorial(m + 1.0)
-    if m.min() < _LOG_FACTORIAL.size:
-        tabled = m < _LOG_FACTORIAL.size
-        out[tabled] = _LOG_FACTORIAL[m[tabled]]
+    return _tabled(_LOG_FACTORIAL, lambda m: _stirling_log_factorial(m + 1.0), m)
+
+
+def _stirling_series(k: np.ndarray) -> np.ndarray:
+    """``ln k! - (k ln k - k)`` of k >= 16 by Stirling's series to the k^-9 term.
+
+    The first omitted term, 691 / (360360 k^11), is under 1.2e-16 there.
+    A k below 1 is taken as 1, so that k = 0, which the table holds, does
+    not divide by zero.
+    """
+    k = np.maximum(k, 1.0)
+    r = 1.0 / (k * k)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
+    return _HALF_LOG_2PI + 0.5 * np.log(k) + series
+
+
+# ln k! - (k ln k - k) for k = 1..15, rounded from 40-digit values: below
+# k = 16 the series above drops more than rounding.
+_SMALL_STIRLING_GAPS = [
+    1.0, 1.3068528194400546, 1.4959226032237258, 1.6328763858683832,
+    1.7403021806115442, 1.828694396641771, 1.9037903176782212,
+    1.9690705693065629, 2.0268062840554952, 2.0785616431350586,
+    2.12545984509181, 2.168334698205882, 2.207822206123445,
+    2.244418568125061, 2.2785183673077407,
+]
+_STIRLING_GAP = np.concatenate(
+    [[0.0], _SMALL_STIRLING_GAPS, _stirling_series(np.arange(16, 1024))]
+)
+
+
+def _stirling_gap(k: np.ndarray) -> np.ndarray:
+    """``ln k! - (k ln k - k)`` of whole k >= 0: the table below 1024, the series above."""
+    return _tabled(_STIRLING_GAP, _stirling_series, k)
+
+
+def _deviance(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``x ln(x / mean) + mean - x`` of whole x >= 0 about means > 0; ``mean`` at x = 0.
+
+    Formed as ``x log1p((x - mean) / mean) - (x - mean)``: near the mean
+    both terms are about ``x - mean``, so the difference keeps its digits
+    where ``x ln x`` and ``x ln mean`` would cancel.
+    """
+    distance = x - mean
+    out = np.zeros(distance.shape)
+    # A mean under about 1e-308 (eta that small) overflows the ratio, and
+    # the deviance, to inf: its weight is then 0 where it would be
+    # subnormal.
+    with np.errstate(over="ignore"):
+        np.divide(distance, mean, out=out, where=x > 0)
+    np.log1p(out, out=out)
+    out *= x
+    out -= distance
     return out
+
+
+def _bernstein_reach(variance, log_mass):
+    """Distance t from the mean beyond which Bernstein's inequality leaves
+    at most ``exp(-log_mass)`` of a law's mass on either side.
+
+    The bound ``exp(-t^2 / (2 (variance + t / 3)))`` holds each tail of a
+    sum of independent variables bounded by 1 about their mean, a Poisson
+    or a binomial law among them. It equals ``exp(-log_mass)`` at the root
+    ``t = L / 3 + sqrt(L (L / 9 + 2 variance))``, L = ``log_mass``, which
+    is at least 2 L / 3 even at variance 0. In units of a Poisson mean mu,
+    ``_bernstein_reach(1.0, c)`` is the u >= 0 with
+    ``h(1 + u) >= c`` for ``h(t) = t ln t - t + 1`` (Bennett's
+    inequality ``h(1 + u) >= u^2 / (2 (1 + u / 3))``), and
+    ``mu _bernstein_reach(1.0, L / mu) = _bernstein_reach(mu, L)``.
+    """
+    return log_mass / 3 + np.sqrt(log_mass * (log_mass / 9 + 2 * variance))
 
 
 def poisson_log_pmf(m_values: np.ndarray, mean_photons, repeats=None) -> np.ndarray:
@@ -145,47 +236,38 @@ def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
 
     The n = 0 column is identically 1, so the zeroth mechanism order acts
     on every photon number including vacuum. The order n is a whole
-    number >= 0.
+    number >= 0. The last column of ``binomial_table(m_values, n + 1)``.
     """
     n = _whole_number(n, "mechanism order")
     if n < 0:
         raise ValueError(f"binomial_exponents requires n >= 0, got n={n}")
-    for column in _binomial_columns(m_values, n + 1):
-        pass  # keep only the last column
-    return column
+    return binomial_table(m_values, n + 1)[..., -1]
 
 
 def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     """Table T[k, n] = C(m_values[k], n) for mechanism orders n = 0..order-1.
 
     Column 0 is all ones (the dark-count mechanism sees every Fock state
-    once). The order count is a whole number >= 1.
+    once). Column n is the falling factorial ``m (m - 1) ... (m - n + 1) /
+    n!``, one step past column n - 1. The order count is a whole number
+    >= 1.
     """
     order = _whole_number(order, "order count")
     if order < 1:
         raise ValueError(f"order count must be >= 1, got {order}")
-    m_values = np.asarray(m_values)
-    table = np.empty(m_values.shape + (order,))
-    for n, column in enumerate(_binomial_columns(m_values, order)):
-        table[..., n] = column
-    return table
-
-
-def _binomial_columns(m_values: np.ndarray, order: int):
-    """C(m, n) for n = 0..order-1, each the falling factorial
-    ``m (m - 1) ... (m - n + 1) / n!`` one step past the one before."""
     m_values = np.asarray(m_values, dtype=np.int64)
     if m_values.size and m_values.min() < 0:
         raise ValueError("binomial_exponents requires m >= 0")
     m = m_values.astype(float)
-    falling = np.ones(m.shape)
-    yield falling
+    table = np.empty(m.shape + (order,))
+    table[..., 0] = 1.0
     for n in range(1, order):
         # A factor clipped at 0 makes C(m, n) exactly +0.0 for m < n.
         factor = m - (n - 1)
-        falling = falling * np.maximum(factor, 0.0, out=factor)
-        falling /= n
-        yield falling
+        column = table[..., n]
+        np.multiply(table[..., n - 1], np.maximum(factor, 0.0, out=factor), out=column)
+        column /= n
+    return table
 
 
 def log_survival_sum(design: np.ndarray, h: np.ndarray) -> np.ndarray:

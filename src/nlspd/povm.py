@@ -41,11 +41,11 @@ import numpy as np
 
 from .exceptions import DataFormatError, TruncationError
 from .numerics import (
+    _bernstein_reach,
     _whole_number,
     binomial_table,
     log_survival_sum,
     poisson_log_pmf,
-    poisson_log_weights,
 )
 
 __all__ = [
@@ -103,7 +103,8 @@ def _validated_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be finite")
     if values.size and (values.min() < -_BOUND_FUZZ or values.max() > 1 + _BOUND_FUZZ):
         raise ValueError(f"{what} must lie in [0, 1]")
-    return np.clip(values, 0.0, 1.0)
+    # Adding 0 turns the -0.0 that -expm1(0) gives, and np.clip keeps, into +0.0.
+    return np.clip(values, 0.0, 1.0) + 0.0
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,14 @@ class DiagonalPovm:
         return cls(click=click)
 
     def padded(self, length: int) -> np.ndarray:
-        """Click vector extended to ``length``, a whole number, by repeating its trailing value."""
-        out = np.empty(_whole_number(length, "length"))
+        """Click vector extended to ``length``, a whole number no shorter than
+        the truncation, by repeating its trailing value."""
+        length = _whole_number(length, "length")
+        if length < self.truncation:
+            raise ValueError(
+                f"cannot pad a click vector of truncation {self.truncation} to length {length}"
+            )
+        out = np.empty(length)
         out[: self.truncation] = self.click
         out[self.truncation :] = self.click[-1]
         return out
@@ -251,16 +258,6 @@ def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
     return DiagonalPovm(click=-np.expm1(log_survival(params.p, truncation)))
 
 
-def _bennett_excess(c):
-    """u >= 0 with ``h(1 + u) >= c`` for ``h(t) = t ln t - t + 1``.
-
-    Bennett's inequality ``h(1 + u) >= u^2 / (2 (1 + u / 3))`` turns the
-    bound into a quadratic in u; its root is within a few percent of h's
-    own where c is small and within a factor ln(c) where c is large.
-    """
-    return c / 3 + np.sqrt(c * (c / 9 + 2))
-
-
 def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]:
     """Photon numbers ``[m_lo, m_hi)``, as floats, outside which a Poisson
     law keeps at most ``mass`` on either side.
@@ -272,8 +269,8 @@ def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]
     c < 1, i.e. e^-mu < mass (otherwise m_lo = 0). h is convex with
     ``h'(t) = ln t``, so Newton steps on ``t ln t - (t - 1) = c`` fall
     monotonically onto the upper root from Bennett's bound above it
-    (``_bennett_excess``) and rise onto the lower root from below it, from
-    the larger of ``1 - sqrt(2c)`` (h'' >= 1 there) and
+    (``1 + _bernstein_reach(1.0, c)``) and rise onto the lower root from
+    below it, from the larger of ``1 - sqrt(2c)`` (h'' >= 1 there) and
     ``(1 - c) / (2 - 2 ln(1 - c))``. Five steps, both ends stacked in one
     array, reach the roots to rounding at every mean. Where
     ``p = sqrt(2 ln(1/mass) / mu) < 1e-3`` (means above about 7e7), both
@@ -294,7 +291,7 @@ def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]
     target[1] = np.minimum(target[0], 1.0 - 2.0**-53)
     rest = 1.0 - target[1]
     t = np.empty_like(target)
-    t[0] = 1.0 + _bennett_excess(target[0])
+    t[0] = 1.0 + _bernstein_reach(1.0, target[0])
     t[1] = np.maximum(1.0 - np.sqrt(2.0 * target[1]), rest / (2.0 - 2.0 * np.log(rest)))
     # The Newton step t - (t ln t - t + 1 - c) / ln t, simplified.
     shift = target - 1.0
@@ -320,26 +317,23 @@ def truncation_for(max_mean_photons: float) -> int:
     floor(mu), below which about half the mass or more lies beyond. The
     tails at every N from floor(mu) + 1 up are one cumulative sum of the
     Poisson weights, highest photon number first, from a top that leaves
-    at most ``_TAIL_RESOLUTION`` beyond it: ``mu (1 + u)`` for
-    ``u = _bennett_excess(ln(1 / _TAIL_RESOLUTION) / mu)``, where the
-    Bennett form of the Chernoff bound reaches that mass, about 11.4
-    standard deviations above a large mean and at most 44 photon numbers
-    for means near 0. The sum has under ``mu u + 1`` terms; if they would
+    at most ``_TAIL_RESOLUTION`` beyond it: ``mu + t`` for
+    ``t = _bernstein_reach(mu, ln(1 / _TAIL_RESOLUTION))``, where
+    Bernstein's bound reaches that mass, about 11.4 standard deviations
+    above a large mean and more than 42 photon numbers above any mean, so
+    above floor(mu) + 1. The sum has under ``t + 1`` terms; if they would
     take more than ``MAX_DENSE_BYTES`` (means above about 8.7e12),
     ``ValueError`` says so before anything is allocated.
     """
     mu = float(max_mean_photons)
     if not 0 <= mu < np.inf:
         raise ValueError(f"mean photon number must be finite and >= 0, got {max_mean_photons}")
-    reach = max(mu, _TAIL_RESOLUTION)
-    excess = reach * _bennett_excess(-math.log(_TAIL_RESOLUTION) / reach)
+    reach = _bernstein_reach(mu, -math.log(_TAIL_RESOLUTION))
     _check_dense_size(
-        8 * (excess + 1.0),
+        8 * (reach + 1.0),
         f"mean photon number {mu:g} is too large to truncate: its Poisson tail",
     )
-    start, top = math.floor(mu) + 1, math.ceil(reach + excess)
-    if start >= top:
-        return start
+    start, top = math.floor(mu) + 1, math.ceil(mu + reach)
     tails = np.exp(poisson_log_pmf(np.arange(top - 1, start - 1, -1), mu)).cumsum()
     return start + int(np.count_nonzero(tails >= DEFAULT_TAIL_MASS))
 
@@ -349,16 +343,16 @@ def _check_carries(truncation: int, mean_photons: float, what: str = "truncation
 
     A sum truncated short of the probe's Poisson mass would silently miss
     response and bias any fit against that probe. A truncation of at
-    least ``mu (1 + u) + 1``, ``u = _bennett_excess(ln(1 / DEFAULT_TAIL_MASS)
-    / mu)``, passes at once: the Chernoff bound already holds the tail
-    beyond ``mu (1 + u)`` under ``DEFAULT_TAIL_MASS``, so
+    least ``mu + t + 1``, ``t = _bernstein_reach(mu, ln(1 /
+    DEFAULT_TAIL_MASS))``, passes at once: Bernstein's bound already holds
+    the tail beyond ``mu + t`` under ``DEFAULT_TAIL_MASS``, so
     ``truncation_for`` is no larger. Only a truncation nearer the bound
     pays for the tail sum.
     """
-    reach = max(mean_photons, _TAIL_RESOLUTION)
-    excess = reach * _bennett_excess(-math.log(DEFAULT_TAIL_MASS) / reach)
-    if mean_photons >= 0 and truncation >= reach + excess + 1.0:
-        return
+    if mean_photons >= 0:
+        reach = _bernstein_reach(mean_photons, -math.log(DEFAULT_TAIL_MASS))
+        if truncation >= mean_photons + reach + 1.0:
+            return
     needed = truncation_for(mean_photons)
     if truncation < needed:
         raise TruncationError(
@@ -481,5 +475,5 @@ def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
     if mean_photons < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
     _check_carries(povm.truncation, mean_photons, "POVM truncation")
-    weights = np.exp(poisson_log_weights(mean_photons, povm.truncation))
+    weights = np.exp(poisson_log_pmf(np.arange(povm.truncation), mean_photons))
     return float((weights * povm.click).sum() / weights.sum())

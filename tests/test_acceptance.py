@@ -429,7 +429,13 @@ def _reconstruction_kkt_breach(probes, record, weight=None, truncation=None):
     gradient g are built from the probe data alone, independent of the
     solver that produced x and of the Poisson windows it solves on: F is
     accumulated one ``dense_probe_rows`` row at a time, so no P x N
-    matrix is held, and D^T D x is written out with ``np.diff``. The
+    matrix is held, and D^T D x is written out with ``np.diff``. Each
+    row is divided by the sum of its law over 0..2N-1, which leaves out
+    far less than rounding: the log weights lose digits to cancellation
+    at large means (5.5e-10 of the sum at 1e6), nearly in common, and
+    the division removes that as the solver's normalized windows do,
+    while the up to 1e-12 of the mass beyond N stays left out, as it is
+    from the solver's rows. The
     convex program's suboptimality on [0, 1]^N is bounded by the gap
     ``sum_m (g_m x_m - min(g_m, 0))`` (Frank & Wolfe 1956; Jaggi 2013),
     which is returned relative to f(x).
@@ -442,7 +448,8 @@ def _reconstruction_kkt_breach(probes, record, weight=None, truncation=None):
     gradient = 2.0 * weight * np.concatenate([[-steps[0]], -np.diff(steps), [steps[-1]]])
     objective = weight * (steps @ steps)
     for mu, frequency in zip(probes.intensities, record.frequencies):
-        row = dense_probe_rows(mu, n)
+        row = dense_probe_rows(mu, 2 * n)
+        row = row[:n] / row.sum()
         residual = row @ x - frequency
         gradient += 2.0 * residual * row
         objective += residual * residual
@@ -461,15 +468,17 @@ def _two_photon_record():
 def test_reconstruction_kkt_certificate():
     # A3's three records and the two-photon record, whose box binds, the
     # raw 25 uA record (N = 3296), whose minimizer lies inside the box, and
-    # the raw 20 uA record (N = 38,697), solved on its Poisson windows with
-    # gaps between them and certified here on all N photon numbers.
-    # Measured relative gaps: A3 at most 2.4e-11, raw 25 uA 6.7e-8, the
-    # two-photon record 8.3e-8 and raw 20 uA 2.4e-5. A gap sums rounding
-    # over all N elements, and the dense oracle rows are off by 7.7e-12 in
-    # their sum at mu = 37,330, against f = 3.4e-6 on the raw 20 uA record
-    # (scipy's poisson.pmf rows are off by 6.8e-12 and read 1.4e-5).
+    # the raw 20 and 16 uA records (N = 38,697 and 113,821), solved on
+    # their Poisson windows with gaps between them and certified here on
+    # all N photon numbers. Measured relative gaps: A3 at most 2.3e-11,
+    # raw 25 uA 2.9e-10, the two-photon record 2.9e-9, raw 20 uA 5.0e-8
+    # and raw 16 uA 5.6e-7 (3.6-5.6e-7 on seeds 0-2); breaches at most
+    # 7.7e-14. A gap sums rounding over all N elements. Without the
+    # normalization of the oracle rows, off by 7.7e-12 in their sum at
+    # mu = 37,330, the gaps read 2.4e-5 on raw 20 uA and 6.9e-4 on raw
+    # 16 uA.
     records = [(base, record) for _, _, base, record in _a3_records()]
-    for bias in (25, 20):
+    for bias in (25, 20, 16):
         raw_truth = UNSCALED_PARAMS[bias]
         raw_probes = geometric_probe_grid(raw_truth)
         records.append((raw_probes, _simulated(raw_truth, raw_probes, seed=0)))
@@ -478,10 +487,10 @@ def test_reconstruction_kkt_certificate():
     worst = max(breach for breach, _ in results)
     worst_gap = max(gap for _, gap in results)
     assert worst <= 1e-9
-    assert worst_gap <= 1e-4
+    assert worst_gap <= 1e-5
     print(
-        f"KKT PASS (reconstruction, A3, raw 25 and 20 uA and two-photon records): "
-        f"worst breach {worst:.2e} (bound 1e-9), relative gap {worst_gap:.2e} (bound 1e-4)"
+        f"KKT PASS (reconstruction, A3, raw 25, 20 and 16 uA and two-photon records): "
+        f"worst breach {worst:.2e} (bound 1e-9), relative gap {worst_gap:.2e} (bound 1e-5)"
     )
 
 
@@ -489,9 +498,10 @@ def test_reconstruction_up_to_a_million_photons():
     # 40 geometric probes up to mu = 1e6 on a linear detector: the dense
     # P x N probe matrix would take 307 MiB, above MAX_DENSE_BYTES, but the
     # probes' Poisson windows cover only 76,955 of the N photon numbers, in
-    # 15 runs. The relative gap, 1.5e-3 here, is not bounded: the dense
-    # oracle rows lose 5.5e-10 of their sum to cancellation at 1e6, against
-    # f = 2.0e-7.
+    # 15 runs. The relative gap measured 1.1e-5 (0.98-1.5e-5 on seeds
+    # 0-2), against f = 2.0e-7; without the normalization of the oracle
+    # rows, which lose 5.5e-10 of their sum to cancellation at 1e6, it
+    # reads 1.5e-3.
     truth = NonlinearSpdParams([0.0, 1e-5])
     grid = np.concatenate([[0.0], np.geomspace(0.01, 1e6, 39)])
     probes = ProbeSet(intensities=grid, trials=100_000)
@@ -503,9 +513,10 @@ def test_reconstruction_up_to_a_million_photons():
     breach, gap = _reconstruction_kkt_breach(probes, record)
     assert fid > 0.998
     assert breach <= 1e-9
+    assert gap <= 1e-4
     print(
         f"PASS (40 probes up to 1e6, N = {n}): fidelity {fid:.6f} (floor 0.998), "
-        f"breach {breach:.2e} (bound 1e-9), relative gap {gap:.2e}"
+        f"breach {breach:.2e} (bound 1e-9), relative gap {gap:.2e} (bound 1e-4)"
     )
 
 
@@ -514,8 +525,8 @@ def test_box_active_reconstruction_needs_no_fallback(monkeypatch):
     # 78 of the rescaled study (three detectors, seeds 0-12, each
     # reconstructed directly and through the scaled workflow; the box
     # binds on 60), the raw 25 uA records at seeds 0-2 and the two-photon
-    # record (N = 2778). Their worst relative gap measured 8.3e-8 (the
-    # two-photon record; the 78 rescaled ones at most 5.9e-11).
+    # record (N = 2778). Their worst relative gap measured 2.9e-9 (the
+    # two-photon record; the 78 rescaled ones at most 5.8e-11).
     def no_fallback(*args, **kwargs):
         raise AssertionError("bounded-variable fallback was called")
 
@@ -591,7 +602,7 @@ def test_reconstruction_at_small_weight_takes_one_active_set_step(monkeypatch):
     # Below w = 1e-7 the active-set steps wander, so the solve takes its
     # box-free step and hands over to the bounded-variable fallback; with
     # 25 steps this record ran the free-set minimizer 25 times for nothing.
-    # Its relative gap measured 2.3e-10.
+    # Its relative gap measured 1.1e-10.
     truth = SCALED_PARAMS[20]
     base = geometric_probe_grid(truth)
     record = _simulated(truth, base, seed=7)

@@ -289,6 +289,15 @@ def test_figure_curves(tmp_path, figure_id):
     assert (tmp_path / f"{figure_id}.csv.manifest.json").exists()
 
 
+def test_figure_writes_a_zero_click_without_sign(tmp_path):
+    # The 16 uA detector has no dark counts: its vacuum click is written as
+    # 0.0, not -0.0.
+    out = tmp_path / "fig2b.csv"
+    assert run_cli(["figure", "fig2b", out, "--bias-current", "16"]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows[:2] == ["m,click", "0.0,0.0"]
+
+
 def test_figure_loss_scaling(tmp_path):
     out = tmp_path / "fig3b.csv"
     assert run_cli(["figure", "fig3b", out, "--seed", "7"]) == 0

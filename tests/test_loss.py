@@ -13,7 +13,6 @@ from nlspd.exceptions import IllConditionedInversionError
 from nlspd.loss import (
     _binomial_rows,
     _loss_matrix,
-    _stirling_gap,
     lossy_click_probability,
     scale_povm,
     unscale_povm,
@@ -57,17 +56,6 @@ def _scaled_reference_povms():
         largest = float(geometric_probe_grid(truth).intensities.max())
         povms.append(nonlinear_povm(truth, truncation_for(largest)))
     return povms
-
-
-def test_stirling_gap_matches_extended_precision():
-    # ln k! - (k ln k - k): the 40-digit table below 16, the series from 16
-    # on, in the table below 1024 and evaluated above it, each within an ulp.
-    k = np.r_[np.arange(1100), [5000, 38_696, 10**6, 10**9]]
-    with mpmath.workdps(40):
-        exact = np.array(
-            [0.0] + [float(mpmath.loggamma(j + 1) - j * mpmath.log(j) + j) for j in k[1:].tolist()]
-        )
-    assert np.all(np.abs(_stirling_gap(k) - exact) <= np.spacing(exact))
 
 
 @pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])

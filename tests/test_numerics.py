@@ -14,6 +14,7 @@ from scipy.special import gammaln, xlogy
 
 from nlspd.numerics import (
     _log_factorial,
+    _stirling_gap,
     binomial_exponents,
     binomial_table,
     poisson_log_pmf,
@@ -44,6 +45,17 @@ def test_log_factorial_matches_extended_precision():
     with mpmath.workdps(30):
         exact = np.array([float(mpmath.loggamma(int(m) + 1)) for m in m_values])
     np.testing.assert_allclose(_log_factorial(m_values), exact, rtol=4.5e-16, atol=0)
+
+
+def test_stirling_gap_matches_extended_precision():
+    # ln k! - (k ln k - k): the 40-digit table below 16, the series from 16
+    # on, in the table below 1024 and evaluated above it, each within an ulp.
+    k = np.r_[np.arange(1100), [5000, 38_696, 10**6, 10**9]]
+    with mpmath.workdps(40):
+        exact = np.array(
+            [0.0] + [float(mpmath.loggamma(j + 1) - j * mpmath.log(j) + j) for j in k[1:].tolist()]
+        )
+    assert np.all(np.abs(_stirling_gap(k) - exact) <= np.spacing(exact))
 
 
 def test_log_factorial_matches_scipy_gammaln():

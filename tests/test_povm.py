@@ -512,6 +512,21 @@ def test_povm_and_params_json_round_trips(click, p):
     assert NonlinearSpdParams.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
 
 
+def test_zero_click_probability_is_stored_as_positive_zero():
+    # -expm1(0) is -0.0 and np.clip keeps the sign; a click vector holds +0.0.
+    click = nonlinear_povm(SCALED_PARAMS[16], 10).click
+    assert click[0] == 0.0
+    assert not np.signbit(click[0])
+
+
+def test_padded_refuses_a_length_below_the_truncation():
+    povm = npd_povm(0.1, 1, 4)
+    np.testing.assert_array_equal(povm.padded(4), povm.click)
+    np.testing.assert_array_equal(povm.padded(6)[4:], povm.click[-1])
+    with pytest.raises(ValueError, match="cannot pad a click vector of truncation 4 to length 3"):
+        povm.padded(3)
+
+
 def test_diagonal_povm_from_dict_rejects_malformed():
     with pytest.raises(DataFormatError):
         DiagonalPovm.from_dict({"click": [0.0, 0.5]})
