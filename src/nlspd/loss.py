@@ -9,19 +9,20 @@ binomial average of the bare one::
 Row n of this map is the binomial law Bin(n, eta), and one private
 operator, ``_binomial_rows``, holds the rows: each over the O(sqrt(n))
 window of photon numbers outside which Bernstein's inequality leaves at
-most 2^-64 of its mass on either side, normalized once, as
-``povm._poisson_rows`` holds a probe's Poisson law. Its kernels live in
-``nlspd.numerics``: the window's reach is ``_bernstein_reach``, and each
-weight is Loader's saddle-point form on ``_stirling_gap`` and
-``_deviance``; this module defines none of its own. ``scale_povm`` applies
-the forward map as a sum through those rows; ``unscale_povm`` inverts it
-on the same rows scattered into the dense lower triangle, by forward
-substitution where that is well conditioned and otherwise by a penalized
-least-squares solve with a column-pivoted QR (LAPACK ``gelsy``). The
-inverse amplifies high-photon-number noise roughly as
-``((2 - eta)/eta)^m``, so for strongly attenuating channels only the
-response encoded well inside the observed range is recoverable. The
-forward-prediction route (``lossy_click_probability``) avoids the
+most 2^-64 of its mass on either side, normalized once. Bernstein's reach
+sets every window of the package, and ``povm._WindowRows.over`` builds
+these rows as it builds a probe's Poisson row (``povm._poisson_rows``).
+Its kernels live in ``nlspd.numerics``: the window's reach is
+``_bernstein_reach``, and each weight is Loader's saddle-point form on
+``_stirling_gap`` and ``_deviance``; this module defines none of its own.
+``scale_povm`` applies the forward map as a sum through those rows;
+``unscale_povm`` inverts it on the same rows scattered into the dense
+lower triangle, by forward substitution where that is well conditioned
+and otherwise by a penalized least-squares solve with a column-pivoted QR
+(LAPACK ``gelsy``). The inverse amplifies high-photon-number noise
+roughly as ``((2 - eta)/eta)^m``, so for strongly attenuating channels
+only the response encoded well inside the observed range is recoverable.
+The forward-prediction route (``lossy_click_probability``) avoids the
 inversion entirely: a coherent probe of mean mu seen through loss eta is
 again coherent with mean ``eta * mu``, so predictions never require the
 inverse map.
@@ -66,8 +67,9 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
     ``t = numerics._bernstein_reach(sigma^2, L)`` to either side of
     ``n eta``, sigma^2 = n eta (1 - eta) and L = 64 ln 2: beyond it
     Bernstein's inequality leaves at most 2^-64 of Bin(n, eta) on either
-    side. It is about 9.4 sigma + 15 photon numbers. Each row is divided
-    by its own sum once.
+    side. The reach is about 9.4 sigma + 15 photon numbers.
+    ``povm._WindowRows.over`` builds the rows, as it does the probes'
+    Poisson rows, and divides each by its own sum once.
 
     A weight is Loader's saddle-point form (Loader 2000, "Fast and
     accurate computation of binomial probabilities")::
@@ -90,22 +92,21 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
     if eta == 1.0:
         return _WindowRows(m=n, weights=np.ones(truncation), starts=np.arange(truncation + 1))
     mean = n * eta
-    reach = _bernstein_reach((1.0 - eta) * mean, _WINDOW_LOG_MASS)
-    lo = np.maximum(np.ceil(mean - reach), 0.0).astype(np.int64)
-    sizes = np.minimum(np.floor(mean + reach).astype(np.int64), n) + 1 - lo
-    starts = np.zeros(truncation + 1, dtype=np.int64)
-    sizes.cumsum(out=starts[1:])
-    _check_dense_size(
-        8 * int(starts[-1]), f"the binomial windows of the {truncation}-element loss map"
+
+    def log_weights(m, sizes):
+        out = np.zeros(m.size)
+        for count, count_mean in ((m, mean), (n.repeat(sizes) - m, n * (1.0 - eta))):
+            out -= _stirling_gap(count)
+            out -= _deviance(count, count_mean.repeat(sizes))
+        return out
+
+    return _WindowRows.over(
+        mean,
+        _bernstein_reach((1.0 - eta) * mean, _WINDOW_LOG_MASS),
+        n,
+        log_weights,
+        f"the binomial windows of the {truncation}-element loss map",
     )
-    m = np.arange(starts[-1]) + (lo - starts[:-1]).repeat(sizes)
-    log_weights = np.zeros(m.size)
-    for count, count_mean in ((m, mean), (n.repeat(sizes) - m, n * (1.0 - eta))):
-        log_weights -= _stirling_gap(count)
-        log_weights -= _deviance(count, count_mean.repeat(sizes))
-    weights = np.exp(log_weights, out=log_weights)
-    weights /= np.add.reduceat(weights, starts[:-1]).repeat(sizes)
-    return _WindowRows(m=m, weights=weights, starts=starts)
 
 
 def _validated_eta(eta: float) -> float:

@@ -431,9 +431,9 @@ def fit_params(
     agree bitwise.
 
     No truncation enters the fit: each probe is summed over its own
-    Poisson window (a row of about 17 sqrt(mu) terms, 1e-16 of the mass
-    cut on each side), and the survival is evaluated on the union of the
-    windows only. No P x N probe matrix or N x order design is built, so
+    Poisson window (a row of about 17.2 sqrt(mu) + 25 terms, 1e-16 of the
+    mass cut on each side), and the survival is evaluated on the union of
+    the windows only. No P x N probe matrix or N x order design is built, so
     raw records with probes up to mu = 1e9 fit in bounded time and memory.
 
     Parameters

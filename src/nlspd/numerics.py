@@ -15,9 +15,11 @@ contributes ``-inf`` wherever C(m, n) > 0).
 
 Three private kernels serve the window operators of ``povm`` and
 ``loss``: ``_bernstein_reach``, the distance from a mean beyond which
-Bernstein's inequality leaves a given mass (the Chernoff start of
-``povm._chernoff_window``, ``povm.truncation_for``, ``povm._check_carries``
-and the binomial windows of ``loss._binomial_rows``); and Loader's
+Bernstein's inequality leaves a given mass, which sets every window (the
+Poisson rows of ``povm._poisson_rows``, the binomial rows of
+``loss._binomial_rows``, ``povm.truncation_for`` and
+``povm._check_carries``; a probe's window is ``2 reach + 1``, about
+17.2 sigma + 25 photon numbers); and Loader's
 saddle-point pieces of a binomial weight, the Stirling gap
 ``_stirling_gap`` (ln k! - (k ln k - k)) and the deviance ``_deviance``.
 One table-or-series dispatcher, ``_tabled``, serves ``_stirling_gap``
@@ -178,13 +180,12 @@ def _bernstein_reach(variance, log_mass):
 
     The bound ``exp(-t^2 / (2 (variance + t / 3)))`` holds each tail of a
     sum of independent variables bounded by 1 about their mean, a Poisson
-    or a binomial law among them. It equals ``exp(-log_mass)`` at the root
+    or a binomial law among them (Boucheron, Lugosi & Massart 2013,
+    section 2.8). It equals ``exp(-log_mass)`` at the root
     ``t = L / 3 + sqrt(L (L / 9 + 2 variance))``, L = ``log_mass``, which
-    is at least 2 L / 3 even at variance 0. In units of a Poisson mean mu,
-    ``_bernstein_reach(1.0, c)`` is the u >= 0 with
-    ``h(1 + u) >= c`` for ``h(t) = t ln t - t + 1`` (Bennett's
-    inequality ``h(1 + u) >= u^2 / (2 (1 + u / 3))``), and
-    ``mu _bernstein_reach(1.0, L / mu) = _bernstein_reach(mu, L)``.
+    is at least 2 L / 3 even at variance 0. At a probe row's L = ln 1e16
+    the window ``[mean - t, mean + t]`` holds ``2 t + 1``, about
+    17.2 sigma + 25, photon numbers.
     """
     return log_mass / 3 + np.sqrt(log_mass * (log_mass / 9 + 2 * variance))
 

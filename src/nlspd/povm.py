@@ -20,12 +20,16 @@ for every m >= n.
 A coherent probe of mean mu weighs photon number m by the Poisson law. One
 private operator, ``_poisson_rows``, holds those weights for any set of
 probes, each over the O(sqrt(mu)) window of photon numbers outside which
-a closed-form Chernoff bound leaves at most 1e-16 of the mass on either
-side, and each row divided by its own sum once. The coherent click
-probability, the simulator, the mechanism fit and the reconstruction all
-read their rows from it as they are: none divides by a row sum again, and
-none chooses a truncation. A click is summed as ``F (-expm1(log
-survival))``, so a click probability near the dark-count floor keeps full
+Bernstein's inequality leaves at most 1e-16 of the mass on either side
+(``2 numerics._bernstein_reach(mu, ln 1e16) + 1``, about 17.2 sqrt(mu) +
+25 photon numbers), and each row divided by its own sum once. One
+builder, ``_WindowRows.over``, makes these rows and the loss map's
+binomial ones (``loss._binomial_rows``), each window set by the same
+Bernstein reach. The coherent click probability, the simulator, the
+mechanism fit and the reconstruction all read their rows from
+``_poisson_rows`` as they are: none divides by a row sum again, and none
+chooses a truncation. A click is summed as ``F (-expm1(log survival))``,
+so a click probability near the dark-count floor keeps full
 relative precision. A truncation belongs to an explicit click vector
 (``DiagonalPovm``), whose length it is: ``truncation_for`` picks the
 default one, the smallest that carries all but ``DEFAULT_TAIL_MASS`` of
@@ -63,10 +67,10 @@ __all__ = [
 # Poisson probability mass allowed beyond the truncation point.
 DEFAULT_TAIL_MASS = 1e-12
 
-# Poisson probability mass a probe row may drop on either side of its
-# window: under the resolution of a double near one, so a click
+# ln(1e16): a probe row's window drops at most 1e-16 of its Poisson mass
+# on either side, under the resolution of a double near one, so a click
 # probability cannot see it.
-_WINDOW_MASS = 1e-16
+_WINDOW_LOG_MASS = math.log(1e16)
 
 # Poisson probability mass a tail sum may leave out: 1e-16 of
 # DEFAULT_TAIL_MASS, so the sum decides a truncation to rounding. Leaving
@@ -258,56 +262,6 @@ def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
     return DiagonalPovm(click=-np.expm1(log_survival(params.p, truncation)))
 
 
-def _chernoff_window(mean_photons, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Photon numbers ``[m_lo, m_hi)``, as floats, outside which a Poisson
-    law keeps at most ``mass`` on either side.
-
-    The Chernoff bound ``e^-mu (e mu / k)^k`` holds P(M >= k) for k > mu and
-    P(M <= k) for k < mu. At ``k = t mu`` it equals ``mass`` where
-    ``h(t) = t ln t - t + 1 = c``, ``c = ln(1/mass) / mu``: once above t = 1,
-    the upper end, and once below, the lower end, which exists only where
-    c < 1, i.e. e^-mu < mass (otherwise m_lo = 0). h is convex with
-    ``h'(t) = ln t``, so Newton steps on ``t ln t - (t - 1) = c`` fall
-    monotonically onto the upper root from Bennett's bound above it
-    (``1 + _bernstein_reach(1.0, c)``) and rise onto the lower root from
-    below it, from the larger of ``1 - sqrt(2c)`` (h'' >= 1 there) and
-    ``(1 - c) / (2 - 2 ln(1 - c))``. Five steps, both ends stacked in one
-    array, reach the roots to rounding at every mean. Where
-    ``p = sqrt(2 ln(1/mass) / mu) < 1e-3`` (means above about 7e7), both
-    ends are the branch-point series ``t = exp(+-p - p^2/3 +- 11 p^3/72)``
-    (Corless et al. 1996), exact to rounding there. A window is at most a
-    few percent wider than the exact one. Means under ``mass`` take the
-    window at ``mass``, which covers theirs.
-    """
-    log_mass = np.log(mass)
-    mu = np.maximum(mean_photons, mass)
-    c = -log_mass / mu
-    p = np.sqrt(-2.0 * log_mass / mu)
-    # The steps run on c >= 5e-7 (p >= 1e-3), where t stays clear of 1; the
-    # series replaces the rest. A c of 1 or more has no lower root, so the
-    # lower steps run on a c just under 1 and are discarded.
-    target = np.empty((2,) + c.shape)
-    target[0] = np.maximum(c, 5e-7)
-    target[1] = np.minimum(target[0], 1.0 - 2.0**-53)
-    rest = 1.0 - target[1]
-    t = np.empty_like(target)
-    t[0] = 1.0 + _bernstein_reach(1.0, target[0])
-    t[1] = np.maximum(1.0 - np.sqrt(2.0 * target[1]), rest / (2.0 - 2.0 * np.log(rest)))
-    # The Newton step t - (t ln t - t + 1 - c) / ln t, simplified.
-    shift = target - 1.0
-    for _ in range(5):
-        t = (t + shift) / np.log(t)
-    upper, lower = t
-    series = p < 1e-3
-    if series.any():
-        p = np.minimum(p, 1e-3)
-        square, cube = p**2 / 3, 11 / 72 * p**3
-        upper = np.where(series, np.exp(p - square + cube), upper)
-        lower = np.where(series, np.exp(-p - square - cube), lower)
-    m_lo = np.where(c < 1, np.floor(mu * lower) + 1.0, 0.0)
-    return m_lo, np.ceil(mu * upper)
-
-
 def truncation_for(max_mean_photons: float) -> int:
     """Smallest truncation N whose Poisson tail mass beyond N-1 is < DEFAULT_TAIL_MASS.
 
@@ -373,12 +327,34 @@ class _WindowRows:
     one-probe click probability. ``np.unique(rows.m, return_inverse=True)``
     gives the windows' union and the column of every term in it. The
     probes' Poisson rows (``_poisson_rows``) and the loss map's binomial
-    rows (``loss._binomial_rows``) are its two kinds.
+    rows (``loss._binomial_rows``) are its two kinds, both built by ``over``.
     """
 
     m: np.ndarray
     weights: np.ndarray
     starts: np.ndarray
+
+    @classmethod
+    def over(cls, mean, reach, top, log_weights, what: str) -> "_WindowRows":
+        """Rows whose windows run from ``ceil(mean - reach)`` to
+        ``floor(mean + reach)``, clipped to ``[0, top]``, row by row.
+
+        ``log_weights(m, sizes)`` gives the log weight of every term from
+        its photon number ``m`` and each row's term count ``sizes``; each
+        row is ``exp`` of its log weights divided by their sum. Windows
+        whose terms would take more than ``MAX_DENSE_BYTES`` as doubles
+        raise ``ValueError``, naming ``what``, before anything is allocated.
+        """
+        lo = np.maximum(np.ceil(mean - reach), 0.0).astype(np.int64)
+        sizes = np.minimum(np.floor(mean + reach), top).astype(np.int64) + 1 - lo
+        starts = np.zeros(sizes.size + 1, dtype=np.int64)
+        sizes.cumsum(out=starts[1:])
+        _check_dense_size(8 * int(starts[-1]), what)
+        m = np.arange(starts[-1]) + (lo - starts[:-1]).repeat(sizes)
+        weights = log_weights(m, sizes)
+        np.exp(weights, out=weights)
+        weights /= np.add.reduceat(weights, starts[:-1]).repeat(sizes)
+        return cls(m=m, weights=weights, starts=starts)
 
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
         return np.add.reduceat(self.weights * values, self.starts[:-1])
@@ -388,34 +364,34 @@ def _poisson_rows(intensities) -> _WindowRows:
     """Normalized Poisson rows of coherent probes over the photon numbers they weigh.
 
     Row i holds the weights ``e^-mu mu^m / m!`` of mean ``mu = intensities[i]``
-    over its window ``[m_lo, m_hi)`` from ``_chernoff_window``: at most
-    1e-16 of the Poisson mass lies below ``m_lo`` and at most 1e-16 at or
-    above ``m_hi``. No truncation enters: a row ends where its own Poisson
-    mass does. A window is about 17 standard deviations, O(sqrt(mu))
-    photon numbers, wide. Each weight is ``exp(log pmf)`` divided by its
+    over its window, the photon numbers within
+    ``t = numerics._bernstein_reach(mu, ln 1e16)`` of mu: beyond it
+    Bernstein's inequality leaves at most 1e-16 of the Poisson mass on
+    either side. No truncation enters: a row ends where its own Poisson
+    mass does. A window holds ``2 t + 1``, about 17.2 sqrt(mu) + 25,
+    photon numbers, less where it is clipped at 0: the vacuum's is
+    {0..24}. Each weight is ``exp(log pmf)`` divided by its
     row's sum, here and nowhere else: at large m the log weight
     ``m ln(mu) - mu - ln(m!)`` loses digits to cancellation (the full
     weights sum to 1 - 5.5e-10 at mu = 1e6), and the error is nearly
     common to the window, so the normalization removes it.
 
-    Every window comes from one closed-form evaluation over all rows, and
-    every weight from one ``poisson_log_pmf`` call, which takes the
-    logarithm of each row's mean once. Windows whose terms would take more
-    than ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15 photons has
-    5.4e8) raise ``ValueError`` before anything is allocated.
+    Every weight comes from one ``poisson_log_pmf`` call, which takes the
+    logarithm of each row's mean once. Negative or non-finite means raise
+    ``ValueError``. Windows whose terms would take more than
+    ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15 photons has 5.4e8)
+    raise ``ValueError`` before anything is allocated.
     """
     mu = np.asarray(intensities, dtype=float)
-    if not np.isfinite(mu).all():
-        raise ValueError("mean photon numbers must be finite")
-    m_lo, m_hi = (end.astype(np.int64) for end in _chernoff_window(mu, _WINDOW_MASS))
-    sizes = m_hi - m_lo
-    _check_dense_size(8 * int(sizes.sum()), f"the Poisson windows of means up to {mu.max():g}")
-    starts = np.zeros(mu.size + 1, dtype=np.int64)
-    sizes.cumsum(out=starts[1:])
-    m = np.arange(starts[-1]) + (m_lo - starts[:-1]).repeat(sizes)
-    weights = np.exp(poisson_log_pmf(m, mu, repeats=sizes))
-    weights /= np.add.reduceat(weights, starts[:-1]).repeat(sizes)
-    return _WindowRows(m=m, weights=weights, starts=starts)
+    if not np.all((0 <= mu) & (mu < np.inf)):
+        raise ValueError("mean photon numbers must be finite and >= 0")
+    return _WindowRows.over(
+        mu,
+        _bernstein_reach(mu, _WINDOW_LOG_MASS),
+        np.inf,
+        lambda m, sizes: poisson_log_pmf(m, mu, repeats=sizes),
+        f"the Poisson windows of means up to {mu.max():g}",
+    )
 
 
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:

@@ -12,12 +12,11 @@ from scipy.special import gammainc, gammaincc, lambertw
 from scipy.stats import poisson
 
 from nlspd.exceptions import DataFormatError, TruncationError
-from nlspd.numerics import poisson_log_pmf, poisson_log_weights
+from nlspd.numerics import _bernstein_reach, poisson_log_pmf, poisson_log_weights
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
     _check_carries,
-    _chernoff_window,
     _coherent_clicks,
     _poisson_rows,
     coherent_click_probability,
@@ -133,26 +132,30 @@ def _first_passing(passes, lo, hi):
     return hi
 
 
-def test_chernoff_windows_bound_the_dropped_mass():
-    # Each window leaves at most 1e-16 of the Poisson mass below m_lo and
-    # at most 1e-16 at or above m_hi (gammaincc(m, mu) = P(M < m) and
-    # gammainc(m, mu) = P(M >= m) as the oracle). Means of 1e10 and 1e12
-    # lie where scipy's -1 branch of Lambert's W stalls at -1.
+def test_poisson_windows_bound_the_dropped_mass():
+    # Each window, the photon numbers within Bernstein's reach of the mean,
+    # leaves at most 1e-17 of the Poisson mass below m_lo and at most 1e-17
+    # at or above m_hi (measured: 4.6e-18; gammaincc(m, mu) = P(M < m) and
+    # gammainc(m, mu) = P(M >= m) as the oracle).
     means = np.concatenate(
         [[0.0, 5e-324, 1e-300, math.log(1e16)], np.geomspace(1e-6, 1e9, 2000), [1e10, 1e12]]
     )
-    m_lo, m_hi = _chernoff_window(means, 1e-16)
+    reach = _bernstein_reach(means, math.log(1e16))
+    m_lo = np.maximum(np.ceil(means - reach), 0.0)
+    m_hi = np.floor(means + reach) + 1.0
     below = np.where(m_lo > 0, gammaincc(np.maximum(m_lo, 1.0), means), 0.0)
-    assert below.max() <= 1e-16
-    assert gammainc(m_hi, means).max() <= 1e-16
+    assert below.max() <= 1e-17
+    assert gammainc(m_hi, means).max() <= 1e-17
     # Up to 1e9, where gammainc is still accurate, each window is at most
-    # 6 % plus 2 terms wider than the exact window found by bisection; the
-    # exact m_lo is one below the first m with P(M < m) > 1e-16.
+    # 6 % plus 26 terms wider than the exact 1e-16 window found by
+    # bisection (measured: 25.3 terms over, the reach's floor of 2/3 ln 1e16
+    # per side at small means); the exact m_lo is one below the first m
+    # with P(M < m) > 1e-16.
     means, m_lo, m_hi = means[:-2], m_lo[:-2], m_hi[:-2]
     floor = np.floor(means)
     exact_hi = _first_passing(lambda m: gammainc(m, means) <= 1e-16, floor, m_hi)
     exact_lo = _first_passing(lambda m: gammaincc(m, means) > 1e-16, m_lo, floor + 1) - 1
-    assert np.all(m_hi - m_lo <= 1.06 * (exact_hi - exact_lo) + 2)
+    assert np.all(m_hi - m_lo <= 1.06 * (exact_hi - exact_lo) + 26)
     # The probe rows span exactly these windows.
     small = means <= 1e4
     rows = _poisson_rows(means[small])
@@ -160,8 +163,15 @@ def test_chernoff_windows_bound_the_dropped_mass():
     assert np.array_equal(rows.m[rows.starts[1:] - 1] + 1, m_hi[small])
 
 
+def test_negative_means_are_refused_before_their_windows():
+    # Bernstein's reach of a negative mean is the root of a negative
+    # variance; the rows refuse the mean before computing it.
+    with pytest.raises(ValueError, match=">= 0"):
+        _poisson_rows([-1e6])
+
+
 def _lambertw_window(mean_photons, mass):
-    """The Chernoff window by scipy's Lambert W: the oracle of ``_chernoff_window``.
+    """The Chernoff window by scipy's Lambert W: the oracle of ``truncation_for``'s bisection.
 
     The bound equals ``mass`` at ``k = mu exp(1 + W(x))``,
     ``x = (ln(1/mass) - mu) / (e mu)``, on W's principal branch above mu
@@ -175,18 +185,6 @@ def _lambertw_window(mean_photons, mass):
     upper = np.where(p < 1e-3, p - p**2 / 3 + 11 / 72 * p**3, 1.0 + lambertw(x).real)
     m_lo = np.where(x < 0, np.floor(mu * np.exp(lower)) + 1.0, 0.0)
     return m_lo, np.ceil(mu * np.exp(upper))
-
-
-@pytest.mark.parametrize("mass", [1e-16, 1e-12])
-def test_chernoff_window_matches_the_lambert_w_formula(mass):
-    # The Newton steps end on the windows the Lambert W formula gives, at
-    # 20,001 means from 1e-6 to 1e12 and at the extreme means above.
-    means = np.concatenate(
-        [[0.0, 5e-324, 1e-300, math.log(1e16)], np.geomspace(1e-6, 1e12, 20001), [1e10, 1e12]]
-    )
-    got, expected = _chernoff_window(means, mass), _lambertw_window(means, mass)
-    np.testing.assert_array_equal(got[0], expected[0])
-    np.testing.assert_array_equal(got[1], expected[1])
 
 
 def _exact_tail(n, mean):

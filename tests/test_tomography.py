@@ -49,12 +49,12 @@ def test_probe_matrix_rows_are_poisson():
     np.testing.assert_array_equal(photons, np.arange(25))
     np.testing.assert_allclose(matrix[0], np.eye(25)[0], atol=1e-15)
     np.testing.assert_allclose(matrix[2], poisson.pmf(np.arange(25), 3.7), atol=1e-13)
-    # A probe of 1e4 photons leaves a gap of 9152 numbers after the
-    # vacuum's window {0, 1}; its row on U is the Poisson law there.
+    # A probe of 1e4 photons leaves a gap of 9105 numbers after the
+    # vacuum's window {0..24}; its row on U is the Poisson law there.
     probes = ProbeSet(intensities=np.array([0.0, 1e4]), trials=1000)
     n = truncation_for(1e4)
     matrix, photons = tomography._probe_matrix(probes, n)
-    assert photons[:2].tolist() == [0, 1] and photons[2] > 9000 and photons[-1] < n
+    assert photons[:25].tolist() == list(range(25)) and photons[25] > 9000 and photons[-1] < n
     np.testing.assert_allclose(matrix[1], poisson.pmf(photons, 1e4), rtol=1e-10, atol=1e-16)
     np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -219,13 +219,13 @@ def test_reconstruct_guards_dense_sizes(monkeypatch):
     with pytest.raises(ValueError, match="click vector.*--scale-to-95"):
         reconstruct_povm(probes, record)
 
-    # So is the P x |U| probe matrix on the windows' union, here 3 x 24,
-    # under a limit just below it that the 45 window terms and the
+    # So is the P x |U| probe matrix on the windows' union, here 3 x 32,
+    # under a limit just below it that the 86 window terms and the
     # 19-element click vector pass.
     probes = ProbeSet(intensities=np.array([0.0, 1.0, 2.0]), trials=100)
     record = ClickRecord(clicks=np.array([1, 40, 70]), trials=100)
     n = truncation_for(2.0)
-    monkeypatch.setattr("nlspd.povm.MAX_DENSE_BYTES", 8 * 3 * 24 - 8)
+    monkeypatch.setattr("nlspd.povm.MAX_DENSE_BYTES", 8 * 3 * 32 - 8)
     with pytest.raises(ValueError, match="probe matrix.*--scale-to-95"):
         reconstruct_povm(probes, record, n)
     monkeypatch.undo()
