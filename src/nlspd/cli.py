@@ -30,7 +30,7 @@ import click
 import numpy as np
 
 from . import __version__, reference
-from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, nonlinear_povm
+from .povm import NonlinearSpdParams, _coherent_clicks, _detector_from_dict, nonlinear_povm
 from .tomography import (
     default_smoothing_weight,
     fidelity,
@@ -176,17 +176,6 @@ def cmd_fit(data_csv, out_json, max_order, prune_threshold):
     )
 
 
-def _load_povm_operand(path: str):
-    document = _read_json(path)
-    if "click" in document:
-        return DiagonalPovm.from_dict(document)
-    if "p" in document:
-        return NonlinearSpdParams.from_dict(document)
-    raise ValueError(
-        f"{path}: expected a POVM document ('click') or parameter document ('p')"
-    )
-
-
 @cli.command("compare")
 @click.argument("povm_a_json")
 @click.argument("povm_b_json")
@@ -197,8 +186,8 @@ def cmd_compare(povm_a_json, povm_b_json):
     a plain {"p": ...} file); it is expanded to a POVM at the other
     operand's truncation. At least one operand must be an explicit POVM.
     """
-    a = _load_povm_operand(povm_a_json)
-    b = _load_povm_operand(povm_b_json)
+    a = _detector_from_dict(_read_json(povm_a_json), povm_a_json)
+    b = _detector_from_dict(_read_json(povm_b_json), povm_b_json)
     if isinstance(a, NonlinearSpdParams) and isinstance(b, NonlinearSpdParams):
         raise ValueError(
             "both operands are parameter documents; no truncation to expand "

@@ -5,6 +5,17 @@ bad data with one handler; numerical breakdowns that occur on valid input
 derive from ``RuntimeError``.
 """
 
+__all__ = [
+    "ConvergenceError",
+    "DataFormatError",
+    "DegenerateDataError",
+    "IllConditionedInversionError",
+    "SaturationCapError",
+    "TargetUnreachableError",
+    "TruncationError",
+    "UndefinedFidelityError",
+]
+
 
 class TruncationError(ValueError):
     """Photon-number truncation too small for the requested intensities."""

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 
 from .exceptions import IllConditionedInversionError
-from .numerics import _bernstein_reach, _deviance, _stirling_gap
+from .numerics import _bernstein_reach, _deviance, _stirling_gap, _transmissivity
 from .povm import DiagonalPovm, _check_dense_size, _WindowRows, povm_click_probability
 
 __all__ = [
@@ -109,12 +109,6 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
     )
 
 
-def _validated_eta(eta: float) -> float:
-    if not 0 < eta <= 1:
-        raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")
-    return float(eta)
-
-
 def _loss_matrix(eta: float, truncation: int) -> np.ndarray:
     """Binomial thinning matrix ``L[n, m] = C(n, m) eta^m (1-eta)^{n-m}``, lower triangular.
 
@@ -137,7 +131,7 @@ def scale_povm(povm: DiagonalPovm, eta: float) -> DiagonalPovm:
     the terms of the windows would exceed ``povm.MAX_DENSE_BYTES`` (at
     eta = 0.5, truncations above about 30,000).
     """
-    rows = _binomial_rows(povm.truncation, _validated_eta(eta))
+    rows = _binomial_rows(povm.truncation, _transmissivity(eta))
     return DiagonalPovm(click=np.clip(rows @ povm.click[rows.m], 0.0, 1.0))
 
 
@@ -186,7 +180,7 @@ def unscale_povm(
     IllConditionedInversionError
         If the pre-clamp violation exceeds 0.1.
     """
-    eta = _validated_eta(eta)
+    eta = _transmissivity(eta)
     n = povm.truncation
     _check_dense_size(8 * (2 * n - 2) * n, f"the {2 * n - 2} x {n} stacked loss inversion")
     matrix = _loss_matrix(eta, n)
@@ -229,4 +223,4 @@ def lossy_click_probability(
     the prediction is the bare detector's response at mean ``eta * mu``,
     with no matrix inversion involved.
     """
-    return povm_click_probability(povm, _validated_eta(eta) * mean_photons)
+    return povm_click_probability(povm, _transmissivity(eta) * mean_photons)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
-from .numerics import _whole_number, binomial_table, log_survival_sum
+from .numerics import _transmissivity, _whole_number, binomial_table, log_survival_sum
 from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
 
@@ -146,9 +146,8 @@ class FitReport:
         h = np.asarray(self.h, dtype=float)
         if h.size != self.params.order:
             raise ValueError("h length does not match the number of mechanisms")
-        kept = tuple(sorted(_whole_number(n, "kept order") for n in self.kept_orders))
-        if any(n < 0 or n >= self.params.order for n in kept):
-            raise ValueError(f"kept orders {kept} outside 0..{self.params.order - 1}")
+        top = self.params.order - 1
+        kept = tuple(sorted(_whole_number(n, "kept order", 0, top) for n in self.kept_orders))
         if self.objective < 0 or residuals.size < 1 or residuals.min() < 0:
             raise ValueError("objective and residuals must be nonnegative")
         residuals.setflags(write=False)
@@ -454,8 +453,6 @@ def fit_params(
         carries the best-so-far ``FitReport`` as its ``result``.
     """
     max_order = _whole_number(max_order, "max_order")
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
     data = _fit_data(probes, record, max_order)
     pinned = np.zeros(max_order, dtype=bool)
     h, r = _fit(data, np.full(max_order, _NEAR_ZERO_H), pinned, "mechanism fit")
@@ -501,7 +498,7 @@ def prune_mechanisms(
         that refit's best-so-far ``FitReport`` as its ``result``.
     """
     if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if not report.kept_orders:
         raise ValueError("the report keeps no mechanism order, so there is nothing to prune")
     order = report.params.order
@@ -567,12 +564,9 @@ def loss_scaling_analysis(params_by_eta) -> ScalingLawFit:
     least three distinct transmissivities are required for a meaningful
     slope.
     """
-    pairs = [(float(eta), params) for eta, params in params_by_eta]
+    pairs = [(_transmissivity(eta), params) for eta, params in params_by_eta]
     if len({eta for eta, _ in pairs}) < 3:
         raise ValueError("at least three distinct transmissivities are required")
-    for eta, _ in pairs:
-        if not 0 < eta <= 1:
-            raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")
     orders = {params.order for _, params in pairs}
     if len(orders) != 1:
         raise ValueError(f"parameter sets disagree on mechanism count: {sorted(orders)}")

@@ -28,8 +28,14 @@ and the ln m! of ``poisson_log_pmf``.
 The kernels take arbitrary photon numbers, so a caller can evaluate a
 window [m_lo, m_hi) only. ``poisson_log_weights`` is the Poisson form
 over the full range m = 0..truncation-1; the binomial one is
-``binomial_table(np.arange(truncation), order)``. The module needs
-numpy alone.
+``binomial_table(np.arange(truncation), order)``.
+
+Two private checks hold rules for outside input that several modules
+read: ``_whole_number``, every count of the package as a whole number in
+a range, at most 2**53 unless a caller sets another bound (seeds take
+2**64 - 1), and ``_transmissivity``, a loss channel's eta in (0, 1]. The
+module needs numpy alone, so ``modelfit`` checks a transmissivity
+without loading scipy.
 """
 
 from __future__ import annotations
@@ -51,17 +57,32 @@ __all__ = [
 _HALF_LOG_2PI = 0.91893853320467274178
 
 
-def _whole_number(value, what: str) -> int:
-    """``value`` as an int, refusing bools, strings and values that are not whole.
+# 2**53: the largest whole number up to which a double holds every whole
+# number exactly. Counts and mean photon numbers above it are refused: the
+# package handles both as doubles, and its windows' photon numbers as int64.
+_WHOLE_LIMIT = 2**53
+
+
+def _whole_number(value, what: str, low: int = 1, high: int = _WHOLE_LIMIT) -> int:
+    """``value`` as an int in [low, high], refusing bools, strings and values that are not whole.
 
     Whole floats pass, since JSON reads a count written as 1e5 as 100000.0.
-    Every count argument of the package, a truncation, a mechanism order or
-    a number of trials, goes through it.
+    Every count argument of the package, a truncation, a mechanism order,
+    a number of trials or a seed, goes through it. The range is compared
+    first, so NaN, infinities and ints too large for a float are refused
+    before ``float(value)``.
     """
     number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    if not (number and float(value).is_integer()):
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if not (number and low <= value <= high and float(value).is_integer()):
+        raise ValueError(f"{what} must be a whole number in [{low}, {high}], got {value!r}")
     return int(value)
+
+
+def _transmissivity(eta) -> float:
+    """``eta`` as a float in (0, 1], the range of a loss channel's transmissivity."""
+    if not 0 < eta <= 1:
+        raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")
+    return float(eta)
 
 
 def _stirling_log_factorial(x: np.ndarray) -> np.ndarray:
@@ -202,7 +223,7 @@ def poisson_log_pmf(m_values: np.ndarray, mean_photons, repeats=None) -> np.ndar
     mu = np.asarray(mean_photons, dtype=float)
     lowest = mu.min(initial=np.inf)
     if lowest < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
+        raise ValueError(f"mean photon numbers must not be negative, got {mean_photons}")
     m = np.asarray(m_values)
     with np.errstate(divide="ignore"):
         log_mu = np.log(mu)
@@ -225,11 +246,8 @@ def poisson_log_weights(mean_photons, truncation: int) -> np.ndarray:
     vector per mean along a new last axis. The truncation is a whole
     number >= 1.
     """
-    truncation = _whole_number(truncation, "truncation")
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
     mu = np.asarray(mean_photons, dtype=float)
-    return poisson_log_pmf(np.arange(truncation), mu[..., None])
+    return poisson_log_pmf(np.arange(_whole_number(truncation, "truncation")), mu[..., None])
 
 
 def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
@@ -239,10 +257,7 @@ def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
     on every photon number including vacuum. The order n is a whole
     number >= 0. The last column of ``binomial_table(m_values, n + 1)``.
     """
-    n = _whole_number(n, "mechanism order")
-    if n < 0:
-        raise ValueError(f"binomial_exponents requires n >= 0, got n={n}")
-    return binomial_table(m_values, n + 1)[..., -1]
+    return binomial_table(m_values, _whole_number(n, "mechanism order", 0) + 1)[..., -1]
 
 
 def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
@@ -254,11 +269,9 @@ def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     >= 1.
     """
     order = _whole_number(order, "order count")
-    if order < 1:
-        raise ValueError(f"order count must be >= 1, got {order}")
     m_values = np.asarray(m_values, dtype=np.int64)
     if m_values.size and m_values.min() < 0:
-        raise ValueError("binomial_exponents requires m >= 0")
+        raise ValueError("binomial_table requires m >= 0")
     m = m_values.astype(float)
     table = np.empty(m.shape + (order,))
     table[..., 0] = 1.0

@@ -34,6 +34,9 @@ relative precision. A truncation belongs to an explicit click vector
 (``DiagonalPovm``), whose length it is: ``truncation_for`` picks the
 default one, the smallest that carries all but ``DEFAULT_TAIL_MASS`` of
 a probe's Poisson mass, and every truncation check compares with it.
+Every mean photon number the package takes passes ``_check_means``:
+finite, >= 0 and at most 2**53. ``_detector_from_dict`` reads a detector,
+a POVM or mechanism parameters, from a JSON document.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import numpy as np
 
 from .exceptions import DataFormatError, TruncationError
 from .numerics import (
+    _WHOLE_LIMIT,
     _bernstein_reach,
     _whole_number,
     binomial_table,
@@ -53,10 +57,10 @@ from .numerics import (
 )
 
 __all__ = [
-    "DEFAULT_TAIL_MASS",
     "DiagonalPovm",
     "NonlinearSpdParams",
     "coherent_click_probability",
+    "log_survival",
     "nonlinear_povm",
     "npd_povm",
     "povm_click_probability",
@@ -96,6 +100,22 @@ def _check_dense_size(size: int, what: str) -> None:
         raise ValueError(
             f"{what} would take {size / 2**20:.4g} MiB, "
             f"above the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
+        )
+
+
+def _check_means(lowest: float, highest: float) -> None:
+    """Raise ``ValueError`` unless mean photon numbers from ``lowest`` to
+    ``highest`` are finite, >= 0 and at most 2**53.
+
+    Above 2**53 a double no longer holds every whole photon number, so no
+    window or tail of such a mean is exact. Python float compares: NaN
+    fails both, and a scalar check costs no numpy call.
+    """
+    if not (0 <= lowest and highest <= _WHOLE_LIMIT):
+        bad = highest if 0 <= lowest else lowest
+        raise ValueError(
+            f"mean photon numbers must be finite, >= 0 and not too large "
+            f"(at most 2**53), got {bad:g}"
         )
 
 
@@ -204,6 +224,21 @@ class NonlinearSpdParams:
         return cls(p=p)
 
 
+def _detector_from_dict(document, what: str):
+    """The ``DiagonalPovm`` (``click``) or ``NonlinearSpdParams`` (``p``) of a JSON document.
+
+    ``what`` names the document in the ``DataFormatError`` raised for
+    anything else.
+    """
+    if isinstance(document, dict) and "click" in document:
+        return DiagonalPovm.from_dict(document)
+    if isinstance(document, dict) and "p" in document:
+        return NonlinearSpdParams.from_dict(document)
+    raise DataFormatError(
+        f"{what} must be an object with either 'click' (POVM) or 'p' (parameters)"
+    )
+
+
 def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
     """Log no-click probability per photon number for mechanism efficiencies p.
 
@@ -211,10 +246,7 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
     ``-inf`` wherever a unit-efficiency mechanism applies. The truncation
     is a whole number >= 1; a whole float counts, a bool does not.
     """
-    truncation = _whole_number(truncation, "truncation")
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    return _log_survival_at(p, np.arange(truncation))
+    return _log_survival_at(p, np.arange(_whole_number(truncation, "truncation")))
 
 
 def _log_survival_at(p: np.ndarray, m_values: np.ndarray) -> np.ndarray:
@@ -245,9 +277,7 @@ def npd_povm(pn: float, n: int, truncation: int) -> DiagonalPovm:
     """
     if not 0 <= pn <= 1:
         raise ValueError(f"efficiency must lie in [0, 1], got {pn}")
-    n = _whole_number(n, "mechanism order")
-    if n < 0:
-        raise ValueError(f"mechanism order must be >= 0, got {n}")
+    n = _whole_number(n, "mechanism order", 0)
     p = np.zeros(n + 1)
     p[n] = pn
     return DiagonalPovm(click=-np.expm1(log_survival(p, truncation)))
@@ -277,11 +307,11 @@ def truncation_for(max_mean_photons: float) -> int:
     above a large mean and more than 42 photon numbers above any mean, so
     above floor(mu) + 1. The sum has under ``t + 1`` terms; if they would
     take more than ``MAX_DENSE_BYTES`` (means above about 8.7e12),
-    ``ValueError`` says so before anything is allocated.
+    ``ValueError`` says so before anything is allocated, as it does for a
+    mean that is negative, not finite or above 2**53.
     """
     mu = float(max_mean_photons)
-    if not 0 <= mu < np.inf:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {max_mean_photons}")
+    _check_means(mu, mu)
     reach = _bernstein_reach(mu, -math.log(_TAIL_RESOLUTION))
     _check_dense_size(
         8 * (reach + 1.0),
@@ -377,14 +407,13 @@ def _poisson_rows(intensities) -> _WindowRows:
     common to the window, so the normalization removes it.
 
     Every weight comes from one ``poisson_log_pmf`` call, which takes the
-    logarithm of each row's mean once. Negative or non-finite means raise
-    ``ValueError``. Windows whose terms would take more than
-    ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15 photons has 5.4e8)
-    raise ``ValueError`` before anything is allocated.
+    logarithm of each row's mean once. Means that are negative, not
+    finite or above 2**53 raise ``ValueError``. Windows whose terms would
+    take more than ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15 photons
+    has 5.4e8) raise ``ValueError`` before anything is allocated.
     """
     mu = np.asarray(intensities, dtype=float)
-    if not np.all((0 <= mu) & (mu < np.inf)):
-        raise ValueError("mean photon numbers must be finite and >= 0")
+    _check_means(mu.min(), mu.max())
     return _WindowRows.over(
         mu,
         _bernstein_reach(mu, _WINDOW_LOG_MASS),
@@ -429,10 +458,9 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
     params:
         Mechanism efficiencies of the detector.
     mean_photons:
-        Mean photon number ``mu = |alpha|^2`` of the probe.
+        Mean photon number ``mu = |alpha|^2`` of the probe: finite, >= 0
+        and at most 2**53, or ``ValueError`` is raised.
     """
-    if mean_photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
     return float(_coherent_clicks(params, [mean_photons])[0])
 
 
@@ -446,10 +474,9 @@ def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
     take the same reduction, so a click vector in [0, 1] gives a result in
     [0, 1]. The truncation must dominate the probe: if the Poisson tail
     beyond it exceeds ``DEFAULT_TAIL_MASS`` the result would silently miss
-    response, so a ``TruncationError`` is raised instead.
+    response, so a ``TruncationError`` is raised instead. A mean that is
+    negative, not finite or above 2**53 raises ``ValueError``.
     """
-    if mean_photons < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
     _check_carries(povm.truncation, mean_photons, "POVM truncation")
     weights = np.exp(poisson_log_pmf(np.arange(povm.truncation), mean_photons))
     return float((weights * povm.click).sum() / weights.sum())

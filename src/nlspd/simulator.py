@@ -19,7 +19,9 @@ from scipy.special._ufuncs import _binom_ppf
 
 from .exceptions import DataFormatError, SaturationCapError
 from .numerics import _whole_number
-from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, povm_click_probability
+from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, _detector_from_dict
+from .povm import povm_click_probability
+from .reference import TRIALS_PER_PROBE
 from .tomography import ClickRecord, ProbeSet
 
 __all__ = [
@@ -30,13 +32,13 @@ __all__ = [
 
 # The canonical probe grid: _GRID_POINTS intensities from _GRID_START up
 # to where the click probability passes 1 - _SATURATION_TOLERANCE, found
-# by steps of _SWEEP_GROWTH below _INTENSITY_CAP, at _TRIALS trials each.
+# by steps of _SWEEP_GROWTH below _INTENSITY_CAP, at TRIALS_PER_PROBE
+# trials each.
 _GRID_POINTS = 60
 _GRID_START = 1e-2
 _SATURATION_TOLERANCE = 1e-3
 _SWEEP_GROWTH = 1.2
 _INTENSITY_CAP = 1e6
-_TRIALS = 100_000
 
 
 def _noiseless_clicks(truth, intensities) -> np.ndarray:
@@ -76,12 +78,8 @@ class ExperimentConfig:
             )
         if not isinstance(self.probes, ProbeSet):
             raise TypeError(f"probes must be a ProbeSet, got {type(self.probes).__name__}")
-        seed = _whole_number(self.seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        seed = _whole_number(self.seed, "seed", 0, 2**64 - 1)
         trials = _whole_number(self.trials, "trials")
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if trials != self.probes.trials:
             raise ValueError(
                 f"config trials {trials} disagree with probe trials {self.probes.trials}"
@@ -111,14 +109,7 @@ class ExperimentConfig:
             probe_trials = probes_doc.get("trials", trials)
         except (KeyError, TypeError) as err:
             raise DataFormatError(f"malformed experiment config: {err}") from err
-        if isinstance(truth_doc, dict) and "click" in truth_doc:
-            truth = DiagonalPovm.from_dict(truth_doc)
-        elif isinstance(truth_doc, dict) and "p" in truth_doc:
-            truth = NonlinearSpdParams.from_dict(truth_doc)
-        else:
-            raise DataFormatError(
-                "truth document must be an object with either 'click' (POVM) or 'p' (parameters)"
-            )
+        truth = _detector_from_dict(truth_doc, "truth document")
         probes = ProbeSet(intensities=intensities, trials=probe_trials)
         return cls(truth=truth, probes=probes, seed=seed, trials=trials)
 
@@ -188,4 +179,4 @@ def geometric_probe_grid(truth) -> ProbeSet:
     small-order mechanisms.
     """
     grid = np.geomspace(_GRID_START, _saturation_intensity(truth), _GRID_POINTS)
-    return ProbeSet(intensities=np.concatenate([[0.0], grid]), trials=_TRIALS)
+    return ProbeSet(intensities=np.concatenate([[0.0], grid]), trials=TRIALS_PER_PROBE)

@@ -42,13 +42,11 @@ from .exceptions import (
 )
 from .numerics import _whole_number
 from .povm import MAX_DENSE_BYTES, DiagonalPovm, _check_carries, _check_dense_size
-from .povm import _poisson_rows, truncation_for
+from .povm import _check_means, _poisson_rows, truncation_for
 
 __all__ = [
-    "CSV_HEADER",
     "ClickRecord",
     "ProbeSet",
-    "SCALED_TARGET_MEAN",
     "fidelity",
     "read_click_data",
     "reconstruct_povm",
@@ -106,7 +104,9 @@ class ProbeSet:
     """Coherent probe intensities and the trial count per probe.
 
     The intensities are strictly increasing and start with the mandatory
-    vacuum probe, which anchors the dark-count component.
+    vacuum probe, which anchors the dark-count component. Like every mean
+    photon number of the package they are finite and at most 2**53, and
+    the trial count is a whole number from 1 to 2**53.
     """
 
     intensities: np.ndarray
@@ -116,15 +116,12 @@ class ProbeSet:
         intensities = np.asarray(self.intensities, dtype=float)
         if intensities.ndim != 1 or intensities.size < 2:
             raise ValueError("at least two probe intensities are required")
-        if not np.all(np.isfinite(intensities)):
-            raise ValueError("probe intensities must be finite")
+        _check_means(intensities.min(), intensities.max())
         if intensities[0] != 0.0:
             raise ValueError("the first probe must be the vacuum (intensity 0)")
         if np.any(np.diff(intensities) <= 0):
             raise ValueError("probe intensities must be strictly increasing")
         trials = _whole_number(self.trials, "trials per probe")
-        if trials < 1:
-            raise ValueError(f"trials per probe must be >= 1, got {trials}")
         intensities.setflags(write=False)
         object.__setattr__(self, "intensities", intensities)
         object.__setattr__(self, "trials", trials)
@@ -141,26 +138,28 @@ class ProbeSet:
 
 @dataclass(frozen=True)
 class ClickRecord:
-    """Observed click counts, one per probe, out of a fixed trial count."""
+    """Observed click counts, one per probe, out of a fixed trial count.
+
+    The trial count, a whole number from 1 to 2**53, is checked first; each
+    count is a whole number in [0, trials].
+    """
 
     clicks: np.ndarray
     trials: int
 
     def __post_init__(self):
+        trials = _whole_number(self.trials, "trials")
         clicks = np.asarray(self.clicks)
         if clicks.ndim != 1 or clicks.size < 1:
             raise ValueError("click counts must form a nonempty vector")
-        if not np.issubdtype(clicks.dtype, np.integer):
-            rounded = np.asarray(np.rint(clicks), dtype=np.int64)
-            if not np.array_equal(rounded, clicks):
-                raise ValueError("click counts must be integers")
-            clicks = rounded
-        clicks = clicks.astype(np.int64)
-        trials = _whole_number(self.trials, "trials")
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if clicks.min() < 0 or clicks.max() > trials:
+        # Against trials <= 2**53 before any cast, so that a count int64
+        # cannot hold, or NaN, is refused rather than wrapped.
+        if not (clicks.min() >= 0 and clicks.max() <= trials):
             raise ValueError("click counts must lie in [0, trials]")
+        rounded = clicks.astype(np.int64)
+        if not np.array_equal(rounded, clicks):
+            raise ValueError("click counts must be integers")
+        clicks = rounded
         clicks.setflags(write=False)
         object.__setattr__(self, "clicks", clicks)
         object.__setattr__(self, "trials", trials)
@@ -643,6 +642,12 @@ def scaled_fit_workflow(
     intensity where the measured click probability reaches 0.95, then
     ``k = 30 / mu*``, so the rescaled detector clicks with 95% probability
     at mean photon number 30.
+
+    The raw intensities are held to the rule of every ``ProbeSet``: one
+    above 2**53 photons is refused when the probe set is built, although
+    k would bring it into range. Such a probe's photon numbers are not
+    whole in a double, so its raw intensity is not a measured mean to
+    rescale.
 
     Returns
     -------

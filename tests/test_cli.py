@@ -5,6 +5,7 @@ contract (0 success, 1 usage/data error, 2 internal error) is asserted
 directly.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -20,7 +21,13 @@ from nlspd import cli, simulator
 from nlspd.povm import NonlinearSpdParams
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
-from nlspd.tomography import ClickRecord, ProbeSet, read_click_data, write_click_data
+from nlspd.tomography import (
+    CSV_HEADER,
+    ClickRecord,
+    ProbeSet,
+    read_click_data,
+    write_click_data,
+)
 
 
 def run_cli(args):
@@ -114,6 +121,17 @@ def test_simulate_refuses_an_oversized_probe(tmp_path, config_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_simulate_refuses_a_probe_above_2_53(tmp_path, config_path, capsys):
+    # No double holds the photon numbers of a 1e20-photon probe whole; the
+    # probe is refused as it is read, not cast to garbage window ends.
+    document = json.loads(config_path.read_text())
+    document["probes"]["intensities"].append(1e20)
+    config_path.write_text(json.dumps(document))
+    assert run_cli(["simulate", config_path, tmp_path / "clicks.csv"]) == 1
+    assert "too large" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_simulate_accepts_whole_float_counts(tmp_path, config_path):
     # JSON reads 1e5 as 100000.0; the record matches the integer config's.
     reference_csv = tmp_path / "reference.csv"
@@ -195,6 +213,37 @@ def test_reconstruct_scaled_refuses_an_unbracketed_crossing(
     assert run_cli(["reconstruct", data, out, "--scale-to-95"]) == 1
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clicks.csv"]
+
+
+@pytest.mark.parametrize(
+    "args, rows, message",
+    [
+        # a 1e20-photon probe beside small ones
+        (
+            ["fit"],
+            ["0.0,1000,1", "1.0,1000,90", "10.0,1000,600", "1e20,1000,1000"],
+            "too large",
+        ),
+        # The rescaling would bring these probes to a few hundred photons,
+        # but the raw intensities are refused as they are read.
+        (
+            ["reconstruct", "--scale-to-95"],
+            ["0.0,1000,1", "1e18,1000,500", "1e19,1000,970", "1e20,1000,1000"],
+            "too large",
+        ),
+        # 1e29 trials and a click count int64 cannot hold
+        (["reconstruct"], [f"{mu},{10**29},{10**20}" for mu in ("0", "1", "10")], "whole number"),
+        (["fit"], [f"{mu},{10**29},{10**20}" for mu in ("0", "1", "10")], "whole number"),
+    ],
+    ids=["fit-probe-1e20", "scaled-probe-1e20", "reconstruct-trials-1e29", "fit-trials-1e29"],
+)
+def test_counts_and_means_above_2_53_exit_1(tmp_path, capsys, args, rows, message):
+    data = tmp_path / "clicks.csv"
+    data.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    out = tmp_path / "out.json"
+    assert run_cli([*args, data, out]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_missing_input(tmp_path):
@@ -441,6 +490,12 @@ print(wrong, set(nlspd.__all__) <= set(dir(nlspd)), hasattr(nlspd, "no_such_name
     result = _python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[] True False\n"
+
+
+def test_package_exports_are_each_modules_public_names():
+    for module, names in nlspd._EXPORTS.items():
+        public = importlib.import_module(f"nlspd.{module}").__all__
+        assert sorted(names) == sorted(public), module
 
 
 _CLI = """

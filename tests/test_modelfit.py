@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from nlspd import modelfit
-from nlspd.exceptions import ConvergenceError, DegenerateDataError, TruncationError
+from nlspd.exceptions import (
+    ConvergenceError,
+    DataFormatError,
+    DegenerateDataError,
+    TruncationError,
+)
 from nlspd.modelfit import (
     FitReport,
     MechanismLogVector,
@@ -468,6 +473,39 @@ def test_log_vector_validation():
         MechanismLogVector(h=np.array([-1.0]), binomial_design=design)
     with pytest.raises(ValueError):
         MechanismLogVector.at_truncation(np.array([-1.0, -1.0]), 0)
+
+
+def test_modelfit_refuses_malformed_input():
+    # Each refusal keeps its error type and names what it refuses.
+    design = binomial_table(np.arange(6), 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        MechanismLogVector(h=np.array([]), binomial_design=design[:, :0])
+    with pytest.raises(ValueError, match="column 0"):
+        MechanismLogVector(h=np.zeros(2), binomial_design=design + 1.0)
+    vec = MechanismLogVector.at_truncation(np.array([0.0, -0.2]), 8)
+    fields = dict(
+        params=vec.params,
+        kept_orders=(0, 1),
+        objective=0.25,
+        per_probe_residuals=np.array([0.1, 0.15]),
+        h=vec.h,
+    )
+    report = FitReport(**fields)
+    with pytest.raises(ValueError, match="h length"):
+        FitReport(**{**fields, "h": np.zeros(3)})
+    with pytest.raises(ValueError, match="kept order"):
+        FitReport(**{**fields, "kept_orders": (0, 2)})
+    with pytest.raises(ValueError, match="nonnegative"):
+        FitReport(**{**fields, "objective": -1.0})
+    with pytest.raises(DataFormatError, match="malformed fit report"):
+        FitReport.from_dict({"p": [0.1]})
+    probes = ProbeSet(intensities=np.array([0.0, 1.0]), trials=10)
+    record = ClickRecord(clicks=np.array([1, 5]), trials=10)
+    with pytest.raises(ValueError, match="max_order"):
+        fit_params(probes, record, max_order=0)
+    for threshold in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            prune_mechanisms(report, probes, record, threshold)
 
 
 def test_log_vector_params_have_plain_zeros():

@@ -202,3 +202,17 @@ def test_count_arguments_are_whole_numbers(call, whole):
     for bad in (whole + 0.5, True):
         with pytest.raises(ValueError, match="whole number"):
             call(bad)
+
+
+def test_kernels_refuse_out_of_range_arguments():
+    with pytest.raises(ValueError, match="mean photon number"):
+        poisson_log_pmf(np.arange(3), -1.0)
+    with pytest.raises(ValueError, match="truncation"):
+        poisson_log_weights(1.0, 0)
+    # The message echoes the refused order.
+    with pytest.raises(ValueError, match="-1"):
+        binomial_exponents(np.arange(3), -1)
+    with pytest.raises(ValueError, match="order count"):
+        binomial_table(np.arange(3), 0)
+    with pytest.raises(ValueError, match="m >= 0"):
+        binomial_table(np.array([-1, 2]), 2)

@@ -228,6 +228,19 @@ def test_non_finite_means_are_refused(bad):
         coherent_click_probability(PARAMS, bad)
 
 
+@pytest.mark.parametrize("mean", [2.0**53 + 2, 1e20])
+def test_means_above_2_53_are_refused(mean):
+    # Above 2**53 no double holds every photon number whole.
+    for call in (
+        lambda: truncation_for(mean),
+        lambda: _poisson_rows([0.0, mean]),
+        lambda: coherent_click_probability(PARAMS, mean),
+        lambda: povm_click_probability(spd_povm(0.1, 20), mean),
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            call()
+
+
 def _exact_coherent_click(p, mean):
     """Coherent click probability of mechanisms p, summed term by term in
     30-digit arithmetic until the Poisson terms fall under 1e-40."""
@@ -472,6 +485,19 @@ def test_diagonal_povm_validation():
     with pytest.raises(ValueError, match="whole number"):
         DiagonalPovm.from_dict({"truncation": 2.7, "click": [0.0, 0.5]})
     assert DiagonalPovm.from_dict({"truncation": 2.0, "click": [0.0, 0.5]}).truncation == 2
+
+
+def test_povm_builders_refuse_out_of_range_arguments():
+    with pytest.raises(ValueError, match="finite"):
+        DiagonalPovm(click=np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="truncation"):
+        log_survival(np.array([0.1]), 0)
+    with pytest.raises(ValueError, match="efficiency"):
+        npd_povm(1.5, 1, 5)
+    with pytest.raises(ValueError, match="mechanism order"):
+        npd_povm(0.1, -1, 5)
+    with pytest.raises(ValueError, match="mean photon number"):
+        povm_click_probability(spd_povm(0.1, 20), -1.0)
 
 
 def test_diagonal_povm_clips_rounding_fuzz():

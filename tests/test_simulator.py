@@ -124,6 +124,23 @@ def test_config_validation():
         ExperimentConfig(truth="spd", probes=probes, seed=0, trials=100)
 
 
+def test_config_and_grid_refuse_what_they_cannot_use():
+    with pytest.raises(TypeError, match="truth must be"):
+        geometric_probe_grid("spd")
+    probes = ProbeSet(intensities=np.array([0.0, 1.0]), trials=100)
+    with pytest.raises(TypeError, match="probes must be a ProbeSet"):
+        ExperimentConfig(truth=SPD, probes=[0.0, 1.0], seed=0, trials=100)
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(truth=SPD, probes=probes, seed=0, trials=0)
+
+
+def test_config_refuses_trials_above_2_53():
+    # scipy's binomial inverse cdf searches without end at 1e17 trials;
+    # counts above 2**53 are refused before any draw.
+    with pytest.raises(ValueError, match="trials"):
+        _config(SPD, [0.0, 1.0], seed=0, trials=2**53 + 1)
+
+
 def test_config_dict_round_trip():
     probes = ProbeSet(intensities=np.array([0.0, 1.0, 3.0]), trials=500)
     for truth in (NonlinearSpdParams([0.01, 0.2]), spd_povm(0.1, 30)):

@@ -458,6 +458,30 @@ def test_click_record_validation():
         ClickRecord(clicks=np.array([1, 2]), trials=10.5)
 
 
+def test_probe_and_click_data_refuse_malformed_input():
+    with pytest.raises(ValueError, match="finite"):
+        ProbeSet(intensities=np.array([0.0, np.inf]), trials=10)
+    with pytest.raises(ValueError, match="nonempty"):
+        ClickRecord(clicks=np.array([], dtype=int), trials=10)
+    with pytest.raises(ValueError, match="trials"):
+        ClickRecord(clicks=np.array([0, 0]), trials=0)
+    probes = ProbeSet(intensities=np.array([0.0, 1.0]), trials=10)
+    with pytest.raises(ValueError, match="probe count"):
+        tomography.check_paired(probes, ClickRecord(clicks=np.array([1, 2, 3]), trials=10))
+    with pytest.raises(ValueError, match="probe trials"):
+        tomography.check_paired(probes, ClickRecord(clicks=np.array([1, 2]), trials=20))
+
+
+def test_click_record_checks_trials_before_the_clicks():
+    with pytest.raises(ValueError, match="trials"):
+        ClickRecord(clicks=[10**20], trials=0)
+    # A count int64 cannot hold is refused against the trials, not cast.
+    with pytest.raises(ValueError, match=r"\[0, trials\]"):
+        ClickRecord(clicks=[10**20], trials=10)
+    with pytest.raises(ValueError, match=r"\[0, trials\]"):
+        ClickRecord(clicks=np.array([np.nan, 1.0]), trials=10)
+
+
 def test_click_data_round_trip(tmp_path):
     mu = np.r_[0.0, np.geomspace(0.2, 17.0, 11)]
     probes = ProbeSet(intensities=mu, trials=40_000)
