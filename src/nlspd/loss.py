@@ -127,12 +127,13 @@ def scale_povm(povm: DiagonalPovm, eta: float) -> DiagonalPovm:
     Element n is the click vector summed through row n of
     ``_binomial_rows``, Bin(n, eta) over its window. The forward binomial
     average is a convex combination per row, so the output stays in [0, 1]
-    and monotonicity of the input is preserved. Raises ``ValueError`` if
-    the terms of the windows would exceed ``povm.MAX_DENSE_BYTES`` (at
-    eta = 0.5, truncations above about 30,000).
+    up to rounding, which ``DiagonalPovm`` clips, and monotonicity of the
+    input is preserved. Raises ``ValueError`` if the terms of the windows
+    would exceed ``povm.MAX_DENSE_BYTES`` (at eta = 0.5, truncations above
+    about 30,000).
     """
     rows = _binomial_rows(povm.truncation, _transmissivity(eta))
-    return DiagonalPovm(click=np.clip(rows @ povm.click[rows.m], 0.0, 1.0))
+    return DiagonalPovm(click=rows @ povm.click[rows.m])
 
 
 def unscale_povm(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
-from .numerics import _transmissivity, _whole_number, binomial_table, log_survival_sum
+from .numerics import _transmissivity, _whole_number, binomial_table
 from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
 
@@ -115,8 +115,7 @@ class MechanismLogVector:
 
     @property
     def params(self) -> NonlinearSpdParams:
-        # + 0.0 turns the -0.0 produced at h = 0 into a plain zero.
-        return NonlinearSpdParams(p=-np.expm1(self.h) + 0.0)
+        return NonlinearSpdParams(p=-np.expm1(self.h))
 
 
 @dataclass(frozen=True)
@@ -259,9 +258,10 @@ def _residual(data: _FitData, h: np.ndarray) -> np.ndarray:
 
     ``-expm1`` keeps every click probability 1 - exp(G h) to full relative
     precision, so weak probes (click probabilities near the dark-count
-    floor) add no rounding noise to the objective.
+    floor) add no rounding noise to the objective. h lies in the box
+    [-60, 0], so ``G h`` is finite and a plain product.
     """
-    clicks = -np.expm1(log_survival_sum(data.design.T, h))
+    clicks = -np.expm1(data.design.T @ h)
     model = data.rows @ clicks[data.columns]
     return (data.frequencies - model) / data.frequencies
 
@@ -276,7 +276,7 @@ def _derivatives(data: _FitData, h: np.ndarray, r: np.ndarray):
     i.e. where the model overpredicts the data. F^T (r / C) is summed
     into the union's photon numbers by ``np.bincount`` over the terms.
     """
-    survival = np.exp(log_survival_sum(data.design.T, h))
+    survival = np.exp(data.design.T @ h)
     rows = data.rows
     terms = data.weighted_design * survival[data.columns]
     jacobian = np.add.reduceat(terms, rows.starts[:-1], axis=1).T / data.frequencies[:, None]
@@ -300,12 +300,17 @@ def fit_objective(
     excluded the data cannot score any parameter vector and
     ``DegenerateDataError`` is raised. A design with too few rows to carry
     the largest probe's Poisson mass raises ``TruncationError``.
+
+    h is clipped into the fit's box [-60, 0] first, so a saturated
+    mechanism (h = -inf) is evaluated at -60. That changes no click: where
+    any order at or below -60 acts, the log survival is at most -60, and
+    ``-expm1`` of it rounds to 1 exactly, as at -inf.
     """
     data = _fit_data(probes, record, h.h.size)
     _check_carries(
         h.binomial_design.shape[0], float(probes.intensities.max()), "design truncation"
     )
-    r = _residual(data, h.h)
+    r = _residual(data, np.clip(h.h, _H_FLOOR, 0.0))
     return float(r @ r)
 
 
@@ -333,7 +338,7 @@ def _newton_direction(
     return np.linalg.lstsq(jacobian, -r, rcond=None)[0]
 
 
-def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray):
+def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, what: str):
     """Bound-constrained least-squares fit of the free orders.
 
     Orders flagged in ``pinned`` are held at h[n] = 0 exactly; the rest
@@ -346,8 +351,10 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray):
     is at most ``_NEWTON_DECREMENT`` of the objective, or once the line
     search finds no decrease: the objective then moves only by rounding.
 
-    Returns the solution and whether it stopped so within
-    ``_FIT_MAX_ITERATIONS`` Newton iterations.
+    Returns the solution and its residual. Raises ``ConvergenceError`` if
+    it does not stop so within ``_FIT_MAX_ITERATIONS`` Newton iterations;
+    the error carries the best-so-far ``FitReport`` over the free orders,
+    and ``what`` names the solve in its message.
     """
     free = ~pinned
     h = np.where(free, np.clip(h0, _H_FLOOR, 0.0), 0.0)
@@ -364,7 +371,7 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray):
                 hessian[move][:, move], jacobian[:, move], r, g[move]
             )
         if -(g @ d) <= _NEWTON_DECREMENT * f:
-            return h, True
+            return h, r
         step = 1.0
         while True:
             trial = np.clip(h + step * d, _H_FLOOR, 0.0)
@@ -374,27 +381,13 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray):
                 break
             step *= 0.5
             if step < _MIN_STEP:
-                return h, True
+                return h, r
         h, r, f = trial, r_trial, f_trial
-    return h, False
-
-
-def _fit(data: _FitData, h0: np.ndarray, pinned: np.ndarray, what: str):
-    """``_solve`` from ``h0``, returning the solution and its residual.
-
-    Raises ``ConvergenceError`` when the solve runs out of iterations; the
-    error carries the best-so-far ``FitReport`` over the free orders, and
-    ``what`` names the solve in its message.
-    """
-    h, converged = _solve(data, h0, pinned)
-    r = _residual(data, h)
-    if not converged:
-        raise ConvergenceError(
-            f"{what} used its {_FIT_MAX_ITERATIONS} Newton iterations "
-            "before meeting its stopping rule",
-            result=_build_report(data, h, r, np.flatnonzero(~pinned)),
-        )
-    return h, r
+    raise ConvergenceError(
+        f"{what} used its {_FIT_MAX_ITERATIONS} Newton iterations "
+        "before meeting its stopping rule",
+        result=_build_report(data, h, r, np.flatnonzero(free)),
+    )
 
 
 def _build_report(
@@ -403,7 +396,7 @@ def _build_report(
     per_probe = np.zeros(data.included.size)
     per_probe[data.included] = r * r
     return FitReport(
-        params=NonlinearSpdParams(p=-np.expm1(h) + 0.0),
+        params=NonlinearSpdParams(p=-np.expm1(h)),
         kept_orders=tuple(kept_orders),
         objective=float(r @ r),
         per_probe_residuals=per_probe,
@@ -455,7 +448,7 @@ def fit_params(
     max_order = _whole_number(max_order, "max_order")
     data = _fit_data(probes, record, max_order)
     pinned = np.zeros(max_order, dtype=bool)
-    h, r = _fit(data, np.full(max_order, _NEAR_ZERO_H), pinned, "mechanism fit")
+    h, r = _solve(data, np.full(max_order, _NEAR_ZERO_H), pinned, "mechanism fit")
     return _build_report(data, h, r, range(max_order))
 
 
@@ -516,7 +509,7 @@ def prune_mechanisms(
         return trial_norm <= 1e-12
 
     def refit(pinned: np.ndarray):
-        return _fit(data, report.h, pinned, "pruning refit")
+        return _solve(data, report.h, pinned, "pruning refit")
 
     def removable(n: int) -> bool:
         pinned = ~kept

@@ -9,9 +9,10 @@ or one order, its last column (``binomial_exponents``);
 ``poisson_log_pmf`` (log Poisson weights, ``-inf`` for impossible photon
 numbers, photon numbers and means broadcast or each mean repeated over a
 run of photon numbers, with ln m! read from a table below m = 1024 and
-from the Stirling series above); and ``log_survival_sum``
-(G @ h with h[n] = ln(1 - p[n]), where a saturated mechanism, h = -inf,
-contributes ``-inf`` wherever C(m, n) > 0).
+from the Stirling series above). The product of the binomial table with
+log survivals is left to its callers, each of which knows where a
+saturated mechanism lies: ``povm`` sets it apart, and the fit's box keeps
+its h finite.
 
 Three private kernels serve the window operators of ``povm`` and
 ``loss``: ``_bernstein_reach``, the distance from a mean beyond which
@@ -48,7 +49,6 @@ import numpy as np
 __all__ = [
     "binomial_exponents",
     "binomial_table",
-    "log_survival_sum",
     "poisson_log_pmf",
     "poisson_log_weights",
 ]
@@ -283,18 +283,3 @@ def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
         column /= n
     return table
 
-
-def log_survival_sum(design: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``design @ h`` with every ``0 * (-inf)`` product taken as 0.
-
-    Row m is the log probability that no mechanism fires on m photons;
-    it is ``-inf`` where a saturated mechanism (h[n] = -inf) has
-    C(m, n) > 0.
-    """
-    h = np.asarray(h, dtype=float)
-    saturated = np.isneginf(h)
-    if not saturated.any():
-        return design @ h
-    out = design[:, ~saturated] @ h[~saturated]
-    out[np.any(design[:, saturated] > 0, axis=1)] = -np.inf
-    return out

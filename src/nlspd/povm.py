@@ -14,8 +14,10 @@ C(m, n) photon n-tuples, and the detector clicks when any mechanism fires::
 Order n = 0 is the dark-count floor (fires independently of the input),
 n = 1 is the familiar linear detector, and n >= 2 are multiphoton
 mechanisms. All powers are evaluated in the log domain; a unit-efficiency
-mechanism (``p[n] = 1``) propagates as ``-inf`` and forces ``click[m] = 1``
-for every m >= n.
+mechanism (``p[n] = 1``) sets the log survival to ``-inf``, and so
+``click[m]`` to 1, for every m >= n, where C(m, n) > 0. ``DiagonalPovm``
+and ``NonlinearSpdParams`` clip their vectors into [0, 1] and turn
+-0.0 into +0.0 as they are built, so no caller clips or adds zero itself.
 
 A coherent probe of mean mu weighs photon number m by the Poisson law. One
 private operator, ``_poisson_rows``, holds those weights for any set of
@@ -52,7 +54,6 @@ from .numerics import (
     _bernstein_reach,
     _whole_number,
     binomial_table,
-    log_survival_sum,
     poisson_log_pmf,
 )
 
@@ -250,13 +251,22 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
 
 
 def _log_survival_at(p: np.ndarray, m_values: np.ndarray) -> np.ndarray:
-    """``log_survival`` at the photon numbers ``m_values``."""
+    """``log_survival`` at the photon numbers ``m_values``.
+
+    Only the orders with 0 < p[n] < 1 enter the product with C(m, n). An
+    order with p[n] = 0 contributes nothing, and dropping its column keeps
+    a C(m, n) that overflows to inf (n of about 70 and up) from giving nan.
+    A saturated order (p[n] = 1) makes the log survival ``-inf`` wherever
+    C(m, n) > 0, which is exactly where m >= n, so every m from the first
+    saturated order up is set to ``-inf``.
+    """
     p = np.asarray(p, dtype=float)
-    h = np.log1p(-p, out=np.full(p.shape, -np.inf), where=p < 1)
-    # Orders with p[n] = 0 contribute nothing; dropping their columns keeps
-    # a C(m, n) that overflows to inf (n of about 70 and up) from giving nan.
-    used = p != 0
-    return log_survival_sum(binomial_table(m_values, p.size)[:, used], h[used])
+    used = (p != 0) & (p < 1)
+    out = binomial_table(m_values, p.size)[:, used] @ np.log1p(-p[used])
+    saturated = np.flatnonzero(p >= 1)
+    if saturated.size:
+        out[m_values >= saturated[0]] = -np.inf
+    return out
 
 
 def spd_povm(p1: float, truncation: int) -> DiagonalPovm:

@@ -9,6 +9,7 @@ function of the configuration alone, independent of execution order.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,16 +136,24 @@ def simulate(config: ExperimentConfig) -> ClickRecord:
     Poisson-window row operator, each row dropping at most 1e-16 of its
     Poisson mass on either side; all probes are then drawn by one vectorized
     binomial inverse cdf on their uniforms. Identical configs give
-    bitwise-identical records.
+    bitwise-identical records. Each q already lies in [0, 1]: both click
+    kernels return values there.
+
+    Raises ``ValueError`` if the inverse cdf finds no count for some probe:
+    near 2**53 trials its search can give up and return NaN.
     """
     probes = config.probes
-    # Clipping only absorbs rounding: each q is a normalized average of
-    # probabilities in [0, 1].
-    q = np.clip(_noiseless_clicks(config.truth, probes.intensities), 0.0, 1.0)
+    q = _noiseless_clicks(config.truth, probes.intensities)
     uniforms = np.array([_probe_uniform(config.seed, i) for i in range(len(probes))])
     # The inverse cdf maps u = 0 to 0 clicks (binom.ppf gives -1 there).
-    clicks = _binom_ppf(uniforms, config.trials, q).astype(np.int64)
-    return ClickRecord(clicks=clicks, trials=config.trials)
+    # Where its search gives up, boost warns and returns NaN; the NaN is
+    # refused below, so the warning, an exception under -W error, is muted.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        counts = _binom_ppf(uniforms, config.trials, q)
+    if np.isnan(counts).any():
+        raise ValueError(f"the binomial inverse cdf found no click count at {config.trials} trials")
+    return ClickRecord(clicks=counts.astype(np.int64), trials=config.trials)
 
 
 def _saturation_intensity(truth) -> float:

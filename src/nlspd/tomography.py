@@ -41,7 +41,7 @@ from .exceptions import (
     UndefinedFidelityError,
 )
 from .numerics import _whole_number
-from .povm import MAX_DENSE_BYTES, DiagonalPovm, _check_carries, _check_dense_size
+from .povm import DiagonalPovm, _check_carries, _check_dense_size
 from .povm import _check_means, _poisson_rows, truncation_for
 
 __all__ = [
@@ -79,16 +79,13 @@ _TIE_BREAK_WEIGHT = 1e-10
 _BVLS_ITERATIONS_PER_UNKNOWN = 10
 
 # Active-set steps the reconstruction may take before it hands the problem
-# to bounded-variable least squares. The rescaled reference records and the
-# raw 25 uA records take at most 13 steps at the default weight and 18 at
-# w = 1e-6.
+# to bounded-variable least squares, at every weight. The rescaled reference
+# records and the raw 25 uA records take at most 13 steps at the default
+# weight and 18 at w = 1e-6. Below w = 1e-7 most rescaled records spend the
+# budget and fall back (32 of 39 at w = 3e-8, all 39 at w = 0), while the
+# raw 25 uA record of seed 0 is certified within it, where the fallback
+# takes minutes.
 _ACTIVE_SET_STEPS = 25
-
-# Below this weight the active-set steps wander, so only the first, box-free
-# step is tried. Within 25 steps they certify all 78 rescaled reconstructions
-# at w = 1e-6, but 50 at 1e-7, 13 at 3e-8 and 3 at 1e-8; at w = 1e-8, 71 of
-# 81 records (these and the raw 25 uA ones) do not converge in 400 steps.
-_ACTIVE_SET_MIN_WEIGHT = 1e-7
 
 # Largest first-order breach the active-set solve accepts as optimal: the
 # gradient of the objective on a free element, or against its bound on a
@@ -253,8 +250,7 @@ def reconstruct_povm(
     A weight below 1e-10 (in particular w = 0) is raised to 1e-10 on both
     paths: with more unknowns than probes the unsmoothed problem has a
     flat set of minimizers, and the tiny weight picks the one of least
-    roughness. Below w = 1e-7 the active-set steps seldom settle, so only
-    the first is tried there, and the fallback does the work.
+    roughness. Every weight gets the same budget of active-set steps.
 
     Parameters
     ----------
@@ -276,11 +272,12 @@ def reconstruct_povm(
     ValueError
         If the truncation is not a whole number, or if the click vector
         (8 N bytes) or the P x |U| probe matrix would exceed
-        ``MAX_DENSE_BYTES``; the message suggests rescaling.
+        ``MAX_DENSE_BYTES``, where the message suggests rescaling; also if
+        the fallback is needed and its (P + |U| - 1) x |U| stacked matrix
+        would exceed it.
     ConvergenceError
-        If the fallback is needed and its stacked matrix would exceed
-        ``MAX_DENSE_BYTES``, or if it exhausts its iteration budget; in
-        the latter case the error carries the solver result.
+        If the fallback exhausts its iteration budget; the error carries
+        the solver result.
     """
     check_paired(probes, record)
     largest = float(probes.intensities.max())
@@ -318,14 +315,13 @@ def _active_set_minimizer(
     returned after one step. The loop ends when a step changes nothing.
     If every breach is then within ``_KKT_TOLERANCE``, the first-order
     conditions certify the result as the optimum; otherwise, or after
-    ``_ACTIVE_SET_STEPS`` steps (one below ``_ACTIVE_SET_MIN_WEIGHT``), it
-    returns None.
+    ``_ACTIVE_SET_STEPS`` steps, it returns None.
     """
     size = F.shape[1]
     state = np.zeros(size, dtype=np.int8)
     freed = np.zeros(size, dtype=bool)
     reach, extend, visited = 1, True, set()
-    for _ in range(1 if weight < _ACTIVE_SET_MIN_WEIGHT else _ACTIVE_SET_STEPS):
+    for _ in range(_ACTIVE_SET_STEPS):
         x = _free_minimizer(F, frequencies, weight, state, lengths)
         free = state == 0
         below, above = free & (x < 0.0), free & (x > 1.0)
@@ -507,25 +503,23 @@ def _bounded_least_squares(
     Row k of the smoothing block is ``sqrt(w / lengths[k])`` times the
     k-th first difference.
 
+    A stacked matrix above ``MAX_DENSE_BYTES`` raises ``ValueError``
+    before it is allocated, as every other oversize array does.
+
     ``scipy.optimize`` is imported here, not at module level: only this
     fallback needs it, and importing it costs every CLI process time.
     """
+    probes, unknowns = F.shape
+    height = probes + unknowns - 1
+    _check_dense_size(8 * height * unknowns, f"the fallback's {height} x {unknowns} stacked matrix")
     from scipy.optimize import lsq_linear
 
-    probes, unknowns = F.shape
-    size = 8 * (probes + unknowns - 1) * unknowns
-    if size > MAX_DENSE_BYTES:
-        raise ConvergenceError(
-            "the active-set steps certified no minimizer, and the "
-            f"bounded-variable fallback would need a {size / 2**20:.0f} MiB "
-            f"stacked matrix, above the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
-        )
     # [F; sqrt(w / L) D] is filled in place: at raw-data sizes (thousands
     # of unknowns) every extra dense square temporary costs tens of MB.
     root_weight = np.sqrt(weight / lengths)
     rows = probes + np.arange(unknowns - 1)
     cols = np.arange(unknowns - 1)
-    stacked = np.zeros((probes + unknowns - 1, unknowns))
+    stacked = np.zeros((height, unknowns))
     stacked[:probes] = F
     stacked[rows, cols] = -root_weight
     stacked[rows, cols + 1] = root_weight

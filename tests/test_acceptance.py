@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from nlspd import modelfit, tomography
+from nlspd import modelfit
+from nlspd.exceptions import ConvergenceError
 from nlspd.loss import lossy_click_probability, scale_povm, unscale_povm
 from nlspd.modelfit import (
     MechanismLogVector,
@@ -28,6 +29,7 @@ from nlspd.modelfit import (
 )
 from nlspd.numerics import binomial_table, poisson_log_weights
 from nlspd.povm import (
+    MAX_DENSE_BYTES,
     NonlinearSpdParams,
     coherent_click_probability,
     nonlinear_povm,
@@ -507,7 +509,7 @@ def test_reconstruction_up_to_a_million_photons():
     probes = ProbeSet(intensities=grid, trials=100_000)
     record = _simulated(truth, probes, seed=0)
     n = truncation_for(1e6)
-    assert 8 * len(probes) * n > tomography.MAX_DENSE_BYTES
+    assert 8 * len(probes) * n > MAX_DENSE_BYTES
     povm = reconstruct_povm(probes, record)
     fid = fidelity(povm, spd_povm(1e-5, n))
     breach, gap = _reconstruction_kkt_breach(probes, record)
@@ -598,26 +600,32 @@ def test_reconstruction_without_smoothing_converges():
     )
 
 
-def test_reconstruction_at_small_weight_takes_one_active_set_step(monkeypatch):
-    # Below w = 1e-7 the active-set steps wander, so the solve takes its
-    # box-free step and hands over to the bounded-variable fallback; with
-    # 25 steps this record ran the free-set minimizer 25 times for nothing.
+def test_reconstruction_at_small_weight_is_certified():
+    # At w = 1e-8 the active-set steps of this record do not settle within
+    # their budget, and the bounded-variable fallback finishes the solve.
     # Its relative gap measured 1.1e-10.
     truth = SCALED_PARAMS[20]
     base = geometric_probe_grid(truth)
     record = _simulated(truth, base, seed=7)
-    calls = []
-    free_minimizer = tomography._free_minimizer
-
-    def counted(*args):
-        calls.append(args)
-        return free_minimizer(*args)
-
-    monkeypatch.setattr(tomography, "_free_minimizer", counted)
     breach, gap = _reconstruction_kkt_breach(base, record, weight=1e-8)
-    assert len(calls) == 1
     assert breach <= 1e-9
     assert gap <= 1e-9
+
+
+@pytest.mark.parametrize("weight", [3e-8, 1e-8])
+def test_raw_reconstruction_at_small_weight_needs_no_fallback(monkeypatch, weight):
+    # Raw 25 uA seed 0 (N = 3296): the active-set steps certify it at these
+    # weights within their budget. The bounded-variable fallback takes
+    # minutes on the same problem (274 s at 3e-8, 382 s at 1e-8, one BLAS
+    # thread).
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("bounded-variable fallback was called")
+
+    monkeypatch.setattr("scipy.optimize.lsq_linear", no_fallback)
+    truth = UNSCALED_PARAMS[25]
+    probes = geometric_probe_grid(truth)
+    breach, _ = _reconstruction_kkt_breach(probes, _simulated(truth, probes, seed=0), weight)
+    assert breach <= 1e-9
 
 
 def _fit_records():
@@ -747,12 +755,14 @@ def test_fit_hessian_matches_gradient_differences():
     )
 
 
-def _trust_region_solve(data, h0, pinned):
+def _trust_region_solve(data, h0, pinned, what):
     """The fit's bounded solve by scipy's trust-region reflective method.
 
     The oracle for the Newton solve: the same residual and Jacobian, the
     variables scaled by the Jacobian's column norms, and tolerances of
-    1e-15 on the cost, the step and the gradient.
+    1e-15 on the cost, the step and the gradient. Like ``modelfit._solve``
+    it returns the solution and its residual, and raises
+    ``ConvergenceError`` if it runs out of evaluations.
     """
     free = ~pinned
 
@@ -766,7 +776,8 @@ def _trust_region_solve(data, h0, pinned):
         return modelfit._derivatives(data, h, modelfit._residual(data, h))[0][:, free]
 
     if not np.any(free):
-        return expand(()), True
+        h = expand(())
+        return h, modelfit._residual(data, h)
     result = least_squares(
         lambda z: modelfit._residual(data, expand(z)),
         np.clip(h0[free], -60.0, 0.0),
@@ -779,7 +790,10 @@ def _trust_region_solve(data, h0, pinned):
         gtol=1e-15,
         max_nfev=100_000,
     )
-    return expand(result.x), result.status != 0
+    if result.status == 0:
+        raise ConvergenceError(f"{what}: trust-region reflective ran out of evaluations")
+    h = expand(result.x)
+    return h, modelfit._residual(data, h)
 
 
 def test_fit_matches_trust_region_oracle(monkeypatch):

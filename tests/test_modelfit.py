@@ -144,7 +144,7 @@ def test_gradient_matches_finite_differences():
         h_vec = -rng.uniform(0.05, 2.0, size=3)
         h = MechanismLogVector.at_truncation(h_vec, n)
         grad = fit_objective_gradient(h, probes, record)
-        step = 1e-6
+        step = 1e-5
         for k in range(3):
             bumped_up = h_vec.copy()
             bumped_up[k] += step
@@ -382,9 +382,7 @@ def test_prune_with_infinite_threshold_degenerates_to_best_single():
     for n in range(3):
         pinned = np.ones(3, dtype=bool)
         pinned[n] = False
-        h, converged = modelfit._solve(data, report.h, pinned)
-        assert converged
-        r = modelfit._residual(data, h)
+        _, r = modelfit._solve(data, report.h, pinned, "sole-order refit")
         sole.append(float(r @ r))
     assert pruned.objective == sole[pruned.kept_orders[0]]
     assert pruned.objective <= min(sole)

@@ -141,6 +141,16 @@ def test_config_refuses_trials_above_2_53():
         _config(SPD, [0.0, 1.0], seed=0, trials=2**53 + 1)
 
 
+def test_simulate_refuses_a_count_the_inverse_cdf_cannot_find():
+    # At 2**53 trials scipy's binomial inverse cdf gives up on the probe of
+    # 10 photons and returns NaN, with a RuntimeWarning that pytest's
+    # warning filter makes an error. The NaN is refused by name, not cast
+    # to a count.
+    config = _config(NonlinearSpdParams([0.001, 0.1]), [0.0, 1.0, 10.0, 100.0], 0, 2**53)
+    with pytest.raises(ValueError, match=f"binomial inverse cdf.* {2**53} trials"):
+        simulate(config)
+
+
 def test_config_dict_round_trip():
     probes = ProbeSet(intensities=np.array([0.0, 1.0, 3.0]), trials=500)
     for truth in (NonlinearSpdParams([0.01, 0.2]), spd_povm(0.1, 30)):

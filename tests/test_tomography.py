@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 from scipy.stats import poisson
 
-from nlspd import tomography
+from nlspd import cli, tomography
 from nlspd.exceptions import (
-    ConvergenceError,
     DataFormatError,
     TargetUnreachableError,
     TruncationError,
@@ -211,7 +210,7 @@ def test_smoothing_trades_data_fit_for_flatness():
     assert all(a <= b + 1e-12 for a, b in zip(data_terms, data_terms[1:]))
 
 
-def test_reconstruct_guards_dense_sizes(monkeypatch):
+def test_reconstruct_guards_dense_sizes(monkeypatch, tmp_path, capsys):
     # A click vector above MAX_DENSE_BYTES is refused before it is built:
     # a probe of 1e9 photons needs about 1e9 elements (7.5 GiB).
     probes = ProbeSet(intensities=np.array([0.0, 1e3, 1e9]), trials=100)
@@ -230,11 +229,20 @@ def test_reconstruct_guards_dense_sizes(monkeypatch):
         reconstruct_povm(probes, record, n)
     monkeypatch.undo()
 
-    # So is the fallback's stacked matrix, once the active-set steps fail.
+    # So is the fallback's stacked matrix on the 19 photon numbers of U
+    # below the truncation, 21 x 19, once the active-set steps fail, under
+    # a limit that the 3 x 32 probe matrix just meets; the CLI exits 1 on
+    # it, as on every other oversize array.
     monkeypatch.setattr(tomography, "_ACTIVE_SET_STEPS", 0)
-    monkeypatch.setattr(tomography, "MAX_DENSE_BYTES", 8 * len(probes) * n)
-    with pytest.raises(ConvergenceError, match="stacked matrix"):
+    monkeypatch.setattr("nlspd.povm.MAX_DENSE_BYTES", 8 * 3 * 32)
+    with pytest.raises(ValueError, match="21 x 19 stacked matrix"):
         reconstruct_povm(probes, record, n)
+    data = tmp_path / "clicks.csv"
+    write_click_data(data, probes, record)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["reconstruct", str(data), str(tmp_path / "povm.json")])
+    assert excinfo.value.code == 1
+    assert "stacked matrix" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
