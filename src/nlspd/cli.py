@@ -1,6 +1,7 @@
 """Command-line pipeline: simulate, reconstruct, fit, compare, figure.
 
-Conventions shared by every command:
+The parser is the standard library's ``argparse``. Conventions shared by
+every command:
 
 - exit status 0 on success, 1 on validation failures (bad arguments,
   malformed or missing files, unreachable targets), 2 on internal errors;
@@ -19,14 +20,15 @@ start-up short.
 
 from __future__ import annotations
 
+import argparse
 import functools
+import inspect
 import json
 import os
 import sys
 import tempfile
 from contextlib import contextmanager
 
-import click
 import numpy as np
 
 from . import __version__, reference
@@ -91,15 +93,6 @@ def _emit_manifests(command: str, inputs, outputs, parameters: dict, seed=None) 
         _write_json(f"{output}.manifest.json", manifest)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="nlspd")
-def cli():
-    """Click-detector characterization pipeline."""
-
-
-@cli.command("simulate")
-@click.argument("config_path")
-@click.argument("out_csv")
 def cmd_simulate(config_path, out_csv):
     """Sample a click record for the experiment described by CONFIG_PATH."""
     from .simulator import ExperimentConfig, simulate
@@ -108,23 +101,9 @@ def cmd_simulate(config_path, out_csv):
     record = simulate(config)
     with _atomic_output(out_csv) as tmp:
         write_click_data(tmp, config.probes, record)
-    _emit_manifests(
-        "simulate", [config_path], [out_csv], parameters={}, seed=config.seed
-    )
+    _emit_manifests("simulate", [config_path], [out_csv], parameters={}, seed=config.seed)
 
 
-@cli.command("reconstruct")
-@click.argument("data_csv")
-@click.argument("out_json")
-@click.option(
-    "--smoothing", type=float, default=None, help="Smoothing weight [default: 1e-3 per probe]."
-)
-@click.option(
-    "--scale-to-95",
-    is_flag=True,
-    help="Rescale intensities so the click probability is 95% at mean 30, "
-    "then reconstruct the effective POVM; records the scale factor k.",
-)
 def cmd_reconstruct(data_csv, out_json, smoothing, scale_to_95):
     """Reconstruct a diagonal POVM from the click data in DATA_CSV."""
     probes, record = read_click_data(data_csv)
@@ -132,8 +111,7 @@ def cmd_reconstruct(data_csv, out_json, smoothing, scale_to_95):
         smoothing = default_smoothing_weight(probes)
     if scale_to_95:
         k, povm = scaled_fit_workflow(probes, record, smoothing_weight=smoothing)
-        document = povm.to_dict()
-        document["k"] = float(k)
+        document = {**povm.to_dict(), "k": float(k)}
     else:
         povm = reconstruct_povm(probes, record, smoothing_weight=smoothing)
         document = povm.to_dict()
@@ -150,16 +128,6 @@ def cmd_reconstruct(data_csv, out_json, smoothing, scale_to_95):
     )
 
 
-@cli.command("fit")
-@click.argument("data_csv")
-@click.argument("out_json")
-@click.option("--max-order", type=int, default=6, help="Number of mechanisms fitted.")
-@click.option(
-    "--prune-threshold",
-    type=float,
-    default=0.01,
-    help="Relative residual-norm increase below which a mechanism is dropped.",
-)
 def cmd_fit(data_csv, out_json, max_order, prune_threshold):
     """Fit mechanism efficiencies to DATA_CSV and prune insignificant ones."""
     from .modelfit import fit_params, prune_mechanisms
@@ -176,9 +144,6 @@ def cmd_fit(data_csv, out_json, max_order, prune_threshold):
     )
 
 
-@cli.command("compare")
-@click.argument("povm_a_json")
-@click.argument("povm_b_json")
 def cmd_compare(povm_a_json, povm_b_json):
     """Print fidelity and elementwise gaps between two POVMs.
 
@@ -198,16 +163,16 @@ def cmd_compare(povm_a_json, povm_b_json):
     if isinstance(b, NonlinearSpdParams):
         b = nonlinear_povm(b, a.truncation)
     if a.truncation != b.truncation:
-        click.echo(
+        print(
             f"note: truncations differ ({a.truncation} vs {b.truncation}); "
             "the shorter operand is padded with its trailing value",
-            err=True,
+            file=sys.stderr,
         )
     length = max(a.truncation, b.truncation)
     gaps = np.abs(a.padded(length) - b.padded(length))
-    click.echo(f"fidelity={fidelity(a, b)!r}")
-    click.echo(f"max_abs_gap={float(gaps.max())!r}")
-    click.echo(f"mean_abs_gap={float(gaps.mean())!r}")
+    print(f"fidelity={fidelity(a, b)!r}")
+    print(f"max_abs_gap={float(gaps.max())!r}")
+    print(f"mean_abs_gap={float(gaps.mean())!r}")
 
 
 def _write_csv_rows(path: str, comments, header, rows) -> None:
@@ -294,17 +259,9 @@ _FIGURE_BUILDERS = {
 }
 
 
-@cli.command("figure")
-@click.argument("figure_id")
-@click.argument("out_csv")
-@click.option(
-    "--bias-current", type=int, default=25, help="Bias current in uA (fig2b only)."
-)
-@click.option("--seed", type=int, default=7, help="Simulation seed (fig3b only).")
 def cmd_figure(figure_id, out_csv, bias_current, seed):
     """Emit plot-ready CSV series for FIGURE_ID.
 
-    \b
     fig1b  click probability vs mean photons, three bias currents
     fig2a  same, after intensity rescaling
     fig2b  POVM click elements of one rescaled detector
@@ -328,26 +285,74 @@ def cmd_figure(figure_id, out_csv, bias_current, seed):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ``ValueError``, which ``main`` exits 1 on.
+
+    No option may be abbreviated, and a command's description keeps the
+    line breaks of its docstring.
+    """
+
+    def __init__(self, **settings):
+        formatter = argparse.RawDescriptionHelpFormatter
+        super().__init__(allow_abbrev=False, formatter_class=formatter, **settings)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="nlspd", description="Click-detector characterization pipeline.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="command", required=True)
+
+    def command(name, run, *positionals):
+        """Register ``run`` as command ``name``; return the adder of its options."""
+        doc = inspect.getdoc(run)
+        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc)
+        sub.set_defaults(run=run)
+        for positional in positionals:
+            sub.add_argument(positional, metavar=positional.upper())
+        return sub.add_argument
+
+    command("simulate", cmd_simulate, "config_path", "out_csv")
+    option = command("reconstruct", cmd_reconstruct, "data_csv", "out_json")
+    option("--smoothing", type=float, help="Smoothing weight [default: 1e-3 per probe].")
+    option(
+        "--scale-to-95", action="store_true",
+        help="Rescale intensities so the click probability is 95%% at mean 30, "
+        "then reconstruct the effective POVM; records the scale factor k.",
+    )
+    option = command("fit", cmd_fit, "data_csv", "out_json")
+    option("--max-order", type=int, default=6, help="Number of mechanisms fitted.")
+    option(
+        "--prune-threshold", type=float, default=0.01,
+        help="Relative residual-norm increase below which a mechanism is dropped.",
+    )
+    command("compare", cmd_compare, "povm_a_json", "povm_b_json")
+    option = command("figure", cmd_figure, "figure_id", "out_csv")
+    option("--bias-current", type=int, default=25, help="Bias current in uA (fig2b only).")
+    option("--seed", type=int, default=7, help="Simulation seed (fig3b only).")
+    return parser
+
+
 def main(argv=None):
-    """Entry point mapping exception families onto the 0/1/2 exit-status contract."""
+    """Entry point mapping exception families onto the 0/1/2 exit-status contract.
+
+    ``--help`` and ``--version`` print and exit 0 from inside the parser.
+    """
     try:
-        # Without standalone mode click returns the code of a ctx.exit(n)
-        # (0 for --version) instead of raising it.
-        code = cli.main(args=argv, standalone_mode=False)
-    # Abort is a RuntimeError, so it goes before the catch-all.
-    except click.Abort:
-        click.echo("aborted", err=True)
-        sys.exit(1)
-    except click.ClickException as err:
-        click.echo(f"error: {err.format_message()}", err=True)
+        arguments = vars(_parser().parse_args(argv))
+        arguments.pop("run")(**arguments)
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         sys.exit(1)
     except (ValueError, OSError) as err:
-        click.echo(f"error: {err}", err=True)
+        print(f"error: {err}", file=sys.stderr)
         sys.exit(1)
     except Exception as err:
-        click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         sys.exit(2)
-    sys.exit(code or 0)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -83,14 +83,14 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
     weight is within ``4 eps (|m - n eta| + 1)`` of its 40-digit value:
     6e-14 across the window at n = 3000, eta = 0.5, where the differences
     of ln-factorials ``ln n! - ln m! - ln (n - m)!``, each rounded at its
-    own magnitude, lose 3e-12 (5e-11 at n = 38,696). At eta = 1 each row
-    is its own photon number with weight one: the map is exactly the
-    identity. Windows whose terms would take more than ``MAX_DENSE_BYTES``
+    own magnitude, lose 3e-12 (5e-11 at n = 38,696). At eta = 1 the lost
+    count n - m has mean 0, so its deviance is +inf wherever it is above 0:
+    row n weighs m = n by exp(-g(n)) / exp(-g(n)) = 1 and every other
+    photon number of its window by exp(-inf) = 0, and the map is exactly
+    the identity. Windows whose terms would take more than ``MAX_DENSE_BYTES``
     as doubles raise ``ValueError`` before anything is allocated.
     """
     n = np.arange(truncation)
-    if eta == 1.0:
-        return _WindowRows(m=n, weights=np.ones(truncation), starts=np.arange(truncation + 1))
     mean = n * eta
 
     def log_weights(m, sizes):

@@ -176,18 +176,20 @@ def _stirling_gap(k: np.ndarray) -> np.ndarray:
 
 
 def _deviance(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``x ln(x / mean) + mean - x`` of whole x >= 0 about means > 0; ``mean`` at x = 0.
+    """``x ln(x / mean) + mean - x`` of whole x >= 0 about means >= 0; ``mean`` at x = 0.
 
     Formed as ``x log1p((x - mean) / mean) - (x - mean)``: near the mean
     both terms are about ``x - mean``, so the difference keeps its digits
-    where ``x ln x`` and ``x ln mean`` would cancel.
+    where ``x ln x`` and ``x ln mean`` would cancel. An x > 0 about a mean
+    of 0 is +inf, a weight of exactly 0: the counts lost through a loss
+    of transmissivity one.
     """
     distance = x - mean
     out = np.zeros(distance.shape)
     # A mean under about 1e-308 (eta that small) overflows the ratio, and
     # the deviance, to inf: its weight is then 0 where it would be
-    # subnormal.
-    with np.errstate(over="ignore"):
+    # subnormal. A mean of 0 divides x > 0 by zero, to the same inf.
+    with np.errstate(over="ignore", divide="ignore"):
         np.divide(distance, mean, out=out, where=x > 0)
     np.log1p(out, out=out)
     out *= x

@@ -12,7 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
 
@@ -376,19 +375,54 @@ def test_unexpected_failure_maps_to_exit_two(tmp_path, config_path, monkeypatch)
     assert code == 2
 
 
-def test_usage_error_exits_nonzero():
-    assert run_cli(["reconstruct"]) != 0
+def test_interrupt_exits_one(tmp_path, config_path, monkeypatch, capsys):
+    def interrupt(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(simulator, "simulate", interrupt)
+    assert run_cli(["simulate", config_path, tmp_path / "out.csv"]) == 1
+    assert capsys.readouterr().err.endswith("aborted\n")
 
 
-def test_main_exits_with_the_code_of_ctx_exit(monkeypatch):
-    @click.command("stop")
-    @click.pass_context
-    def stop(ctx):
-        ctx.exit(3)
+def test_usage_error_exits_nonzero(capsys):
+    # No command, an unknown command, a missing argument, a non-number for
+    # an int option, an unknown option and an abbreviated one: each is a
+    # usage error, exit 1 with one line on stderr, before any file is read.
+    for args in (
+        [],
+        ["frob"],
+        ["reconstruct"],
+        ["fit", "--max-order", "x", "a.csv", "b.json"],
+        ["reconstruct", "--frob", "a.csv", "b.json"],
+        ["reconstruct", "--smooth", "1e-3", "a.csv", "b.json"],
+    ):
+        assert run_cli(args) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
-    monkeypatch.setitem(cli.cli.commands, "stop", stop)
-    assert run_cli(["stop"]) == 3
+
+_HELP_NAMES = {
+    (): ["--help", "--version", "simulate", "reconstruct", "fit", "compare", "figure"],
+    ("simulate",): ["--help", "CONFIG_PATH", "OUT_CSV"],
+    ("reconstruct",): ["--help", "DATA_CSV", "OUT_JSON", "--smoothing", "--scale-to-95"],
+    ("fit",): ["--help", "DATA_CSV", "OUT_JSON", "--max-order", "--prune-threshold"],
+    ("compare",): ["--help", "POVM_A_JSON", "POVM_B_JSON"],
+    ("figure",): ["--help", "FIGURE_ID", "OUT_CSV", "--bias-current", "--seed", "fig3b"],
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_NAMES), ids=lambda c: " ".join(c) or "nlspd")
+def test_help_exits_zero_and_names_every_option(command, capsys):
+    assert run_cli([*command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: nlspd", *command]))
+    for name in _HELP_NAMES[command]:
+        assert name in out, name
+
+
+def test_version_exits_zero_and_prints_its_line(capsys):
     assert run_cli(["--version"]) == 0
+    assert capsys.readouterr().out == f"nlspd, version {nlspd.__version__}\n"
 
 
 def _python(code, *args, cwd=None):
@@ -501,7 +535,7 @@ def test_package_exports_are_each_modules_public_names():
 _CLI = """
 import sys
 if sys.argv[1] == "blocked":
-    sys.modules["scipy"] = None
+    sys.modules["scipy"] = sys.modules["click"] = None
 from nlspd.cli import main
 main(sys.argv[2:])
 """
@@ -528,7 +562,7 @@ main(sys.argv[2:])
         "figure-fig2b",
     ],
 )
-def test_command_runs_without_scipy(tmp_path, data_csv, args):
+def test_command_runs_without_scipy_or_click(tmp_path, data_csv, args):
     outputs = {}
     for mode in ("blocked", "unblocked"):
         workdir = tmp_path / mode

@@ -178,8 +178,13 @@ def test_loss_maps_refuse_oversized_matrices():
 
 
 def test_identity_transmissivity_is_noop():
-    povm = spd_povm(0.4, 15)
-    np.testing.assert_array_equal(scale_povm(povm, 1.0).click, povm.click)
+    # At eta = 1 row n weighs its own photon number by exactly 1 and the rest
+    # of its window by exactly 0, so both directions return their input bitwise.
+    for povm in (spd_povm(0.4, 15), nonlinear_povm(NonlinearSpdParams([0.01, 0.1, 0.3]), 60)):
+        np.testing.assert_array_equal(scale_povm(povm, 1.0).click, povm.click)
+        np.testing.assert_array_equal(unscale_povm(povm, 1.0).click, povm.click)
+    for truncation in (1, 2, 40, 500):
+        np.testing.assert_array_equal(_loss_matrix(1.0, truncation), np.eye(truncation))
 
 
 def test_dark_counts_survive_loss():
