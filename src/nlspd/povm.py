@@ -32,10 +32,12 @@ mechanism fit and the reconstruction all read their rows from
 ``_poisson_rows`` as they are: none divides by a row sum again, and none
 chooses a truncation. A click is summed as ``F (-expm1(log survival))``,
 so a click probability near the dark-count floor keeps full
-relative precision. A truncation belongs to an explicit click vector
-(``DiagonalPovm``), whose length it is: ``truncation_for`` picks the
-default one, the smallest that carries all but ``DEFAULT_TAIL_MASS`` of
-a probe's Poisson mass, and every truncation check compares with it.
+relative precision. A probe whose window starts saturated clicks with
+probability exactly 1 and builds no row at all (``_coherent_clicks``).
+A truncation belongs to an explicit click vector (``DiagonalPovm``),
+whose length it is: ``truncation_for`` picks the default one, the
+smallest that carries all but ``DEFAULT_TAIL_MASS`` of a probe's
+Poisson mass, and every truncation check compares with it.
 Every mean photon number the package takes passes ``_check_means``:
 finite, >= 0 and at most 2**53. ``_detector_from_dict`` reads a detector,
 a POVM or mechanism parameters, from a JSON document.
@@ -82,6 +84,16 @@ _WINDOW_LOG_MASS = math.log(1e16)
 # out the window's 1e-16 would move truncation_for by one at some means
 # above 1e6.
 _TAIL_RESOLUTION = 1e-28
+
+# Log survival at or below which a probe's click is exactly 1.0: ln 2^-55.
+# The log survival never increases with m, so where a probe's window starts
+# at a survival of at most 2^-55, every term's survival s is too. The
+# window sum 1 - sum w s then lies within (1 + 4 eps) 2^-55 of 1, as the
+# weights sum to at most 1 + 4 eps: under 2^-54, half the ulp below 1, by
+# a factor of 2 that also covers expm1's error. So every term's -expm1 is
+# exactly 1.0, 1.0 is the correctly rounded value of the window sum, and
+# such a probe needs no window.
+_SATURATED_LOG_SURVIVAL = -55 * math.log(2)
 
 _BOUND_FUZZ = 1e-12
 
@@ -263,9 +275,9 @@ def _log_survival_at(p: np.ndarray, m_values: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     used = (p != 0) & (p < 1)
     out = binomial_table(m_values, p.size)[:, used] @ np.log1p(-p[used])
-    saturated = np.flatnonzero(p >= 1)
-    if saturated.size:
-        out[m_values >= saturated[0]] = -np.inf
+    saturated = p >= 1
+    if saturated.any():
+        out[m_values >= saturated.argmax()] = -np.inf
     return out
 
 
@@ -355,6 +367,12 @@ def _check_carries(truncation: int, mean_photons: float, what: str = "truncation
         )
 
 
+def _window_starts(mean, reach) -> np.ndarray:
+    """First photon number of each window that reaches ``reach`` either
+    side of ``mean``: ``ceil(mean - reach)``, at least 0."""
+    return np.maximum(np.ceil(mean - reach), 0.0).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class _WindowRows:
     """Normalized rows of photon-number weights in compressed sparse row form.
@@ -377,7 +395,8 @@ class _WindowRows:
     @classmethod
     def over(cls, mean, reach, top, log_weights, what: str) -> "_WindowRows":
         """Rows whose windows run from ``ceil(mean - reach)`` to
-        ``floor(mean + reach)``, clipped to ``[0, top]``, row by row.
+        ``floor(mean + reach)``, clipped to ``[0, top]``, row by row
+        (``_window_starts`` sets the first photon numbers).
 
         ``log_weights(m, sizes)`` gives the log weight of every term from
         its photon number ``m`` and each row's term count ``sizes``; each
@@ -385,7 +404,7 @@ class _WindowRows:
         whose terms would take more than ``MAX_DENSE_BYTES`` as doubles
         raise ``ValueError``, naming ``what``, before anything is allocated.
         """
-        lo = np.maximum(np.ceil(mean - reach), 0.0).astype(np.int64)
+        lo = _window_starts(mean, reach)
         sizes = np.minimum(np.floor(mean + reach), top).astype(np.int64) + 1 - lo
         starts = np.zeros(sizes.size + 1, dtype=np.int64)
         sizes.cumsum(out=starts[1:])
@@ -424,9 +443,14 @@ def _poisson_rows(intensities) -> _WindowRows:
     """
     mu = np.asarray(intensities, dtype=float)
     _check_means(mu.min(), mu.max())
+    return _checked_poisson_rows(mu, _bernstein_reach(mu, _WINDOW_LOG_MASS))
+
+
+def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray) -> _WindowRows:
+    """``_poisson_rows`` of means that passed ``_check_means``, ``reach`` their windows' reach."""
     return _WindowRows.over(
         mu,
-        _bernstein_reach(mu, _WINDOW_LOG_MASS),
+        reach,
         np.inf,
         lambda m, sizes: poisson_log_pmf(m, mu, repeats=sizes),
         f"the Poisson windows of means up to {mu.max():g}",
@@ -436,16 +460,29 @@ def _poisson_rows(intensities) -> _WindowRows:
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """Click probabilities of the composite detector on coherent probes.
 
-    One ``_poisson_rows`` call: each row drops at most 1e-16 of its
-    Poisson mass on either side. The click ``-expm1(log survival)`` is
-    evaluated at every term of every row, as each probe's own sum would,
-    and summed through the rows, so a click probability near the
-    dark-count floor keeps its relative precision. The rows sum to one
-    only within rounding, so a saturated probe can come out an ulp above
-    one; it is clipped to 1.
+    Every mean first passes ``_check_means``. A probe whose window starts
+    saturated, at a survival of at most 2^-55 (``_SATURATED_LOG_SURVIVAL``)
+    at its first photon number, gets exactly 1.0, the correctly rounded
+    value of its window sum, and no window: the test costs one
+    ``_log_survival_at`` value per probe, O(orders) at any mean up to
+    2**53. The others get their ``_poisson_rows`` from one
+    ``_checked_poisson_rows`` call, with the reach already taken: each row
+    drops at most 1e-16 of its Poisson mass on either side. The click
+    ``-expm1(log survival)`` is evaluated at every term of every row, as
+    each probe's own sum would, and summed through the rows, so a click
+    probability near the dark-count floor keeps its relative precision.
+    The rows sum to one only within rounding, so a probe near saturation
+    can come out an ulp above one; it is clipped to 1.
     """
-    rows = _poisson_rows(intensities)
-    return np.minimum(rows @ -np.expm1(_log_survival_at(params.p, rows.m)), 1.0)
+    mu = np.asarray(intensities, dtype=float)
+    _check_means(mu.min(), mu.max())
+    reach = _bernstein_reach(mu, _WINDOW_LOG_MASS)
+    built = _log_survival_at(params.p, _window_starts(mu, reach)) > _SATURATED_LOG_SURVIVAL
+    clicks = np.ones(mu.size)
+    if built.any():
+        rows = _checked_poisson_rows(mu[built], reach[built])
+        clicks[built] = np.minimum(rows @ -np.expm1(_log_survival_at(params.p, rows.m)), 1.0)
+    return clicks
 
 
 def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) -> float:
@@ -461,7 +498,9 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
     click is formed by ``expm1``, so the sum keeps full relative precision
     however small the click probability. The window
     is O(sqrt(mu)) wide, so a probe at mu = 1e6 sums about 17,000 terms
-    instead of a million.
+    instead of a million. A probe whose window starts saturated, at a
+    survival of at most 2^-55, builds no row: its click probability is
+    exactly 1.0, the correctly rounded value of the sum, at any mean.
 
     Parameters
     ----------

@@ -45,8 +45,9 @@ _INTENSITY_CAP = 1e6
 def _noiseless_clicks(truth, intensities) -> np.ndarray:
     """Exact click probabilities of the truth at each mean photon number.
 
-    Mechanism parameters take one Poisson-window row per probe, all from a
-    single ``povm._coherent_clicks`` call.
+    Mechanism parameters take one Poisson-window row per probe whose
+    window does not start saturated, all from a single
+    ``povm._coherent_clicks`` call; a probe whose window does is exactly 1.
     """
     if isinstance(truth, DiagonalPovm):
         return np.array([povm_click_probability(truth, float(mu)) for mu in intensities])
@@ -115,36 +116,39 @@ class ExperimentConfig:
         return cls(truth=truth, probes=probes, seed=seed, trials=trials)
 
 
-def _probe_uniform(seed: int, index: int) -> float:
-    """One U[0,1) variate from the probe's dedicated substream.
-
-    The counter-based generator keyed by ``seed`` starts with ``index`` in
-    counter word 2, which is where ``Philox(key=seed).jumped(index)`` puts
-    it, without stepping through the jumps. The variate depends only on
-    (seed, index), so concurrent simulation of probes cannot reorder draws.
-    """
-    stream = np.random.Generator(np.random.Philox(counter=[0, 0, index, 0], key=seed))
-    return float(stream.random())
-
-
 def simulate(config: ExperimentConfig) -> ClickRecord:
     """Draw one click record for the configured detector and probes.
 
     Each probe's click count is Binomial(trials, q) sampled by inversion,
     where q is the exact click probability of the truth at that intensity.
-    For mechanism parameters every probe's q comes from one call of the
-    Poisson-window row operator, each row dropping at most 1e-16 of its
-    Poisson mass on either side; all probes are then drawn by one vectorized
-    binomial inverse cdf on their uniforms. Identical configs give
-    bitwise-identical records. Each q already lies in [0, 1]: both click
-    kernels return values there.
+    For mechanism parameters every probe's q comes from one
+    ``povm._coherent_clicks`` call: a probe whose Poisson window starts
+    saturated is exactly 1.0 and builds no window, so a saturated probe
+    costs the same at any mean up to 2**53; each other probe's row drops
+    at most 1e-16 of its Poisson mass on either side. All probes are then
+    drawn by one vectorized binomial inverse cdf on their uniforms. Each q
+    already lies in [0, 1]: both click kernels return values there.
+
+    Probe i's uniform is the first variate of its own substream, the
+    counter-based generator keyed by the seed with i in counter word 2:
+    ``Philox(key=seed).jumped(i)``. One generator walks them all: drawing
+    probe i's variate leaves its counter at [1, 0, i, 0], and
+    ``advance(2**128 - 1)`` moves it to [0, 0, i + 1, 0], where probe
+    i + 1's substream starts, and drops the rest of the block. A uniform
+    depends only on (seed, i), so identical configs give bitwise-identical
+    records, and no probe's draw depends on the others'.
 
     Raises ``ValueError`` if the inverse cdf finds no count for some probe:
     near 2**53 trials its search can give up and return NaN.
     """
     probes = config.probes
     q = _noiseless_clicks(config.truth, probes.intensities)
-    uniforms = np.array([_probe_uniform(config.seed, i) for i in range(len(probes))])
+    bit_generator = np.random.Philox(key=config.seed)
+    generator = np.random.Generator(bit_generator)
+    uniforms = np.empty(len(probes))
+    for i in range(len(probes)):
+        uniforms[i] = generator.random()
+        bit_generator.advance(2**128 - 1)
     # The inverse cdf maps u = 0 to 0 clicks (binom.ppf gives -1 there).
     # Where its search gives up, boost warns and returns NaN; the NaN is
     # refused below, so the warning, an exception under -W error, is muted.

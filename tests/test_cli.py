@@ -110,14 +110,29 @@ def test_simulate_rejects_non_object_truth(tmp_path, config_path, capsys, truth)
 
 
 def test_simulate_refuses_an_oversized_probe(tmp_path, config_path, capsys):
-    # A 1e15-photon probe needs a Poisson window of 5.4e8 terms: exit 1
-    # before allocating, and no output, manifest or partial file is left.
+    # Under dark counts alone a 1e15-photon probe never saturates, so it
+    # needs its Poisson window of 5.4e8 terms: exit 1 before allocating,
+    # and no output, manifest or partial file is left.
     document = json.loads(config_path.read_text())
+    document["truth"] = {"p": [1e-3]}
     document["probes"]["intensities"].append(1e15)
     config_path.write_text(json.dumps(document))
     assert run_cli(["simulate", config_path, tmp_path / "clicks.csv"]) == 1
     assert "MiB limit" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_simulate_takes_a_saturated_probe_at_1e15(tmp_path, config_path):
+    # The same probe on a detector it saturates starts its window
+    # saturated: its click probability is exactly 1, and no window is built.
+    document = json.loads(config_path.read_text())
+    document["probes"]["intensities"].append(1e15)
+    config_path.write_text(json.dumps(document))
+    out = tmp_path / "clicks.csv"
+    assert run_cli(["simulate", config_path, out]) == 0
+    probes, record = read_click_data(out)
+    assert probes.intensities[-1] == 1e15
+    assert record.clicks[-1] == record.trials
 
 
 def test_simulate_refuses_a_probe_above_2_53(tmp_path, config_path, capsys):

@@ -18,6 +18,7 @@ from nlspd.povm import (
     NonlinearSpdParams,
     _check_carries,
     _coherent_clicks,
+    _log_survival_at,
     _poisson_rows,
     coherent_click_probability,
     log_survival,
@@ -278,14 +279,34 @@ def test_coherent_click_keeps_relative_precision(params, mean):
 
 @pytest.mark.parametrize("bias", sorted(UNSCALED_PARAMS))
 def test_coherent_clicks_on_the_fig1b_grid_stay_in_unit_interval(bias):
-    # The raw detectors from mu = 1 to 1e6 rise to saturation. The
-    # normalized rows sum to one within rounding, so a saturated probe
-    # may come out one or two ulps under 1 after an earlier 1.0, and the
-    # curve need only be nondecreasing to within one ulp at 1.
+    # The raw detectors from mu = 1 to 1e6 rise to saturation. A probe
+    # whose window starts saturated is exactly 1.0, so the curve never
+    # steps down there, as a saturated window's sum of rounded weights may.
     clicks = _coherent_clicks(UNSCALED_PARAMS[bias], np.geomspace(1.0, 1e6, 121))
     assert np.all((clicks >= 0.0) & (clicks <= 1.0))
-    assert np.all(np.maximum.accumulate(clicks) - clicks <= np.finfo(float).eps)
-    assert clicks[-1] > 1.0 - 1e-15
+    assert np.all(np.diff(clicks) >= 0)
+    assert clicks[-1] == 1.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    means=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=6),
+    p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_probes_that_start_saturated_build_no_window(means, p):
+    # Every probe summed over its full window, as one row each: a probe
+    # whose window starts at a survival above 2^-55 gets exactly that
+    # sum, one that starts at or below it gets exactly 1.0, within two
+    # ulps (eps) of the full sum.
+    means, params = np.array(means), NonlinearSpdParams(np.array(p))
+    rows = _poisson_rows(means)
+    full = np.minimum(rows @ -np.expm1(_log_survival_at(params.p, rows.m)), 1.0)
+    first = rows.m[rows.starts[:-1]]
+    skipped = _log_survival_at(params.p, first) <= -55 * math.log(2)
+    clicks = _coherent_clicks(params, means)
+    np.testing.assert_array_equal(clicks[~skipped], full[~skipped])
+    assert np.all(clicks[skipped] == 1.0)
+    assert np.all(full[skipped] >= 1.0 - np.finfo(float).eps)
 
 
 def test_povm_click_probability_normalizes_its_weights():

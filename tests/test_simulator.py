@@ -20,7 +20,6 @@ from nlspd.povm import (
 from nlspd.reference import SCALED_PARAMS
 from nlspd.simulator import (
     ExperimentConfig,
-    _probe_uniform,
     _saturation_intensity,
     geometric_probe_grid,
     simulate,
@@ -51,9 +50,33 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("index", [0, 1, 37, 2**40 + 50])
 def test_probe_uniform_matches_the_jumped_stream(seed, index):
-    # Setting counter word 2 directly gives the draws of the jumped stream.
-    jumped = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-    assert _probe_uniform(seed, index) == float(jumped.random())
+    # simulate's walk from probe to probe: one variate from the jumped
+    # stream, then an advance of 2**128 - 1, lands on the next probe's
+    # jumped stream, whose counter word 2 is index + 1.
+    bit_generator = np.random.Philox(key=seed).jumped(index)
+    generator = np.random.Generator(bit_generator)
+    generator.random()
+    bit_generator.advance(2**128 - 1)
+    following = np.random.Philox(key=seed).jumped(index + 1)
+    for state in (bit_generator.state, following.state):
+        assert state["buffer_pos"] == 4  # no variate of the block left
+        np.testing.assert_array_equal(state["state"]["counter"], [0, 0, index + 1, 0])
+    assert generator.random() == np.random.Generator(following).random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 123456789, 2**64 - 1])
+def test_simulate_draws_each_probe_from_its_own_substream(seed):
+    # Oracle: a fresh generator per probe, started with the probe's index
+    # in counter word 2, inverted through the same binomial cdf.
+    config = _config(SCALED_PARAMS[20], geometric_probe_grid(SCALED_PARAMS[20]).intensities, seed)
+    uniforms = [
+        np.random.Generator(np.random.Philox(counter=[0, 0, i, 0], key=seed)).random()
+        for i in range(len(config.probes))
+    ]
+    q = [coherent_click_probability(config.truth, mu) for mu in config.probes.intensities]
+    expected = _binom_ppf(uniforms, config.trials, q)
+    assert len(config.probes) == 61
+    np.testing.assert_array_equal(simulate(config).clicks, expected)
 
 
 def test_sample_mean_matches_click_probability():
