@@ -47,8 +47,9 @@ __all__ = [
 
 _H_FUZZ = 1e-12
 
-# Newton iterations a fit or refit may take. The fits and refits of the
-# reference records take at most 13.
+# Newton iterations a fit or refit may take. The fits and pruning refits
+# of the 48 reference fit records take at most 13; the A6 refit at
+# eta = 1 with P_2 pinned takes 41-42, walking h_3 down its saturating ray.
 _FIT_MAX_ITERATIONS = 100
 
 # The Newton loop stops once the decrement -g.d, about twice the distance
@@ -197,14 +198,17 @@ class _FitData:
     per order n, and ``weighted_design`` its (order x terms) gather at
     every term times the term's weight, from which the Jacobian sums. No
     truncation enters: no row runs from m = 0 to a cutoff, and none is cut
-    short of its window. ``probes`` and ``record`` are those the data was
-    built from.
+    short of its window. ``divisor`` is what each residual is divided by,
+    the frequencies themselves; it is stored as is, since (C - q) * (1 / C)
+    is not bitwise (C - q) / C. ``probes`` and ``record`` are those the
+    data was built from.
     """
 
     rows: _WindowRows
     columns: np.ndarray
     weighted_design: np.ndarray
     frequencies: np.ndarray
+    divisor: np.ndarray
     design: np.ndarray
     included: np.ndarray
     probes: ProbeSet
@@ -241,11 +245,13 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
     m_values, columns = np.unique(rows.m, return_inverse=True)
     _check_dense_size(8 * order * rows.m.size, f"the weighted design of {order} orders")
     design = binomial_table(m_values, order).T.copy()
+    frequencies = frequencies[included]
     return _FitData(
         rows=rows,
         columns=columns,
         weighted_design=design.take(columns, axis=1) * rows.weights,
-        frequencies=frequencies[included],
+        frequencies=frequencies,
+        divisor=frequencies,
         design=design,
         included=included,
         probes=probes,
@@ -263,7 +269,7 @@ def _residual(data: _FitData, h: np.ndarray) -> np.ndarray:
     """
     clicks = -np.expm1(data.design.T @ h)
     model = data.rows @ clicks[data.columns]
-    return (data.frequencies - model) / data.frequencies
+    return (data.frequencies - model) / data.divisor
 
 
 def _derivatives(data: _FitData, h: np.ndarray, r: np.ndarray):
@@ -279,8 +285,8 @@ def _derivatives(data: _FitData, h: np.ndarray, r: np.ndarray):
     survival = np.exp(data.design.T @ h)
     rows = data.rows
     terms = data.weighted_design * survival[data.columns]
-    jacobian = np.add.reduceat(terms, rows.starts[:-1], axis=1).T / data.frequencies[:, None]
-    spread = rows.weights * (r / data.frequencies).repeat(np.diff(rows.starts))
+    jacobian = np.add.reduceat(terms, rows.starts[:-1], axis=1).T / data.divisor[:, None]
+    spread = rows.weights * (r / data.divisor).repeat(np.diff(rows.starts))
     curvature = survival * np.bincount(data.columns, spread, minlength=survival.size)
     hessian = 2.0 * (jacobian.T @ jacobian + (data.design * curvature) @ data.design.T)
     return jacobian, hessian
@@ -338,7 +344,25 @@ def _newton_direction(
     return np.linalg.lstsq(jacobian, -r, rcond=None)[0]
 
 
-def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, what: str):
+@dataclass(frozen=True)
+class _NewtonSolve:
+    """Record of one ``_solve`` call.
+
+    ``h`` is the solution, ``r`` its residual and ``objective`` r . r, the
+    solve's own values, not copies; ``iterations`` counts the Newton
+    iterations, the last of them the one whose stopping rule held. Only
+    callers that return a ``FitReport`` build one from it
+    (``_build_report``), so the pruning trials, which compare objectives,
+    build none.
+    """
+
+    h: np.ndarray
+    r: np.ndarray
+    objective: float
+    iterations: int
+
+
+def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, what: str) -> _NewtonSolve:
     """Bound-constrained least-squares fit of the free orders.
 
     Orders flagged in ``pinned`` are held at h[n] = 0 exactly; the rest
@@ -351,16 +375,16 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, what: str):
     is at most ``_NEWTON_DECREMENT`` of the objective, or once the line
     search finds no decrease: the objective then moves only by rounding.
 
-    Returns the solution and its residual. Raises ``ConvergenceError`` if
-    it does not stop so within ``_FIT_MAX_ITERATIONS`` Newton iterations;
-    the error carries the best-so-far ``FitReport`` over the free orders,
-    and ``what`` names the solve in its message.
+    Returns the solve's ``_NewtonSolve``. Raises ``ConvergenceError`` if it
+    does not stop so within ``_FIT_MAX_ITERATIONS`` Newton iterations; the
+    error carries the best-so-far ``FitReport`` over the free orders, and
+    ``what`` names the solve in its message.
     """
     free = ~pinned
     h = np.where(free, np.clip(h0, _H_FLOOR, 0.0), 0.0)
     r = _residual(data, h)
     f = float(r @ r)
-    for _ in range(_FIT_MAX_ITERATIONS):
+    for iterations in range(1, _FIT_MAX_ITERATIONS + 1):
         jacobian, hessian = _derivatives(data, h, r)
         g = 2.0 * jacobian.T @ r
         held = ((h <= _H_FLOOR) & (g > 0)) | ((h >= 0.0) & (g < 0))
@@ -371,7 +395,7 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, what: str):
                 hessian[move][:, move], jacobian[:, move], r, g[move]
             )
         if -(g @ d) <= _NEWTON_DECREMENT * f:
-            return h, r
+            return _NewtonSolve(h, r, f, iterations)
         step = 1.0
         while True:
             trial = np.clip(h + step * d, _H_FLOOR, 0.0)
@@ -381,26 +405,26 @@ def _solve(data: _FitData, h0: np.ndarray, pinned: np.ndarray, what: str):
                 break
             step *= 0.5
             if step < _MIN_STEP:
-                return h, r
+                return _NewtonSolve(h, r, f, iterations)
         h, r, f = trial, r_trial, f_trial
     raise ConvergenceError(
         f"{what} used its {_FIT_MAX_ITERATIONS} Newton iterations "
         "before meeting its stopping rule",
-        result=_build_report(data, h, r, np.flatnonzero(free)),
+        result=_build_report(data, _NewtonSolve(h, r, f, iterations), np.flatnonzero(free)),
     )
 
 
 def _build_report(
-    data: _FitData, h: np.ndarray, r: np.ndarray, kept_orders, degenerate: bool = False
+    data: _FitData, solve: _NewtonSolve, kept_orders, degenerate: bool = False
 ) -> FitReport:
     per_probe = np.zeros(data.included.size)
-    per_probe[data.included] = r * r
+    per_probe[data.included] = solve.r * solve.r
     return FitReport(
-        params=NonlinearSpdParams(p=-np.expm1(h)),
+        params=NonlinearSpdParams(p=-np.expm1(solve.h)),
         kept_orders=tuple(kept_orders),
-        objective=float(r @ r),
+        objective=solve.objective,
         per_probe_residuals=per_probe,
-        h=h,
+        h=solve.h,
         degenerate_pruning=degenerate,
         _data=data,
     )
@@ -448,8 +472,8 @@ def fit_params(
     max_order = _whole_number(max_order, "max_order")
     data = _fit_data(probes, record, max_order)
     pinned = np.zeros(max_order, dtype=bool)
-    h, r = _solve(data, np.full(max_order, _NEAR_ZERO_H), pinned, "mechanism fit")
-    return _build_report(data, h, r, range(max_order))
+    solve = _solve(data, np.full(max_order, _NEAR_ZERO_H), pinned, "mechanism fit")
+    return _build_report(data, solve, range(max_order))
 
 
 def prune_mechanisms(
@@ -502,37 +526,33 @@ def prune_mechanisms(
     kept[list(report.kept_orders)] = True
     base_norm = np.sqrt(report.objective)
 
-    def droppable(r: np.ndarray) -> bool:
-        trial_norm = np.sqrt(r @ r)
+    def droppable(objective: float) -> bool:
+        trial_norm = np.sqrt(objective)
         if base_norm > 0:
             return (trial_norm - base_norm) / base_norm <= threshold
         return trial_norm <= 1e-12
 
-    def refit(pinned: np.ndarray):
+    def refit(pinned: np.ndarray) -> _NewtonSolve:
         return _solve(data, report.h, pinned, "pruning refit")
 
     def removable(n: int) -> bool:
         pinned = ~kept
         pinned[n] = True
         start = np.where(pinned, 0.0, np.clip(report.h, _H_FLOOR, 0.0))
-        return droppable(_residual(data, start)) or droppable(refit(pinned)[1])
+        r = _residual(data, start)
+        return droppable(r @ r) or droppable(refit(pinned).objective)
 
     # Every decision is taken before ``kept`` changes, so each trial pins n
     # and only the orders the report itself leaves out.
     kept[[n for n in report.kept_orders if removable(n)]] = False
     if kept.any():
-        h, r = refit(~kept)
-        return _build_report(data, h, r, np.flatnonzero(kept))
+        return _build_report(data, refit(~kept), np.flatnonzero(kept))
 
     # Nothing survives the criterion; keep the best single mechanism so the
     # report still describes a detector.
-    sole = []
-    for n in report.kept_orders:
-        pinned = np.ones(order, dtype=bool)
-        pinned[n] = False
-        sole.append((n, *refit(pinned)))
-    n, h, r = min(sole, key=lambda fit: fit[2] @ fit[2])
-    return _build_report(data, h, r, [n], degenerate=True)
+    sole = {n: refit(np.arange(order) != n) for n in report.kept_orders}
+    n = min(sole, key=lambda n: sole[n].objective)
+    return _build_report(data, sole[n], [n], degenerate=True)
 
 
 @dataclass(frozen=True)

@@ -78,13 +78,23 @@ _TIE_BREAK_WEIGHT = 1e-10
 # <= 4e-15 once allowed to.
 _BVLS_ITERATIONS_PER_UNKNOWN = 10
 
+# Most unknowns the bounded-variable least-squares fallback takes on. Its
+# time grows faster than its stacked matrix: at the tie-break weight, raw
+# 25 uA seed 0 rescaled to |U| = 245, 431, 608, 712 and 781 took 0.2, 1.7,
+# 3.7, 7.2 and 21 s (2-vCPU host, one BLAS thread), and on its own grid,
+# |U| = 3296, it ran past 13 min. Above this count the fallback is
+# refused, as an oversize array is.
+_BVLS_MAX_UNKNOWNS = 700
+
 # Active-set steps the reconstruction may take before it hands the problem
-# to bounded-variable least squares, at every weight. The rescaled reference
-# records and the raw 25 uA records take at most 13 steps at the default
-# weight and 18 at w = 1e-6. Below w = 1e-7 most rescaled records spend the
-# budget and fall back (32 of 39 at w = 3e-8, all 39 at w = 0), while the
-# raw 25 uA record of seed 0 is certified within it, where the fallback
-# takes minutes.
+# to bounded-variable least squares, at every weight. The 39 rescaled
+# reference records, reconstructed directly and through
+# ``scaled_fit_workflow``, and the raw 25 uA records take at most 13 steps
+# at the default weight and 18 at w = 1e-6. Below w = 1e-7 most rescaled
+# records spend the budget and fall back: directly 32, 37 and 39 of 39 at
+# w = 3e-8, 1e-8 and 0, through the workflow 33, 38 and 39. The raw 25 uA
+# record of seed 0 is certified within it (in at most 6 steps down to
+# w = 1e-8), where the fallback would take minutes and is refused.
 _ACTIVE_SET_STEPS = 25
 
 # Largest first-order breach the active-set solve accepts as optimal: the
@@ -245,7 +255,8 @@ def reconstruct_povm(
        first-order (KKT) conditions hold, which certifies the optimum.
     2. If the loop stalls or runs out of steps, scipy's bounded-variable
        least squares solves the stacked problem ``[F; sqrt(w / L) D] y =
-       [C; 0]`` (D the first difference on U) to its tolerance.
+       [C; 0]`` (D the first difference on U) to its tolerance, on at most
+       700 unknowns.
 
     A weight below 1e-10 (in particular w = 0) is raised to 1e-10 on both
     paths: with more unknowns than probes the unsmoothed problem has a
@@ -274,7 +285,9 @@ def reconstruct_povm(
         (8 N bytes) or the P x |U| probe matrix would exceed
         ``MAX_DENSE_BYTES``, where the message suggests rescaling; also if
         the fallback is needed and its (P + |U| - 1) x |U| stacked matrix
-        would exceed it.
+        would exceed it or U holds more than 700 photon numbers, too many
+        for the fallback to finish in bounded time; that message suggests
+        a larger smoothing weight or rescaling.
     ConvergenceError
         If the fallback exhausts its iteration budget; the error carries
         the solver result.
@@ -295,16 +308,28 @@ def reconstruct_povm(
     F, photons = _probe_matrix(probes, truncation)
     lengths = np.diff(photons).astype(float)
     weight = max(smoothing_weight, _TIE_BREAK_WEIGHT)
-    y = _active_set_minimizer(F, record.frequencies, weight, lengths)
-    if y is None:
-        y = _bounded_least_squares(F, record.frequencies, weight, lengths)
-    return DiagonalPovm(click=np.interp(np.arange(truncation), photons, y))
+    solve = _active_set_minimizer(F, record.frequencies, weight, lengths)
+    return DiagonalPovm(click=np.interp(np.arange(truncation), photons, solve.y))
+
+
+@dataclass(frozen=True)
+class _BoxSolve:
+    """Record of one ``_active_set_minimizer`` call.
+
+    ``y`` is the box minimizer on U, the solver's own array, not a copy;
+    ``steps`` counts the active-set steps taken, and ``fallback`` says
+    whether bounded-variable least squares finished the solve after them.
+    """
+
+    y: np.ndarray
+    steps: int
+    fallback: bool
 
 
 def _active_set_minimizer(
     F: np.ndarray, frequencies: np.ndarray, weight: float, lengths: np.ndarray
-) -> np.ndarray | None:
-    """Box minimizer by primal-dual active-set steps, or None if they fail.
+) -> _BoxSolve:
+    """Box minimizer by primal-dual active-set steps, or by BVLS where they fail.
 
     ``state`` marks each element as held at 0 (-1), held at 1 (+1) or free
     (0). Each step minimizes over the free elements in closed form, then
@@ -315,20 +340,24 @@ def _active_set_minimizer(
     returned after one step. The loop ends when a step changes nothing.
     If every breach is then within ``_KKT_TOLERANCE``, the first-order
     conditions certify the result as the optimum; otherwise, or after
-    ``_ACTIVE_SET_STEPS`` steps, it returns None.
+    ``_ACTIVE_SET_STEPS`` steps, ``_bounded_least_squares`` solves the
+    problem.
     """
     size = F.shape[1]
     state = np.zeros(size, dtype=np.int8)
     freed = np.zeros(size, dtype=bool)
     reach, extend, visited = 1, True, set()
-    for _ in range(_ACTIVE_SET_STEPS):
+    steps = 0
+    for steps in range(1, _ACTIVE_SET_STEPS + 1):
         x = _free_minimizer(F, frequencies, weight, state, lengths)
         free = state == 0
         below, above = free & (x < 0.0), free & (x > 1.0)
         breach = _kkt_breach(x, _objective_gradient(F, frequencies, weight, x, lengths))
         released = (state != 0) & (breach > _KKT_TOLERANCE)
         if not (below.any() or above.any() or released.any()):
-            return x if breach.max(initial=0.0) <= _KKT_TOLERANCE else None
+            if breach.max(initial=0.0) <= _KKT_TOLERANCE:
+                return _BoxSolve(x, steps, fallback=False)
+            break
         # A held run can give up one end element per step for dozens of
         # steps while its multipliers shrink slowly (rescaled 20 uA seed 7:
         # 42 steps). While every release continues such a walk, free 2, 4,
@@ -351,7 +380,7 @@ def _active_set_minimizer(
                 freed[j] = True
                 j += step
         state[below], state[above], state[freed] = -1, 1, 0
-    return None
+    return _BoxSolve(_bounded_least_squares(F, frequencies, weight, lengths), steps, fallback=True)
 
 
 def _free_minimizer(
@@ -504,7 +533,9 @@ def _bounded_least_squares(
     k-th first difference.
 
     A stacked matrix above ``MAX_DENSE_BYTES`` raises ``ValueError``
-    before it is allocated, as every other oversize array does.
+    before it is allocated, as every other oversize array does, and so do
+    more than ``_BVLS_MAX_UNKNOWNS`` unknowns, on which BVLS would not
+    finish in bounded time.
 
     ``scipy.optimize`` is imported here, not at module level: only this
     fallback needs it, and importing it costs every CLI process time.
@@ -512,6 +543,12 @@ def _bounded_least_squares(
     probes, unknowns = F.shape
     height = probes + unknowns - 1
     _check_dense_size(8 * height * unknowns, f"the fallback's {height} x {unknowns} stacked matrix")
+    if unknowns > _BVLS_MAX_UNKNOWNS:
+        raise ValueError(
+            "the active-set steps did not certify the reconstruction, and its fallback takes "
+            f"at most {_BVLS_MAX_UNKNOWNS} unknowns, not {unknowns} (use a larger --smoothing, "
+            "or rescale the intensities: --scale-to-95)"
+        )
     from scipy.optimize import lsq_linear
 
     # [F; sqrt(w / L) D] is filled in place: at raw-data sizes (thousands

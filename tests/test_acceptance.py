@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from nlspd import modelfit
+from nlspd import modelfit, tomography
 from nlspd.exceptions import ConvergenceError
 from nlspd.loss import lossy_click_probability, scale_povm, unscale_povm
 from nlspd.modelfit import (
@@ -84,6 +84,18 @@ def fit_objective_gradient(h, probes, record):
     """Gradient 2 J^T r of ``fit_objective`` in h, from ``_dense_fit_terms``."""
     residual, jacobian = _dense_fit_terms(h, probes, record)
     return 2.0 * jacobian.T @ residual
+
+
+def _recorded(monkeypatch, module, solver):
+    """List that collects the record each call of ``module.solver`` returns."""
+    records, solve = [], getattr(module, solver)
+
+    def recording(*args):
+        records.append(solve(*args))
+        return records[-1]
+
+    monkeypatch.setattr(module, solver, recording)
+    return records
 
 
 def _simulated(truth, probes, seed):
@@ -528,7 +540,8 @@ def test_box_active_reconstruction_needs_no_fallback(monkeypatch):
     # reconstructed directly and through the scaled workflow; the box
     # binds on 60), the raw 25 uA records at seeds 0-2 and the two-photon
     # record (N = 2778). Their worst relative gap measured 2.9e-9 (the
-    # two-photon record; the 78 rescaled ones at most 5.8e-11).
+    # two-photon record; the 78 rescaled ones at most 5.8e-11). The raw
+    # 25 uA minimizers lie inside the box: the first step certifies them.
     def no_fallback(*args, **kwargs):
         raise AssertionError("bounded-variable fallback was called")
 
@@ -547,11 +560,13 @@ def test_box_active_reconstruction_needs_no_fallback(monkeypatch):
         (raw_probes, _simulated(raw_truth, raw_probes, seed)) for seed in range(3)
     ]
     instances.append(_two_photon_record())
+    solves = _recorded(monkeypatch, tomography, "_active_set_minimizer")
     results = [_reconstruction_kkt_breach(probes, record) for probes, record in instances]
     worst = max(breach for breach, _ in results)
     worst_gap = max(gap for _, gap in results)
     assert worst <= 1e-9
     assert worst_gap <= 1e-6
+    assert [solve.steps for solve in solves[78:81]] == [1, 1, 1]
     print(
         f"KKT PASS (active set alone, {len(instances)} reconstructions): "
         f"worst breach {worst:.2e} (bound 1e-9), relative gap {worst_gap:.2e} (bound 1e-6)"
@@ -600,16 +615,19 @@ def test_reconstruction_without_smoothing_converges():
     )
 
 
-def test_reconstruction_at_small_weight_is_certified():
+def test_reconstruction_at_small_weight_is_certified(monkeypatch):
     # At w = 1e-8 the active-set steps of this record do not settle within
     # their budget, and the bounded-variable fallback finishes the solve.
     # Its relative gap measured 1.1e-10.
     truth = SCALED_PARAMS[20]
     base = geometric_probe_grid(truth)
     record = _simulated(truth, base, seed=7)
+    solves = _recorded(monkeypatch, tomography, "_active_set_minimizer")
     breach, gap = _reconstruction_kkt_breach(base, record, weight=1e-8)
     assert breach <= 1e-9
     assert gap <= 1e-9
+    (solve,) = solves
+    assert solve.fallback and solve.steps == tomography._ACTIVE_SET_STEPS
 
 
 @pytest.mark.parametrize("weight", [3e-8, 1e-8])
@@ -661,7 +679,7 @@ def _scale_free_gradient(h, probes, record):
     )
 
 
-def test_fit_kkt_certificate():
+def test_fit_kkt_certificate(monkeypatch):
     # The dense-matrix fit_objective_gradient over the fitted (unpinned)
     # orders on the box [-60, 0], at both the full fit and the pruned refit.
     truth = SCALED_PARAMS[25]
@@ -684,8 +702,10 @@ def test_fit_kkt_certificate():
     # Every one of the 48 fit records in scale-free form. In absolute units
     # the breach reaches 5.8e-4 on the rescaled 16 uA seed 1 full fit and
     # 7e4 on the raw 16 uA seed 0 refit, where one unit of h_3 moves the
-    # exponent by C(m, 3), up to 2e14.
+    # exponent by C(m, 3), up to 2e14. Each of their 233 solves, fits and
+    # pruning refits, stops within 13 Newton iterations.
     scale_free = {"scaled": 0.0, "raw": 0.0}
+    solves = _recorded(monkeypatch, modelfit, "_solve")
     for label, probes, record, max_order in _fit_records():
         report = fit_params(probes, record, max_order=max_order)
         for fitted in (report, prune_mechanisms(report, probes, record)):
@@ -700,6 +720,7 @@ def test_fit_kkt_certificate():
             cosine = _scale_free_gradient(report.h, probes, record)
             assert report.h[1] == 0.0 and cosine[1] < -0.01
     assert max(scale_free.values()) <= 1e-6
+    assert max(solve.iterations for solve in solves) <= 13
     print(
         f"KKT PASS (fit, A4 25 uA seeds and A6 records): worst breach {worst:.2e} "
         "(bound 1e-5); scale-free breach on the 48 fit records "
@@ -761,8 +782,9 @@ def _trust_region_solve(data, h0, pinned, what):
     The oracle for the Newton solve: the same residual and Jacobian, the
     variables scaled by the Jacobian's column norms, and tolerances of
     1e-15 on the cost, the step and the gradient. Like ``modelfit._solve``
-    it returns the solution and its residual, and raises
-    ``ConvergenceError`` if it runs out of evaluations.
+    it returns a ``_NewtonSolve``, here with its Jacobian evaluations as
+    the iterations, and raises ``ConvergenceError`` if it runs out of
+    evaluations.
     """
     free = ~pinned
 
@@ -775,9 +797,12 @@ def _trust_region_solve(data, h0, pinned, what):
         h = expand(z)
         return modelfit._derivatives(data, h, modelfit._residual(data, h))[0][:, free]
 
+    def record(h, iterations):
+        r = modelfit._residual(data, h)
+        return modelfit._NewtonSolve(h, r, float(r @ r), iterations)
+
     if not np.any(free):
-        h = expand(())
-        return h, modelfit._residual(data, h)
+        return record(expand(()), 0)
     result = least_squares(
         lambda z: modelfit._residual(data, expand(z)),
         np.clip(h0[free], -60.0, 0.0),
@@ -792,8 +817,7 @@ def _trust_region_solve(data, h0, pinned, what):
     )
     if result.status == 0:
         raise ConvergenceError(f"{what}: trust-region reflective ran out of evaluations")
-    h = expand(result.x)
-    return h, modelfit._residual(data, h)
+    return record(expand(result.x), result.njev)
 
 
 def test_fit_matches_trust_region_oracle(monkeypatch):

@@ -382,8 +382,7 @@ def test_prune_with_infinite_threshold_degenerates_to_best_single():
     for n in range(3):
         pinned = np.ones(3, dtype=bool)
         pinned[n] = False
-        _, r = modelfit._solve(data, report.h, pinned, "sole-order refit")
-        sole.append(float(r @ r))
+        sole.append(modelfit._solve(data, report.h, pinned, "sole-order refit").objective)
     assert pruned.objective == sole[pruned.kept_orders[0]]
     assert pruned.objective <= min(sole)
     # the flag is a diagnostic, not part of the document schema

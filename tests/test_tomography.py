@@ -243,6 +243,16 @@ def test_reconstruct_guards_dense_sizes(monkeypatch, tmp_path, capsys):
         cli.main(["reconstruct", str(data), str(tmp_path / "povm.json")])
     assert excinfo.value.code == 1
     assert "stacked matrix" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # The fallback is refused by its work too: raw 25 uA seed 0 at w = 0
+    # passes the byte limit with its 88 MB stacked matrix on 3296 unknowns,
+    # where BVLS ran past 13 min.
+    truth = UNSCALED_PARAMS[25]
+    probes = geometric_probe_grid(truth)
+    record = simulate(ExperimentConfig(truth=truth, probes=probes, seed=0, trials=probes.trials))
+    with pytest.raises(ValueError, match="at most 700 unknowns, not 3296 .*--smoothing"):
+        reconstruct_povm(probes, record, smoothing_weight=0)
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
