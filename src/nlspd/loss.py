@@ -37,7 +37,13 @@ from scipy.linalg import lstsq, solve_triangular
 
 from .exceptions import IllConditionedInversionError
 from .numerics import _bernstein_reach, _deviance, _stirling_gap, _transmissivity
-from .povm import DiagonalPovm, _check_dense_size, _WindowRows, povm_click_probability
+from .povm import (
+    DiagonalPovm,
+    _check_dense_size,
+    _window_starts,
+    _WindowRows,
+    povm_click_probability,
+)
 
 __all__ = [
     "lossy_click_probability",
@@ -92,6 +98,7 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
     """
     n = np.arange(truncation)
     mean = n * eta
+    reach = _bernstein_reach((1.0 - eta) * mean, _WINDOW_LOG_MASS)
 
     def log_weights(m, sizes):
         out = np.zeros(m.size)
@@ -102,7 +109,8 @@ def _binomial_rows(truncation: int, eta: float) -> _WindowRows:
 
     return _WindowRows.over(
         mean,
-        _bernstein_reach((1.0 - eta) * mean, _WINDOW_LOG_MASS),
+        reach,
+        _window_starts(mean, reach),
         n,
         log_weights,
         f"the binomial windows of the {truncation}-element loss map",

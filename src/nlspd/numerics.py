@@ -9,10 +9,14 @@ or one order, its last column (``binomial_exponents``);
 ``poisson_log_pmf`` (log Poisson weights, ``-inf`` for impossible photon
 numbers, photon numbers and means broadcast or each mean repeated over a
 run of photon numbers, with ln m! read from a table below m = 1024 and
-from the Stirling series above). The product of the binomial table with
-log survivals is left to its callers, each of which knows where a
-saturated mechanism lies: ``povm`` sets it apart, and the fit's box keeps
-its h finite.
+from the Stirling series above). The recurrence is written once, in the
+private ``_binomial_table``, which checks nothing: ``binomial_table``
+checks its photon numbers and order count and calls it, and ``povm``
+calls it directly on photon numbers it built itself, so a one-probe
+click pays no check. The product of the binomial table with log
+survivals is left to its callers, each of which knows where a saturated
+mechanism lies: ``povm`` sets it apart, and the fit's box keeps its h
+finite.
 
 Three private kernels serve the window operators of ``povm`` and
 ``loss``: ``_bernstein_reach``, the distance from a mean beyond which
@@ -274,8 +278,18 @@ def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     m_values = np.asarray(m_values, dtype=np.int64)
     if m_values.size and m_values.min() < 0:
         raise ValueError("binomial_table requires m >= 0")
+    return _binomial_table(m_values, order)
+
+
+def _binomial_table(m_values: np.ndarray, order: int, layout: str = "C") -> np.ndarray:
+    """``binomial_table`` of int64 photon numbers >= 0 and an int order
+    count >= 1, neither checked: the kernel of every binomial table.
+
+    ``layout`` is the table's memory order: "C" as ``binomial_table``
+    returns it, or "F", each order's column contiguous.
+    """
     m = m_values.astype(float)
-    table = np.empty(m.shape + (order,))
+    table = np.empty(m.shape + (order,), order=layout)
     table[..., 0] = 1.0
     for n in range(1, order):
         # A factor clipped at 0 makes C(m, n) exactly +0.0 for m < n.

@@ -18,6 +18,11 @@ mechanism (``p[n] = 1``) sets the log survival to ``-inf``, and so
 ``click[m]`` to 1, for every m >= n, where C(m, n) > 0. ``DiagonalPovm``
 and ``NonlinearSpdParams`` clip their vectors into [0, 1] and turn
 -0.0 into +0.0 as they are built, so no caller clips or adds zero itself.
+One evaluator, ``_LogSurvival``, gives the log survival from three
+constants of p: the orders with 0 < p[n] < 1, their ``log1p(-p[n])`` and
+the first saturated order. Its binomial table comes from the one kernel,
+``numerics._binomial_table``. ``NonlinearSpdParams`` builds its evaluator
+once, as it is built, so no click takes the constants again.
 
 A coherent probe of mean mu weighs photon number m by the Poisson law. One
 private operator, ``_poisson_rows``, holds those weights for any set of
@@ -32,8 +37,10 @@ mechanism fit and the reconstruction all read their rows from
 ``_poisson_rows`` as they are: none divides by a row sum again, and none
 chooses a truncation. A click is summed as ``F (-expm1(log survival))``,
 so a click probability near the dark-count floor keeps full
-relative precision. A probe whose window starts saturated clicks with
-probability exactly 1 and builds no row at all (``_coherent_clicks``).
+relative precision. ``_coherent_clicks`` takes each probe's reach and
+window start once, for its saturation test and its rows: a probe whose
+window starts saturated clicks with probability exactly 1 and builds no
+row at all.
 A truncation belongs to an explicit click vector (``DiagonalPovm``),
 whose length it is: ``truncation_for`` picks the default one, the
 smallest that carries all but ``DEFAULT_TAIL_MASS`` of a probe's
@@ -46,7 +53,7 @@ a POVM or mechanism parameters, from a JSON document.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,8 +61,8 @@ from .exceptions import DataFormatError, TruncationError
 from .numerics import (
     _WHOLE_LIMIT,
     _bernstein_reach,
+    _binomial_table,
     _whole_number,
-    binomial_table,
     poisson_log_pmf,
 )
 
@@ -204,14 +211,67 @@ class DiagonalPovm:
 
 
 @dataclass(frozen=True)
+class _LogSurvival:
+    """``sum_n C(m, n) * log(1 - p[n])`` of fixed efficiencies p, its constants taken once.
+
+    Only the orders with 0 < p[n] < 1 enter the product with C(m, n): the
+    binomial table runs to the last of them (``width`` columns, at least
+    one), and ``columns`` picks them out of it, or is None where it holds
+    no other order. An order with p[n] = 0 contributes nothing, and
+    dropping its column keeps a C(m, n) that overflows to inf (n of about
+    70 and up) from giving nan. A saturated order (p[n] = 1) makes the log
+    survival ``-inf`` wherever C(m, n) > 0, which is exactly where m >= n,
+    so every m from the first saturated order up (``saturated_from``) is
+    set to ``-inf``.
+    """
+
+    width: int
+    columns: np.ndarray | None
+    logs: np.ndarray
+    saturated_from: int | None
+
+    @classmethod
+    def of(cls, p) -> "_LogSurvival":
+        p = np.asarray(p, dtype=float)
+        used = (p != 0) & (p < 1)
+        orders = np.flatnonzero(used)
+        width = int(orders[-1]) + 1 if orders.size else 1
+        saturated = np.flatnonzero(p >= 1)
+        return cls(
+            width=width,
+            columns=None if orders.size == width else used[:width],
+            logs=np.log1p(-p[used]),
+            saturated_from=int(saturated[0]) if saturated.size else None,
+        )
+
+    def at(self, m_values: np.ndarray) -> np.ndarray:
+        """The log survival at the int64 photon numbers ``m_values``, all >= 0.
+
+        The table is built in Fortran order, the layout a column gather
+        gives, so the product takes the same BLAS path, and rounds the
+        same, with or without the gather.
+        """
+        table = _binomial_table(m_values, self.width, "F")
+        if self.columns is not None:
+            table = table[:, self.columns]
+        out = table @ self.logs
+        if self.saturated_from is not None:
+            out[m_values >= self.saturated_from] = -np.inf
+        return out
+
+
+@dataclass(frozen=True)
 class NonlinearSpdParams:
     """Mechanism efficiencies ``p[n]`` of a composite click detector.
 
     ``p[n]`` is the firing probability of the order-n breakdown mechanism;
-    ``order`` is the number of mechanisms, covering n = 0..order-1.
+    ``order`` is the number of mechanisms, covering n = 0..order-1. The
+    log-survival constants of p are taken once, as the parameters are
+    built; they are no part of the repr, the comparison or the document.
     """
 
     p: np.ndarray
+    _survival: _LogSurvival = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = _validated_unit_interval(self.p, "mechanism efficiencies")
@@ -219,6 +279,7 @@ class NonlinearSpdParams:
             raise ValueError("at least one mechanism efficiency is required")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_survival", _LogSurvival.of(p))
 
     @property
     def order(self) -> int:
@@ -263,22 +324,8 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
 
 
 def _log_survival_at(p: np.ndarray, m_values: np.ndarray) -> np.ndarray:
-    """``log_survival`` at the photon numbers ``m_values``.
-
-    Only the orders with 0 < p[n] < 1 enter the product with C(m, n). An
-    order with p[n] = 0 contributes nothing, and dropping its column keeps
-    a C(m, n) that overflows to inf (n of about 70 and up) from giving nan.
-    A saturated order (p[n] = 1) makes the log survival ``-inf`` wherever
-    C(m, n) > 0, which is exactly where m >= n, so every m from the first
-    saturated order up is set to ``-inf``.
-    """
-    p = np.asarray(p, dtype=float)
-    used = (p != 0) & (p < 1)
-    out = binomial_table(m_values, p.size)[:, used] @ np.log1p(-p[used])
-    saturated = p >= 1
-    if saturated.any():
-        out[m_values >= saturated.argmax()] = -np.inf
-    return out
+    """``log_survival`` at the int64 photon numbers ``m_values``, all >= 0."""
+    return _LogSurvival.of(p).at(m_values)
 
 
 def spd_povm(p1: float, truncation: int) -> DiagonalPovm:
@@ -393,10 +440,10 @@ class _WindowRows:
     starts: np.ndarray
 
     @classmethod
-    def over(cls, mean, reach, top, log_weights, what: str) -> "_WindowRows":
-        """Rows whose windows run from ``ceil(mean - reach)`` to
-        ``floor(mean + reach)``, clipped to ``[0, top]``, row by row
-        (``_window_starts`` sets the first photon numbers).
+    def over(cls, mean, reach, lo, top, log_weights, what: str) -> "_WindowRows":
+        """Rows whose windows run from ``lo = _window_starts(mean, reach)``,
+        which the caller takes, to ``floor(mean + reach)``, clipped to
+        ``top``, row by row.
 
         ``log_weights(m, sizes)`` gives the log weight of every term from
         its photon number ``m`` and each row's term count ``sizes``; each
@@ -404,7 +451,6 @@ class _WindowRows:
         whose terms would take more than ``MAX_DENSE_BYTES`` as doubles
         raise ``ValueError``, naming ``what``, before anything is allocated.
         """
-        lo = _window_starts(mean, reach)
         sizes = np.minimum(np.floor(mean + reach), top).astype(np.int64) + 1 - lo
         starts = np.zeros(sizes.size + 1, dtype=np.int64)
         sizes.cumsum(out=starts[1:])
@@ -443,14 +489,17 @@ def _poisson_rows(intensities) -> _WindowRows:
     """
     mu = np.asarray(intensities, dtype=float)
     _check_means(mu.min(), mu.max())
-    return _checked_poisson_rows(mu, _bernstein_reach(mu, _WINDOW_LOG_MASS))
+    reach = _bernstein_reach(mu, _WINDOW_LOG_MASS)
+    return _checked_poisson_rows(mu, reach, _window_starts(mu, reach))
 
 
-def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray) -> _WindowRows:
-    """``_poisson_rows`` of means that passed ``_check_means``, ``reach`` their windows' reach."""
+def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray, lo: np.ndarray) -> _WindowRows:
+    """``_poisson_rows`` of means that passed ``_check_means``, ``reach``
+    their windows' reach and ``lo`` their first photon numbers."""
     return _WindowRows.over(
         mu,
         reach,
+        lo,
         np.inf,
         lambda m, sizes: poisson_log_pmf(m, mu, repeats=sizes),
         f"the Poisson windows of means up to {mu.max():g}",
@@ -460,14 +509,17 @@ def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray) -> _WindowRows:
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """Click probabilities of the composite detector on coherent probes.
 
-    Every mean first passes ``_check_means``. A probe whose window starts
-    saturated, at a survival of at most 2^-55 (``_SATURATED_LOG_SURVIVAL``)
-    at its first photon number, gets exactly 1.0, the correctly rounded
-    value of its window sum, and no window: the test costs one
-    ``_log_survival_at`` value per probe, O(orders) at any mean up to
-    2**53. The others get their ``_poisson_rows`` from one
-    ``_checked_poisson_rows`` call, with the reach already taken: each row
-    drops at most 1e-16 of its Poisson mass on either side. The click
+    Every mean first passes ``_check_means``, and each probe's reach and
+    window start are taken once. A probe whose window starts saturated,
+    at a survival of at most 2^-55 (``_SATURATED_LOG_SURVIVAL``) at its
+    first photon number, gets exactly 1.0, the correctly rounded value of
+    its window sum, and no window: the test costs one log-survival value
+    per probe, O(orders) at any mean up to 2**53, from the constants the
+    parameters took when they were built. The others get their
+    ``_poisson_rows`` from one ``_checked_poisson_rows`` call, on the
+    reach and starts already taken: each row drops at most 1e-16 of its
+    Poisson mass on either side. Where every probe is built, the means
+    go in as they are, with no gather and no scatter. The click
     ``-expm1(log survival)`` is evaluated at every term of every row, as
     each probe's own sum would, and summed through the rows, so a click
     probability near the dark-count floor keeps its relative precision.
@@ -477,11 +529,16 @@ def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     mu = np.asarray(intensities, dtype=float)
     _check_means(mu.min(), mu.max())
     reach = _bernstein_reach(mu, _WINDOW_LOG_MASS)
-    built = _log_survival_at(params.p, _window_starts(mu, reach)) > _SATURATED_LOG_SURVIVAL
+    lo = _window_starts(mu, reach)
+    survival = params._survival
+    built = survival.at(lo) > _SATURATED_LOG_SURVIVAL
+    if built.all():
+        rows = _checked_poisson_rows(mu, reach, lo)
+        return np.minimum(rows @ -np.expm1(survival.at(rows.m)), 1.0)
     clicks = np.ones(mu.size)
     if built.any():
-        rows = _checked_poisson_rows(mu[built], reach[built])
-        clicks[built] = np.minimum(rows @ -np.expm1(_log_survival_at(params.p, rows.m)), 1.0)
+        rows = _checked_poisson_rows(mu[built], reach[built], lo[built])
+        clicks[built] = np.minimum(rows @ -np.expm1(survival.at(rows.m)), 1.0)
     return clicks
 
 
@@ -501,6 +558,10 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
     instead of a million. A probe whose window starts saturated, at a
     survival of at most 2^-55, builds no row: its click probability is
     exactly 1.0, the correctly rounded value of the sum, at any mean.
+    The log survivals of the window's first photon number and of its
+    terms come from the constants ``params`` took when it was built, so a
+    call makes one window and two small binomial tables, and checks
+    nothing but its mean.
 
     Parameters
     ----------

@@ -1,7 +1,9 @@
 """Tests for POVM construction and coherent-state responses."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -12,7 +14,7 @@ from scipy.special import gammainc, gammaincc, lambertw
 from scipy.stats import poisson
 
 from nlspd.exceptions import DataFormatError, TruncationError
-from nlspd.numerics import _bernstein_reach, poisson_log_pmf, poisson_log_weights
+from nlspd.numerics import _bernstein_reach, binomial_table, poisson_log_pmf, poisson_log_weights
 from nlspd.povm import (
     DiagonalPovm,
     NonlinearSpdParams,
@@ -309,6 +311,70 @@ def test_probes_that_start_saturated_build_no_window(means, p):
     assert np.all(full[skipped] >= 1.0 - np.finfo(float).eps)
 
 
+def _clicks_by_the_plain_formula(p, means):
+    # The click path written out, with no constant kept between calls: a
+    # probe whose window starts at a log survival of at most ln 2^-55 is
+    # 1.0, and every other probe sums -expm1(log survival) through its
+    # _poisson_rows row, the log survival being the binomial table's
+    # used columns times log1p(-p) and -inf from the first saturated
+    # order up, clipped at 1.
+    p = np.asarray(p, dtype=float)
+    used = (p != 0) & (p < 1)
+    saturated = p >= 1
+
+    def log_survival_at(m):
+        out = binomial_table(m, p.size)[:, used] @ np.log1p(-p[used])
+        if saturated.any():
+            out[m >= saturated.argmax()] = -np.inf
+        return out
+
+    means = np.asarray(means, dtype=float)
+    reach = _bernstein_reach(means, math.log(1e16))
+    first = np.maximum(np.ceil(means - reach), 0.0).astype(np.int64)
+    built = log_survival_at(first) > -55 * math.log(2)
+    clicks = np.ones(means.size)
+    if built.any():
+        rows = _poisson_rows(means[built])
+        clicks[built] = np.minimum(rows @ -np.expm1(log_survival_at(rows.m)), 1.0)
+    return clicks
+
+
+BITWISE_GRIDS = {
+    "fig1b": np.geomspace(1.0, 1e6, 121),
+    "fig2a": np.geomspace(1e-2, 300.0, 121),
+    "wide": np.geomspace(1e-3, 1e7, 6000),
+    "few": np.array([0.0, 0.5, 3.0]),
+}
+
+BITWISE_DETECTORS = {
+    **{f"raw{bias}": params for bias, params in UNSCALED_PARAMS.items()},
+    **{f"scaled{bias}": params for bias, params in SCALED_PARAMS.items()},
+    "zero-orders": NonlinearSpdParams([0.0, 0.0, 3e-6]),
+    "unit-p0": NonlinearSpdParams([1.0, 0.1]),
+    "unit-p2": NonlinearSpdParams([1e-3, 0.05, 1.0]),
+    "unit-p1-then-p2": NonlinearSpdParams([0.0, 1.0, 0.2]),
+    "order-6": NonlinearSpdParams([2e-4, 3e-3, 1e-5, 1e-7, 1e-9, 1e-11]),
+    "order-6-gaps": NonlinearSpdParams([0.0, 1e-2, 0.0, 1e-6, 0.0, 1e-10]),
+}
+
+
+@pytest.mark.parametrize("detector", sorted(BITWISE_DETECTORS))
+def test_coherent_clicks_are_bitwise_the_plain_formula(detector):
+    # The kept constants, the unchecked table kernel and the starts taken
+    # once change no bit of any click, one probe per call or the whole
+    # grid at once. Both sides run here, on one machine's BLAS.
+    params = BITWISE_DETECTORS[detector]
+    for name, grid in BITWISE_GRIDS.items():
+        whole = _coherent_clicks(params, grid)
+        np.testing.assert_array_equal(whole, _clicks_by_the_plain_formula(params.p, grid), name)
+        # The wide grid's larger windows cost the most one call at a time:
+        # every 7th of its means is still 858 calls.
+        singles = grid[::7] if name == "wide" else grid
+        for mean in singles:
+            expected = _clicks_by_the_plain_formula(params.p, [mean])[0]
+            assert coherent_click_probability(params, float(mean)) == expected, (name, mean)
+
+
 def test_povm_click_probability_normalizes_its_weights():
     # A linear detector at mu = 37,330, where the full Poisson weights sum
     # to 1 + 7.7e-12: divided by that sum, the click probability is within
@@ -597,3 +663,36 @@ def test_params_dict_round_trip():
     np.testing.assert_array_equal(again.p, PARAMS.p)
     with pytest.raises(DataFormatError):
         NonlinearSpdParams.from_dict({})
+
+
+def test_params_keep_their_survival_constants_out_of_sight():
+    # The log-survival constants taken as the parameters are built are no
+    # field a caller sees: the repr, the comparison and the document hold
+    # p alone, and every copy, pickled or replaced, carries its own p's.
+    params = NonlinearSpdParams([1e-3, 0.0, 1.0, 0.2])
+    m = np.arange(12)
+    assert repr(params) == f"NonlinearSpdParams(p={params.p!r})"
+    assert [f.name for f in dataclasses.fields(params) if f.init or f.compare] == ["p"]
+    assert params == params
+    assert NonlinearSpdParams([0.5]) == NonlinearSpdParams([0.5])
+    assert NonlinearSpdParams([0.5]) != NonlinearSpdParams([0.25])
+    assert params.to_dict() == {"p": [1e-3, 0.0, 1.0, 0.2]}
+    copies = NonlinearSpdParams.from_dict(params.to_dict()), pickle.loads(pickle.dumps(params))
+    for copy in copies:
+        np.testing.assert_array_equal(copy.p, params.p)
+        np.testing.assert_array_equal(copy._survival.at(m), params._survival.at(m))
+    replaced = dataclasses.replace(params, p=[0.3])
+    assert replaced.order == 1
+    np.testing.assert_array_equal(replaced._survival.at(m), np.log1p(-0.3) * np.ones(12))
+    assert coherent_click_probability(replaced, 2.0) == coherent_click_probability(
+        NonlinearSpdParams([0.3]), 2.0
+    )
+
+
+def test_log_survival_is_bitwise_the_plain_formula():
+    # The numerics probe's input: raw 16 uA at truncation_for(1e6). The
+    # kept constants change no bit of the table product.
+    p, n = UNSCALED_PARAMS[16].p, truncation_for(1e6)
+    used = (p != 0) & (p < 1)
+    expected = binomial_table(np.arange(n), p.size)[:, used] @ np.log1p(-p[used])
+    np.testing.assert_array_equal(log_survival(p, n), expected)
