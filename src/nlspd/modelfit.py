@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
-from .numerics import _transmissivity, _whole_number, binomial_table
+from .numerics import _transmissivity, _values_equal, _whole_number, binomial_table
 from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
 
@@ -88,6 +88,8 @@ class MechanismLogVector:
     h: np.ndarray
     binomial_design: np.ndarray
 
+    __eq__ = _values_equal
+
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 1 or h.size < 1:
@@ -140,6 +142,8 @@ class FitReport:
     h: np.ndarray = field(repr=False)
     degenerate_pruning: bool = False
     _data: _FitData | None = field(default=None, repr=False, compare=False)
+
+    __eq__ = _values_equal
 
     def __post_init__(self):
         residuals = np.asarray(self.per_probe_residuals, dtype=float)

@@ -40,11 +40,13 @@ read: ``_whole_number``, every count of the package as a whole number in
 a range, at most 2**53 unless a caller sets another bound (seeds take
 2**64 - 1), and ``_transmissivity``, a loss channel's eta in (0, 1]. The
 module needs numpy alone, so ``modelfit`` checks a transmissivity
-without loading scipy.
+without loading scipy. ``_values_equal`` is the one ``==`` of the
+package's frozen value classes that hold arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 
@@ -87,6 +89,30 @@ def _transmissivity(eta) -> float:
     if not 0 < eta <= 1:
         raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")
     return float(eta)
+
+
+def _values_equal(self, other):
+    """``self == other`` of two frozen dataclass values, field by field.
+
+    The generated ``__eq__`` compares tuples of the fields, which raises
+    for an array of more than one element. Here an array field compares
+    by ``np.array_equal``, so arrays of unequal lengths are unequal, and
+    any other field by ``==``. Fields with ``compare=False`` take no part,
+    and a value of another class gives ``NotImplemented``. A class sets
+    ``__eq__ = _values_equal`` in its body: the dataclass then keeps it
+    and generates its ``__hash__`` as before.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for item in dataclasses.fields(self):
+        if item.compare:
+            mine, theirs = getattr(self, item.name), getattr(other, item.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+    return True
 
 
 def _stirling_log_factorial(x: np.ndarray) -> np.ndarray:
@@ -225,14 +251,19 @@ def poisson_log_pmf(m_values: np.ndarray, mean_photons, repeats=None) -> np.ndar
     by 1 and every other m by 0 (log weight ``-inf``). With ``repeats``,
     mean i weighs the next ``repeats[i]`` photon numbers, as
     ``mean_photons.repeat(repeats)`` would, and its logarithm is taken once.
+    Only a mean of 0 enters a floating-point error state: where every mean
+    is positive, neither ``log`` nor the product sets one up.
     """
     mu = np.asarray(mean_photons, dtype=float)
     lowest = mu.min(initial=np.inf)
     if lowest < 0:
         raise ValueError(f"mean photon numbers must not be negative, got {mean_photons}")
     m = np.asarray(m_values)
-    with np.errstate(divide="ignore"):
+    if lowest > 0:
         log_mu = np.log(mu)
+    else:
+        with np.errstate(divide="ignore"):
+            log_mu = np.log(mu)
     if repeats is not None:
         mu, log_mu = mu.repeat(repeats), log_mu.repeat(repeats)
     if lowest > 0:
@@ -286,16 +317,21 @@ def _binomial_table(m_values: np.ndarray, order: int, layout: str = "C") -> np.n
     count >= 1, neither checked: the kernel of every binomial table.
 
     ``layout`` is the table's memory order: "C" as ``binomial_table``
-    returns it, or "F", each order's column contiguous.
+    returns it, or "F", each order's column contiguous. Column 1 is m
+    itself, the recurrence's ``1 * m / 1`` to the bit, and each later
+    column is formed in place: its factor, then the product, then the
+    division.
     """
     m = m_values.astype(float)
     table = np.empty(m.shape + (order,), order=layout)
     table[..., 0] = 1.0
-    for n in range(1, order):
-        # A factor clipped at 0 makes C(m, n) exactly +0.0 for m < n.
-        factor = m - (n - 1)
+    if order > 1:
+        table[..., 1] = m
+    for n in range(2, order):
         column = table[..., n]
-        np.multiply(table[..., n - 1], np.maximum(factor, 0.0, out=factor), out=column)
+        # A factor clipped at 0 makes C(m, n) exactly +0.0 for m < n.
+        np.maximum(np.subtract(m, n - 1, out=column), 0.0, out=column)
+        column *= table[..., n - 1]
         column /= n
     return table
 

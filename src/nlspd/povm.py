@@ -22,7 +22,10 @@ One evaluator, ``_LogSurvival``, gives the log survival from three
 constants of p: the orders with 0 < p[n] < 1, their ``log1p(-p[n])`` and
 the first saturated order. Its binomial table comes from the one kernel,
 ``numerics._binomial_table``. ``NonlinearSpdParams`` builds its evaluator
-once, as it is built, so no click takes the constants again.
+once, as it is built, so no click takes the constants again. From its
+first click on, the evaluator also keeps the detector's first saturated
+photon number (``_LogSurvival.first_saturated``), found by searching the
+log survival itself.
 
 A coherent probe of mean mu weighs photon number m by the Poisson law. One
 private operator, ``_poisson_rows``, holds those weights for any set of
@@ -38,9 +41,11 @@ mechanism fit and the reconstruction all read their rows from
 chooses a truncation. A click is summed as ``F (-expm1(log survival))``,
 so a click probability near the dark-count floor keeps full
 relative precision. ``_coherent_clicks`` takes each probe's reach and
-window start once, for its saturation test and its rows: a probe whose
-window starts saturated clicks with probability exactly 1 and builds no
-row at all.
+window start once, for its saturation test and its rows. The test is one
+integer compare per probe, of its window start with the first saturated
+photon number: a probe whose window starts saturated clicks with
+probability exactly 1 and builds no row and no binomial table, and a
+built probe's terms take one table.
 A truncation belongs to an explicit click vector (``DiagonalPovm``),
 whose length it is: ``truncation_for`` picks the default one, the
 smallest that carries all but ``DEFAULT_TAIL_MASS`` of a probe's
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +68,7 @@ from .numerics import (
     _WHOLE_LIMIT,
     _bernstein_reach,
     _binomial_table,
+    _values_equal,
     _whole_number,
     poisson_log_pmf,
 )
@@ -102,6 +109,10 @@ _TAIL_RESOLUTION = 1e-28
 # such a probe needs no window.
 _SATURATED_LOG_SURVIVAL = -55 * math.log(2)
 
+# Photon numbers the search for a detector's first saturated photon number
+# evaluates in each round after its first.
+_SEARCH_POINTS = 64
+
 _BOUND_FUZZ = 1e-12
 
 # Largest array, in bytes, that one step of the package may allocate: the
@@ -114,11 +125,16 @@ _BOUND_FUZZ = 1e-12
 MAX_DENSE_BYTES = 2**28
 
 
-def _check_dense_size(size: int, what: str) -> None:
-    """Raise ``ValueError`` if ``what``, of ``size`` bytes, exceeds ``MAX_DENSE_BYTES``."""
+def _check_dense_size(size: int, what) -> None:
+    """Raise ``ValueError`` if ``what``, of ``size`` bytes, exceeds ``MAX_DENSE_BYTES``.
+
+    ``what`` names the array, or is a function of no arguments that names
+    it, called only to raise: a name that takes a reduction to write
+    costs nothing where the size passes.
+    """
     if size > MAX_DENSE_BYTES:
         raise ValueError(
-            f"{what} would take {size / 2**20:.4g} MiB, "
+            f"{what() if callable(what) else what} would take {size / 2**20:.4g} MiB, "
             f"above the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
         )
 
@@ -167,6 +183,8 @@ class DiagonalPovm:
     """
 
     click: np.ndarray
+
+    __eq__ = _values_equal
 
     def __post_init__(self):
         click = _validated_unit_interval(self.click, "click probabilities")
@@ -222,7 +240,8 @@ class _LogSurvival:
     70 and up) from giving nan. A saturated order (p[n] = 1) makes the log
     survival ``-inf`` wherever C(m, n) > 0, which is exactly where m >= n,
     so every m from the first saturated order up (``saturated_from``) is
-    set to ``-inf``.
+    set to ``-inf``. ``first_saturated`` is the first photon number whose
+    log survival is at most ``_SATURATED_LOG_SURVIVAL``, taken at first use.
     """
 
     width: int
@@ -259,6 +278,39 @@ class _LogSurvival:
             out[m_values >= self.saturated_from] = -np.inf
         return out
 
+    @cached_property
+    def first_saturated(self) -> int:
+        """The smallest photon number m with ``at(m) <= _SATURATED_LOG_SURVIVAL``,
+        or 2**53 + 1, past every window's start, where no m up to 2**53 has one.
+
+        The log survival never increases with m, in rounding too: each
+        table column is a product of rounded factors that grow with m, and
+        each term of the product with the logs, all <= 0, falls with it.
+        So a window starting at lo starts saturated exactly where ``lo >=
+        first_saturated``: one integer compare per probe. The search reads
+        ``at`` itself, so it is the same predicate, not a second formula.
+        Its first round evaluates 0 and every power of two up to 2**53,
+        which brackets the answer within a factor of two; each round after
+        it evaluates about ``_SEARCH_POINTS`` evenly spaced photon numbers
+        of the bracket, until one is left: two to four rounds, 40-120 us,
+        on the reference detectors (``[0, 0, 1e-30]``, whose answer lies
+        near 2**53, takes ten, about 0.2 ms). That is more than every
+        ``NonlinearSpdParams`` a fit builds should pay, so it is taken at
+        the first click, once per detector.
+        """
+        m = np.concatenate([[0], 2 ** np.arange(54)])
+        low, high = 0, _WHOLE_LIMIT + 1
+        # at(m) is above the limit for every m below low, and at or below
+        # it at high, unless high is 2**53 + 1.
+        while low < high:
+            built = int(np.count_nonzero(self.at(m) > _SATURATED_LOG_SURVIVAL))
+            if built < m.size:
+                high = int(m[built])
+            if built > 0:
+                low = int(m[built - 1]) + 1
+            m = np.arange(low, high, max((high - low) // _SEARCH_POINTS, 1))
+        return low
+
 
 @dataclass(frozen=True)
 class NonlinearSpdParams:
@@ -267,11 +319,15 @@ class NonlinearSpdParams:
     ``p[n]`` is the firing probability of the order-n breakdown mechanism;
     ``order`` is the number of mechanisms, covering n = 0..order-1. The
     log-survival constants of p are taken once, as the parameters are
-    built; they are no part of the repr, the comparison or the document.
+    built, and the first saturated photon number at their first click;
+    they are no part of the repr, the comparison or the document. Two
+    parameter sets are equal where their p are (``numerics._values_equal``).
     """
 
     p: np.ndarray
     _survival: _LogSurvival = field(init=False, repr=False, compare=False)
+
+    __eq__ = _values_equal
 
     def __post_init__(self):
         p = _validated_unit_interval(self.p, "mechanism efficiencies")
@@ -440,7 +496,7 @@ class _WindowRows:
     starts: np.ndarray
 
     @classmethod
-    def over(cls, mean, reach, lo, top, log_weights, what: str) -> "_WindowRows":
+    def over(cls, mean, reach, lo, top, log_weights, what) -> "_WindowRows":
         """Rows whose windows run from ``lo = _window_starts(mean, reach)``,
         which the caller takes, to ``floor(mean + reach)``, clipped to
         ``top``, row by row.
@@ -449,7 +505,8 @@ class _WindowRows:
         its photon number ``m`` and each row's term count ``sizes``; each
         row is ``exp`` of its log weights divided by their sum. Windows
         whose terms would take more than ``MAX_DENSE_BYTES`` as doubles
-        raise ``ValueError``, naming ``what``, before anything is allocated.
+        raise ``ValueError``, naming ``what`` (a name, or a function that
+        gives it), before anything is allocated.
         """
         sizes = np.minimum(np.floor(mean + reach), top).astype(np.int64) + 1 - lo
         starts = np.zeros(sizes.size + 1, dtype=np.int64)
@@ -495,14 +552,15 @@ def _poisson_rows(intensities) -> _WindowRows:
 
 def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray, lo: np.ndarray) -> _WindowRows:
     """``_poisson_rows`` of means that passed ``_check_means``, ``reach``
-    their windows' reach and ``lo`` their first photon numbers."""
+    their windows' reach and ``lo`` their first photon numbers. The
+    refusal text names the largest mean only when it is raised."""
     return _WindowRows.over(
         mu,
         reach,
         lo,
         np.inf,
         lambda m, sizes: poisson_log_pmf(m, mu, repeats=sizes),
-        f"the Poisson windows of means up to {mu.max():g}",
+        lambda: f"the Poisson windows of means up to {mu.max():g}",
     )
 
 
@@ -513,14 +571,16 @@ def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     window start are taken once. A probe whose window starts saturated,
     at a survival of at most 2^-55 (``_SATURATED_LOG_SURVIVAL``) at its
     first photon number, gets exactly 1.0, the correctly rounded value of
-    its window sum, and no window: the test costs one log-survival value
-    per probe, O(orders) at any mean up to 2**53, from the constants the
-    parameters took when they were built. The others get their
-    ``_poisson_rows`` from one ``_checked_poisson_rows`` call, on the
-    reach and starts already taken: each row drops at most 1e-16 of its
-    Poisson mass on either side. Where every probe is built, the means
-    go in as they are, with no gather and no scatter. The click
-    ``-expm1(log survival)`` is evaluated at every term of every row, as
+    its window sum, and no window. The test is one integer compare per
+    probe, of its window start with the detector's first saturated photon
+    number (``_LogSurvival.first_saturated``), which the parameters' first
+    click searches for once; it costs the same at any mean up to 2**53.
+    The others get their ``_poisson_rows`` from one
+    ``_checked_poisson_rows`` call, on the reach and starts already
+    taken: each row drops at most 1e-16 of its Poisson mass on either
+    side. Where every probe is built, the means go in as they are, with
+    no gather and no scatter. The click ``-expm1(log survival)`` is
+    evaluated at every term of every row, from one binomial table, as
     each probe's own sum would, and summed through the rows, so a click
     probability near the dark-count floor keeps its relative precision.
     The rows sum to one only within rounding, so a probe near saturation
@@ -528,10 +588,15 @@ def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """
     mu = np.asarray(intensities, dtype=float)
     _check_means(mu.min(), mu.max())
+    return _checked_coherent_clicks(params, mu)
+
+
+def _checked_coherent_clicks(params: NonlinearSpdParams, mu: np.ndarray) -> np.ndarray:
+    """``_coherent_clicks`` of means that passed ``_check_means``."""
     reach = _bernstein_reach(mu, _WINDOW_LOG_MASS)
     lo = _window_starts(mu, reach)
     survival = params._survival
-    built = survival.at(lo) > _SATURATED_LOG_SURVIVAL
+    built = lo < survival.first_saturated
     if built.all():
         rows = _checked_poisson_rows(mu, reach, lo)
         return np.minimum(rows @ -np.expm1(survival.at(rows.m)), 1.0)
@@ -558,10 +623,13 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
     instead of a million. A probe whose window starts saturated, at a
     survival of at most 2^-55, builds no row: its click probability is
     exactly 1.0, the correctly rounded value of the sum, at any mean.
-    The log survivals of the window's first photon number and of its
+    Whether it does is one integer compare of the window's first photon
+    number with the detector's first saturated photon number, which the
+    detector's first click finds and keeps. The log survivals of the
     terms come from the constants ``params`` took when it was built, so a
-    call makes one window and two small binomial tables, and checks
-    nothing but its mean.
+    built probe makes one window and one binomial table, a saturated
+    probe makes neither, and the call checks nothing but its mean, as a
+    Python float.
 
     Parameters
     ----------
@@ -571,7 +639,9 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
         Mean photon number ``mu = |alpha|^2`` of the probe: finite, >= 0
         and at most 2**53, or ``ValueError`` is raised.
     """
-    return float(_coherent_clicks(params, [mean_photons])[0])
+    mu = float(mean_photons)
+    _check_means(mu, mu)
+    return float(_checked_coherent_clicks(params, np.array([mu]))[0])
 
 
 def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:

@@ -40,7 +40,7 @@ from .exceptions import (
     TargetUnreachableError,
     UndefinedFidelityError,
 )
-from .numerics import _whole_number
+from .numerics import _values_equal, _whole_number
 from .povm import DiagonalPovm, _check_carries, _check_dense_size
 from .povm import _check_means, _poisson_rows, truncation_for
 
@@ -119,6 +119,8 @@ class ProbeSet:
     intensities: np.ndarray
     trials: int
 
+    __eq__ = _values_equal
+
     def __post_init__(self):
         intensities = np.asarray(self.intensities, dtype=float)
         if intensities.ndim != 1 or intensities.size < 2:
@@ -153,6 +155,8 @@ class ClickRecord:
 
     clicks: np.ndarray
     trials: int
+
+    __eq__ = _values_equal
 
     def __post_init__(self):
         trials = _whole_number(self.trials, "trials")

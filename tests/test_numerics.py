@@ -1,11 +1,14 @@
-"""Tests for the Poisson and binomial primitives.
+"""Tests for the Poisson and binomial primitives, and for the equality
+the value classes share.
 
 The frozen reference values were produced with a 50-digit extended
 precision evaluation of the same formulas; agreement is required at the
 level float64 can represent.
 """
 
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from scipy.special import gammaln, xlogy
 
 from nlspd.numerics import (
+    _binomial_table,
     _log_factorial,
     _stirling_gap,
     binomial_exponents,
@@ -20,8 +24,11 @@ from nlspd.numerics import (
     poisson_log_pmf,
     poisson_log_weights,
 )
-from nlspd.modelfit import MechanismLogVector
-from nlspd.povm import npd_povm, truncation_for
+from nlspd.modelfit import FitReport, MechanismLogVector, fit_params
+from nlspd.povm import DiagonalPovm, NonlinearSpdParams, npd_povm, truncation_for
+from nlspd.reference import SCALED_PARAMS
+from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
+from nlspd.tomography import ClickRecord, ProbeSet, read_click_data, write_click_data
 
 # (mean, m, extended-precision log weight)
 POISSON_ORACLE = [
@@ -148,6 +155,39 @@ def test_log_binomial_consistency():
         assert binomial_exponents(np.array([m]), n)[0] == math.comb(m, n)
 
 
+def test_binomial_table_is_bitwise_the_recurrence():
+    # The falling-factorial recurrence written out, one order at a time:
+    # column n is column n - 1 times max(m - (n - 1), 0), divided by n.
+    # The kernel forms the columns in place, and column 1 as m itself,
+    # to the same bits, in either layout, below the order, at window
+    # photon numbers up to 2**53 and past overflow to inf.
+    def recurrence(m, order):
+        m = np.asarray(m, dtype=float)
+        columns = [np.ones(m.shape)]
+        for n in range(1, order):
+            columns.append(columns[-1] * np.maximum(m - (n - 1), 0.0) / n)
+        return np.stack(columns, axis=-1)
+
+    cases = [
+        (np.arange(12), 1),
+        (np.arange(12), 2),
+        (np.arange(12), 7),
+        (np.arange(97_000, 102_000), 4),
+        (np.array([[0, 1, 2], [3, 4, 70]]), 6),
+        (np.arange(2000), 80),
+        (np.array([2**53 - 5, 2**53]), 25),
+    ]
+    with np.errstate(over="ignore"):
+        for m, order in cases:
+            expected = recurrence(m, order)
+            assert np.isinf(expected).any() == (order == 25)
+            for layout in ("C", "F"):
+                table = _binomial_table(np.asarray(m, dtype=np.int64), order, layout)
+                np.testing.assert_array_equal(table, expected)
+                assert table.tobytes(order="A") == np.asarray(expected, order=layout).tobytes(order="A")
+            np.testing.assert_array_equal(binomial_table(m, order), expected)
+
+
 def test_truncation_for_oracle_values():
     # Smallest N with Poisson tail beyond N-1 below 1e-12, computed in
     # extended precision.
@@ -216,3 +256,56 @@ def test_kernels_refuse_out_of_range_arguments():
         binomial_table(np.arange(3), 0)
     with pytest.raises(ValueError, match="m >= 0"):
         binomial_table(np.array([-1, 2]), 2)
+
+
+def test_value_classes_compare_their_arrays_by_value(tmp_path):
+    # Distinct objects holding arrays of more than one element compare by
+    # value: equal copies from a document, a CSV file or pickle are equal,
+    # a changed element or length is not, another class is not, and the
+    # fields kept out of the comparison (_survival, _data) take no part.
+    # Hashing stays as the dataclass makes it: an array field refuses it.
+    truth = SCALED_PARAMS[20]
+    probes = geometric_probe_grid(truth)
+    record = simulate(ExperimentConfig(truth=truth, probes=probes, seed=3, trials=probes.trials))
+    report = fit_params(probes, record, max_order=3)
+    read = FitReport.from_dict(report.to_dict())
+    config = ExperimentConfig(truth=truth, probes=probes, seed=3, trials=probes.trials)
+    write_click_data(tmp_path / "clicks.csv", probes, record)
+    probes_read, record_read = read_click_data(tmp_path / "clicks.csv")
+    povm = DiagonalPovm([0.0, 0.25, 0.5])
+    design = MechanismLogVector.at_truncation(report.h, 40)
+    copies = [
+        (truth, NonlinearSpdParams.from_dict(truth.to_dict())),
+        (povm, DiagonalPovm.from_dict(povm.to_dict())),
+        (probes, probes_read),
+        (record, record_read),
+        (read, FitReport.from_dict(read.to_dict())),
+        (design, MechanismLogVector.at_truncation(report.h.copy(), 40)),
+        (config, ExperimentConfig.from_dict(config.to_dict())),
+    ]
+    for value, copy in copies:
+        assert value is not copy
+        assert value == copy and not value != copy, type(value).__name__
+        assert pickle.loads(pickle.dumps(value)) == value, type(value).__name__
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert report._data is not None and dataclasses.replace(report, _data=None) == report
+    unequal = [
+        (truth, NonlinearSpdParams(truth.p * 0.5)),
+        (truth, NonlinearSpdParams(np.append(truth.p, 0.0))),
+        (povm, DiagonalPovm([0.0, 0.25, 0.75])),
+        (povm, DiagonalPovm([0.0, 0.25])),
+        (probes, ProbeSet(probes.intensities[:-1], probes.trials)),
+        (probes, ProbeSet(probes.intensities * 2.0, probes.trials)),
+        (probes, ProbeSet(probes.intensities, probes.trials + 1)),
+        (record, ClickRecord(record.clicks[:-1], record.trials)),
+        (record, ClickRecord(np.minimum(record.clicks + 1, record.trials), record.trials)),
+        (report, FitReport.from_dict({**report.to_dict(), "objective": report.objective * 2})),
+        (read, FitReport.from_dict({**read.to_dict(), "kept_orders": [1]})),
+        (design, MechanismLogVector.at_truncation(report.h, 41)),
+    ]
+    for value, other in unequal:
+        assert value != other and not value == other, type(value).__name__
+    assert truth.__eq__(DiagonalPovm(truth.p)) is NotImplemented
+    assert truth != DiagonalPovm(truth.p) and truth != list(truth.p)

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, lambertw
 from scipy.stats import poisson
 
+from nlspd import povm as povm_module
 from nlspd.exceptions import DataFormatError, TruncationError
 from nlspd.numerics import _bernstein_reach, binomial_table, poisson_log_pmf, poisson_log_weights
 from nlspd.povm import (
+    _SATURATED_LOG_SURVIVAL,
     DiagonalPovm,
     NonlinearSpdParams,
     _check_carries,
@@ -373,6 +375,85 @@ def test_coherent_clicks_are_bitwise_the_plain_formula(detector):
         for mean in singles:
             expected = _clicks_by_the_plain_formula(params.p, [mean])[0]
             assert coherent_click_probability(params, float(mean)) == expected, (name, mean)
+
+
+def test_one_probe_click_pays_only_for_its_window(monkeypatch):
+    # Work counts, not times: a built probe makes one binomial table, its
+    # window's, and one window; a probe whose window starts at or past
+    # the detector's first saturated photon number makes neither. Only
+    # the detector's first click searches for that number.
+    tables, windows = [], []
+
+    def counted(calls, kernel):
+        return lambda *args: calls.append(args) or kernel(*args)
+
+    monkeypatch.setattr(
+        povm_module, "_binomial_table", counted(tables, povm_module._binomial_table)
+    )
+    monkeypatch.setattr(
+        povm_module, "_checked_poisson_rows", counted(windows, povm_module._checked_poisson_rows)
+    )
+    params = NonlinearSpdParams(UNSCALED_PARAMS[20].p)
+    coherent_click_probability(params, 1.0)
+    assert len(tables) > 1 and len(windows) == 1
+    start = params._survival.first_saturated
+    assert start == 88_397
+    # The window of 9e4 starts at 87,413, below it; that of 1e5 at 97,274.
+    for mean, built in [(0.0, True), (1.0, True), (9e4, True), (1e5, False), (2.0**53, False)]:
+        tables.clear()
+        windows.clear()
+        for _ in range(3):
+            coherent_click_probability(params, mean)
+        assert (len(tables), len(windows)) == ((3, 3) if built else (0, 0)), mean
+
+
+# Detectors whose first saturated photon number the search must find:
+# the reference ones, zero orders, unit efficiencies, dark counts alone
+# and lone tiny high orders, whose first saturated photon number can lie
+# past 2**53.
+START_DETECTORS = [
+    *(params.p for params in UNSCALED_PARAMS.values()),
+    *(params.p for params in SCALED_PARAMS.values()),
+    [0.0, 0.0, 0.0],
+    [1.0],
+    [0.0, 1.0],
+    [1e-3, 0.05, 1.0],
+    [0.3],
+    [1.0 - 2.0**-53],
+    [0.0, 0.0, 1e-30],
+]
+LONE_ORDERS = st.builds(
+    lambda order, exponent: [0.0] * order + [10.0**exponent],
+    st.integers(1, 6),
+    st.integers(-300, -1),
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(p=st.sampled_from(START_DETECTORS) | LONE_ORDERS, data=st.data())
+def test_first_saturated_photon_number_is_the_saturation_test(p, data):
+    # For every window start lo up to 2**53, lo < first_saturated exactly
+    # where the log survival at lo is above ln 2^-55: the one integer
+    # compare is the test it replaces, at one start per call or many.
+    survival = NonlinearSpdParams(p)._survival
+    start = survival.first_saturated
+    near = st.integers(-2000, 2000).map(lambda d: min(max(start + d, 0), 2**53))
+    starts = data.draw(st.lists(st.integers(0, 2**53) | near, min_size=1, max_size=20))
+    starts = np.array(starts + [max(start - 1, 0), min(start, 2**53), 2**53], dtype=np.int64)
+    above = survival.at(starts) > _SATURATED_LOG_SURVIVAL
+    np.testing.assert_array_equal(starts < start, above)
+    for lo, built in zip(starts, above):
+        assert (survival.at(np.array([lo]))[0] > _SATURATED_LOG_SURVIVAL) == built, lo
+
+
+def test_first_saturated_photon_number_past_2_53():
+    # [0, 0, 1e-30] saturates just short of 2**53; dark counts and zero
+    # orders never do, so every window start up to 2**53 is built.
+    assert NonlinearSpdParams([0.0, 0.0, 1e-30])._survival.first_saturated == 8_731_906_427_670_534
+    for p in ([1e-3], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-300]):
+        assert NonlinearSpdParams(p)._survival.first_saturated == 2**53 + 1
+    assert NonlinearSpdParams([1.0, 0.1])._survival.first_saturated == 0
+    assert NonlinearSpdParams([0.0, 0.5, 1.0])._survival.first_saturated == 2
 
 
 def test_povm_click_probability_normalizes_its_weights():
