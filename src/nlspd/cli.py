@@ -52,12 +52,19 @@ _LOSS_DEMO_ETAS = (1.0, 0.5, 0.25, 0.1)
 
 @contextmanager
 def _atomic_output(path: str):
-    """Yield a temp path in the target directory; rename over path on success."""
+    """Yield a temp path in the target directory; rename over path on success.
+
+    ``mkstemp`` makes the file mode 0600, so before the rename it is given
+    the mode ``open`` would give a new file: 0666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
     os.close(fd)
     try:
         yield tmp
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
-from .numerics import _transmissivity, _values_equal, _whole_number, binomial_table
+from .numerics import _binomial_table, _freeze, _transmissivity, _values_equal, _whole_number
+from .numerics import binomial_table
 from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
 
@@ -97,17 +98,14 @@ class MechanismLogVector:
         if np.any(np.isnan(h)) or np.any(h > _H_FUZZ):
             raise ValueError("h must satisfy h[n] <= 0 for every mechanism")
         h = np.minimum(h, 0.0)
-        design = np.asarray(self.binomial_design, dtype=float)
+        design = np.array(self.binomial_design, dtype=float)
         if design.ndim != 2 or design.shape[0] < 1 or design.shape[1] != h.size:
             raise ValueError(
                 f"design matrix shape {design.shape} does not match {h.size} mechanisms"
             )
         if not np.all(design[:, 0] == 1.0):
             raise ValueError("design matrix column 0 must be all ones (C(m, 0) = 1)")
-        h.setflags(write=False)
-        design.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "binomial_design", design)
+        _freeze(self, h=h, binomial_design=design)
 
     @classmethod
     def at_truncation(cls, h: np.ndarray, truncation: int) -> "MechanismLogVector":
@@ -146,20 +144,16 @@ class FitReport:
     __eq__ = _values_equal
 
     def __post_init__(self):
-        residuals = np.asarray(self.per_probe_residuals, dtype=float)
-        h = np.asarray(self.h, dtype=float)
+        residuals = np.array(self.per_probe_residuals, dtype=float)
+        h = np.array(self.h, dtype=float)
         if h.size != self.params.order:
             raise ValueError("h length does not match the number of mechanisms")
         top = self.params.order - 1
         kept = tuple(sorted(_whole_number(n, "kept order", 0, top) for n in self.kept_orders))
         if self.objective < 0 or residuals.size < 1 or residuals.min() < 0:
             raise ValueError("objective and residuals must be nonnegative")
-        residuals.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "per_probe_residuals", residuals)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "kept_orders", kept)
-        object.__setattr__(self, "objective", float(self.objective))
+        objective = float(self.objective)
+        _freeze(self, per_probe_residuals=residuals, h=h, kept_orders=kept, objective=objective)
 
     def to_dict(self) -> dict:
         """JSON-ready document with keys p, kept_orders, objective, per_probe_residuals."""
@@ -248,7 +242,7 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
     rows = _poisson_rows(probes.intensities[included])
     m_values, columns = np.unique(rows.m, return_inverse=True)
     _check_dense_size(8 * order * rows.m.size, f"the weighted design of {order} orders")
-    design = binomial_table(m_values, order).T.copy()
+    design = _binomial_table(m_values, order).T
     frequencies = frequencies[included]
     return _FitData(
         rows=rows,

@@ -10,9 +10,10 @@ or one order, its last column (``binomial_exponents``);
 numbers, photon numbers and means broadcast or each mean repeated over a
 run of photon numbers, with ln m! read from a table below m = 1024 and
 from the Stirling series above). The recurrence is written once, in the
-private ``_binomial_table``, which checks nothing: ``binomial_table``
-checks its photon numbers and order count and calls it, and ``povm``
-calls it directly on photon numbers it built itself, so a one-probe
+private ``_binomial_table``, which checks nothing and builds every
+table in Fortran order: ``binomial_table`` checks its photon numbers and
+order count and calls it, and ``povm`` and the fit data of ``modelfit``
+call it directly on photon numbers they built themselves, so a one-probe
 click pays no check. The product of the binomial table with log
 survivals is left to its callers, each of which knows where a saturated
 mechanism lies: ``povm`` sets it apart, and the fit's box keeps its h
@@ -41,7 +42,10 @@ a range, at most 2**53 unless a caller sets another bound (seeds take
 2**64 - 1), and ``_transmissivity``, a loss channel's eta in (0, 1]. The
 module needs numpy alone, so ``modelfit`` checks a transmissivity
 without loading scipy. ``_values_equal`` is the one ``==`` of the
-package's frozen value classes that hold arrays.
+package's frozen value classes that hold arrays, and ``_freeze`` the one
+way each of them stores the fields it checked: a value owns a read-only
+copy of its arrays, never the caller's array, so nothing downstream
+checks a value's fields again.
 """
 
 from __future__ import annotations
@@ -113,6 +117,20 @@ def _values_equal(self, other):
             elif mine != theirs:
                 return False
     return True
+
+
+def _freeze(value, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``value``, each array among them read-only.
+
+    The one way a value class of the package stores what its
+    ``__post_init__`` checked. Each array handed here is the value's own:
+    the class built it, or copied the caller's, so marking it read-only
+    neither freezes nor aliases an array the caller still holds.
+    """
+    for name, item in fields.items():
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+        object.__setattr__(value, name, item)
 
 
 def _stirling_log_factorial(x: np.ndarray) -> np.ndarray:
@@ -303,7 +321,7 @@ def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     Column 0 is all ones (the dark-count mechanism sees every Fock state
     once). Column n is the falling factorial ``m (m - 1) ... (m - n + 1) /
     n!``, one step past column n - 1. The order count is a whole number
-    >= 1.
+    >= 1. The table is in Fortran order, each column contiguous.
     """
     order = _whole_number(order, "order count")
     m_values = np.asarray(m_values, dtype=np.int64)
@@ -312,18 +330,19 @@ def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     return _binomial_table(m_values, order)
 
 
-def _binomial_table(m_values: np.ndarray, order: int, layout: str = "C") -> np.ndarray:
+def _binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
     """``binomial_table`` of int64 photon numbers >= 0 and an int order
     count >= 1, neither checked: the kernel of every binomial table.
 
-    ``layout`` is the table's memory order: "C" as ``binomial_table``
-    returns it, or "F", each order's column contiguous. Column 1 is m
+    The table is in Fortran order, each order's column contiguous: the
+    layout ``povm``'s column gather gives, and its transpose is the
+    C-ordered (order x photon numbers) design of the fit. Column 1 is m
     itself, the recurrence's ``1 * m / 1`` to the bit, and each later
     column is formed in place: its factor, then the product, then the
     division.
     """
     m = m_values.astype(float)
-    table = np.empty(m.shape + (order,), order=layout)
+    table = np.empty(m.shape + (order,), order="F")
     table[..., 0] = 1.0
     if order > 1:
         table[..., 1] = m
@@ -334,4 +353,3 @@ def _binomial_table(m_values: np.ndarray, order: int, layout: str = "C") -> np.n
         column *= table[..., n - 1]
         column /= n
     return table
-

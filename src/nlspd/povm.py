@@ -17,7 +17,8 @@ mechanisms. All powers are evaluated in the log domain; a unit-efficiency
 mechanism (``p[n] = 1``) sets the log survival to ``-inf``, and so
 ``click[m]`` to 1, for every m >= n, where C(m, n) > 0. ``DiagonalPovm``
 and ``NonlinearSpdParams`` clip their vectors into [0, 1] and turn
--0.0 into +0.0 as they are built, so no caller clips or adds zero itself.
+-0.0 into +0.0 as they are built, so no caller clips or adds zero
+itself, and each owns its vector, read-only (``numerics._freeze``).
 One evaluator, ``_LogSurvival``, gives the log survival from three
 constants of p: the orders with 0 < p[n] < 1, their ``log1p(-p[n])`` and
 the first saturated order. Its binomial table comes from the one kernel,
@@ -50,8 +51,11 @@ A truncation belongs to an explicit click vector (``DiagonalPovm``),
 whose length it is: ``truncation_for`` picks the default one, the
 smallest that carries all but ``DEFAULT_TAIL_MASS`` of a probe's
 Poisson mass, and every truncation check compares with it.
-Every mean photon number the package takes passes ``_check_means``:
-finite, >= 0 and at most 2**53. ``_detector_from_dict`` reads a detector,
+Every mean photon number the package takes passes ``_check_means`` once,
+where it enters: finite, >= 0 and at most 2**53. A ``ProbeSet`` checks
+its intensities as it is built, and ``coherent_click_probability`` and
+``truncation_for`` their one mean; the rows and clicks made from them
+check none again. ``_detector_from_dict`` reads a detector,
 a POVM or mechanism parameters, from a JSON document.
 """
 
@@ -68,6 +72,7 @@ from .numerics import (
     _WHOLE_LIMIT,
     _bernstein_reach,
     _binomial_table,
+    _freeze,
     _values_equal,
     _whole_number,
     poisson_log_pmf,
@@ -157,11 +162,11 @@ def _check_means(lowest: float, highest: float) -> None:
 
 def _validated_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
+    if values.ndim != 1 or values.size < 1:
+        raise ValueError(f"{what} must form a nonempty vector")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite")
-    if values.size and (values.min() < -_BOUND_FUZZ or values.max() > 1 + _BOUND_FUZZ):
+    if values.min() < -_BOUND_FUZZ or values.max() > 1 + _BOUND_FUZZ:
         raise ValueError(f"{what} must lie in [0, 1]")
     # Adding 0 turns the -0.0 that -expm1(0) gives, and np.clip keeps, into +0.0.
     return np.clip(values, 0.0, 1.0) + 0.0
@@ -187,11 +192,7 @@ class DiagonalPovm:
     __eq__ = _values_equal
 
     def __post_init__(self):
-        click = _validated_unit_interval(self.click, "click probabilities")
-        if click.size < 1:
-            raise ValueError("a click vector needs at least one element")
-        click.setflags(write=False)
-        object.__setattr__(self, "click", click)
+        _freeze(self, click=_validated_unit_interval(self.click, "click probabilities"))
 
     @property
     def truncation(self) -> int:
@@ -266,11 +267,11 @@ class _LogSurvival:
     def at(self, m_values: np.ndarray) -> np.ndarray:
         """The log survival at the int64 photon numbers ``m_values``, all >= 0.
 
-        The table is built in Fortran order, the layout a column gather
-        gives, so the product takes the same BLAS path, and rounds the
-        same, with or without the gather.
+        The table is in Fortran order, the layout a column gather gives,
+        so the product takes the same BLAS path, and rounds the same,
+        with or without the gather.
         """
-        table = _binomial_table(m_values, self.width, "F")
+        table = _binomial_table(m_values, self.width)
         if self.columns is not None:
             table = table[:, self.columns]
         out = table @ self.logs
@@ -331,11 +332,7 @@ class NonlinearSpdParams:
 
     def __post_init__(self):
         p = _validated_unit_interval(self.p, "mechanism efficiencies")
-        if p.size < 1:
-            raise ValueError("at least one mechanism efficiency is required")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_survival", _LogSurvival.of(p))
+        _freeze(self, p=p, _survival=_LogSurvival.of(p))
 
     @property
     def order(self) -> int:
@@ -539,19 +536,20 @@ def _poisson_rows(intensities) -> _WindowRows:
     common to the window, so the normalization removes it.
 
     Every weight comes from one ``poisson_log_pmf`` call, which takes the
-    logarithm of each row's mean once. Means that are negative, not
-    finite or above 2**53 raise ``ValueError``. Windows whose terms would
-    take more than ``MAX_DENSE_BYTES`` as doubles (a probe of 1e15 photons
-    has 5.4e8) raise ``ValueError`` before anything is allocated.
+    logarithm of each row's mean once. The means are checked where they
+    entered the package: they are a ``ProbeSet``'s intensities or the
+    package's own grids, each finite, >= 0 and at most 2**53. Windows
+    whose terms would take more than ``MAX_DENSE_BYTES`` as doubles (a
+    probe of 1e15 photons has 5.4e8) raise ``ValueError`` before anything
+    is allocated.
     """
     mu = np.asarray(intensities, dtype=float)
-    _check_means(mu.min(), mu.max())
     reach = _bernstein_reach(mu, _WINDOW_LOG_MASS)
     return _checked_poisson_rows(mu, reach, _window_starts(mu, reach))
 
 
 def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray, lo: np.ndarray) -> _WindowRows:
-    """``_poisson_rows`` of means that passed ``_check_means``, ``reach``
+    """``_poisson_rows`` of the float array of means ``mu``, ``reach``
     their windows' reach and ``lo`` their first photon numbers. The
     refusal text names the largest mean only when it is raised."""
     return _WindowRows.over(
@@ -567,8 +565,10 @@ def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray, lo: np.ndarray) -> 
 def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     """Click probabilities of the composite detector on coherent probes.
 
-    Every mean first passes ``_check_means``, and each probe's reach and
-    window start are taken once. A probe whose window starts saturated,
+    The means are trusted, as ``_poisson_rows`` trusts them: a
+    ``ProbeSet``'s intensities, the package's own grids or the one mean
+    ``coherent_click_probability`` checked. Each probe's reach and window
+    start are taken once. A probe whose window starts saturated,
     at a survival of at most 2^-55 (``_SATURATED_LOG_SURVIVAL``) at its
     first photon number, gets exactly 1.0, the correctly rounded value of
     its window sum, and no window. The test is one integer compare per
@@ -587,12 +587,6 @@ def _coherent_clicks(params: NonlinearSpdParams, intensities) -> np.ndarray:
     can come out an ulp above one; it is clipped to 1.
     """
     mu = np.asarray(intensities, dtype=float)
-    _check_means(mu.min(), mu.max())
-    return _checked_coherent_clicks(params, mu)
-
-
-def _checked_coherent_clicks(params: NonlinearSpdParams, mu: np.ndarray) -> np.ndarray:
-    """``_coherent_clicks`` of means that passed ``_check_means``."""
     reach = _bernstein_reach(mu, _WINDOW_LOG_MASS)
     lo = _window_starts(mu, reach)
     survival = params._survival
@@ -629,7 +623,8 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
     terms come from the constants ``params`` took when it was built, so a
     built probe makes one window and one binomial table, a saturated
     probe makes neither, and the call checks nothing but its mean, as a
-    Python float.
+    Python float, before it hands it to ``_coherent_clicks``: ``params``
+    owns a read-only copy of its efficiencies, checked when it was built.
 
     Parameters
     ----------
@@ -641,7 +636,7 @@ def coherent_click_probability(params: NonlinearSpdParams, mean_photons: float) 
     """
     mu = float(mean_photons)
     _check_means(mu, mu)
-    return float(_checked_coherent_clicks(params, np.array([mu]))[0])
+    return float(_coherent_clicks(params, np.array([mu]))[0])
 
 
 def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
 from .exceptions import DataFormatError, SaturationCapError
-from .numerics import _whole_number
+from .numerics import _freeze, _whole_number
 from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, _detector_from_dict
 from .povm import povm_click_probability
 from .reference import TRIALS_PER_PROBE
@@ -86,8 +86,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"config trials {trials} disagree with probe trials {self.probes.trials}"
             )
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "trials", trials)
+        _freeze(self, seed=seed, trials=trials)
 
     def to_dict(self) -> dict:
         return {

@@ -40,7 +40,7 @@ from .exceptions import (
     TargetUnreachableError,
     UndefinedFidelityError,
 )
-from .numerics import _values_equal, _whole_number
+from .numerics import _freeze, _values_equal, _whole_number
 from .povm import DiagonalPovm, _check_carries, _check_dense_size
 from .povm import _check_means, _poisson_rows, truncation_for
 
@@ -113,7 +113,10 @@ class ProbeSet:
     The intensities are strictly increasing and start with the mandatory
     vacuum probe, which anchors the dark-count component. Like every mean
     photon number of the package they are finite and at most 2**53, and
-    the trial count is a whole number from 1 to 2**53.
+    the trial count is a whole number from 1 to 2**53. The set owns a
+    read-only copy of the intensities it was given, so a later edit of
+    the caller's array does not reach it, and the windows and clicks
+    built on its intensities check none of them again.
     """
 
     intensities: np.ndarray
@@ -122,7 +125,7 @@ class ProbeSet:
     __eq__ = _values_equal
 
     def __post_init__(self):
-        intensities = np.asarray(self.intensities, dtype=float)
+        intensities = np.array(self.intensities, dtype=float)
         if intensities.ndim != 1 or intensities.size < 2:
             raise ValueError("at least two probe intensities are required")
         _check_means(intensities.min(), intensities.max())
@@ -131,9 +134,7 @@ class ProbeSet:
         if np.any(np.diff(intensities) <= 0):
             raise ValueError("probe intensities must be strictly increasing")
         trials = _whole_number(self.trials, "trials per probe")
-        intensities.setflags(write=False)
-        object.__setattr__(self, "intensities", intensities)
-        object.__setattr__(self, "trials", trials)
+        _freeze(self, intensities=intensities, trials=trials)
 
     def __len__(self) -> int:
         return int(self.intensities.size)
@@ -170,10 +171,7 @@ class ClickRecord:
         rounded = clicks.astype(np.int64)
         if not np.array_equal(rounded, clicks):
             raise ValueError("click counts must be integers")
-        clicks = rounded
-        clicks.setflags(write=False)
-        object.__setattr__(self, "clicks", clicks)
-        object.__setattr__(self, "trials", trials)
+        _freeze(self, clicks=rounded, trials=trials)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -297,17 +295,18 @@ def reconstruct_povm(
         the solver result.
     """
     check_paired(probes, record)
-    largest = float(probes.intensities.max())
-    if truncation is None:
-        truncation = truncation_for(largest)
-    truncation = _whole_number(truncation, "truncation")
     if smoothing_weight is None:
         smoothing_weight = default_smoothing_weight(probes)
     if not 0 <= smoothing_weight < np.inf:
         raise ValueError(
             f"smoothing weight must be finite and >= 0, got {smoothing_weight}"
         )
-    _check_carries(truncation, largest)
+    largest = float(probes.intensities.max())
+    if truncation is None:
+        truncation = truncation_for(largest)
+    else:
+        truncation = _whole_number(truncation, "truncation")
+        _check_carries(truncation, largest)
 
     F, photons = _probe_matrix(probes, truncation)
     lengths = np.diff(photons).astype(float)

@@ -361,6 +361,20 @@ def test_figure_writes_a_zero_click_without_sign(tmp_path):
     assert rows[:2] == ["m,click", "0.0,0.0"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_and_manifests_take_the_umask_mode(tmp_path, umask, mode):
+    # Outputs are renamed into place from a temporary file; they get the
+    # mode a newly opened file would, 0666 less the umask, not 0600.
+    out = tmp_path / "p.csv"
+    old = os.umask(umask)
+    try:
+        assert run_cli(["figure", "fig2b", out]) == 0
+    finally:
+        os.umask(old)
+    for path in (out, tmp_path / "p.csv.manifest.json"):
+        assert path.stat().st_mode & 0o777 == mode, path.name
+
+
 def test_figure_loss_scaling(tmp_path):
     out = tmp_path / "fig3b.csv"
     assert run_cli(["figure", "fig3b", out, "--seed", "7"]) == 0

@@ -159,7 +159,7 @@ def test_binomial_table_is_bitwise_the_recurrence():
     # The falling-factorial recurrence written out, one order at a time:
     # column n is column n - 1 times max(m - (n - 1), 0), divided by n.
     # The kernel forms the columns in place, and column 1 as m itself,
-    # to the same bits, in either layout, below the order, at window
+    # to the same bits, in its Fortran layout, below the order, at window
     # photon numbers up to 2**53 and past overflow to inf.
     def recurrence(m, order):
         m = np.asarray(m, dtype=float)
@@ -181,10 +181,9 @@ def test_binomial_table_is_bitwise_the_recurrence():
         for m, order in cases:
             expected = recurrence(m, order)
             assert np.isinf(expected).any() == (order == 25)
-            for layout in ("C", "F"):
-                table = _binomial_table(np.asarray(m, dtype=np.int64), order, layout)
-                np.testing.assert_array_equal(table, expected)
-                assert table.tobytes(order="A") == np.asarray(expected, order=layout).tobytes(order="A")
+            table = _binomial_table(np.asarray(m, dtype=np.int64), order)
+            np.testing.assert_array_equal(table, expected)
+            assert table.tobytes(order="A") == np.asarray(expected, order="F").tobytes(order="A")
             np.testing.assert_array_equal(binomial_table(m, order), expected)
 
 
@@ -309,3 +308,48 @@ def test_value_classes_compare_their_arrays_by_value(tmp_path):
         assert value != other and not value == other, type(value).__name__
     assert truth.__eq__(DiagonalPovm(truth.p)) is NotImplemented
     assert truth != DiagonalPovm(truth.p) and truth != list(truth.p)
+
+
+def test_value_classes_own_read_only_copies_of_their_arrays():
+    # Each value class stores a read-only copy of every array it is given:
+    # the caller's array stays writable, and a later edit of it does not
+    # reach the value. ExperimentConfig holds its arrays through its truth
+    # and probe set, and its own fields are frozen too.
+    p = np.array([1e-3, 0.05, 2e-3])
+    click = np.array([0.0, 0.25, 0.5])
+    intensities = np.array([0.0, 1.0, 2.0])
+    clicks = np.array([0, 40, 90], dtype=np.int64)
+    h = np.array([-1e-3, -0.05])
+    design = binomial_table(np.arange(6), 2)
+    residuals = np.array([0.0, 1e-4, 2e-4])
+    params = NonlinearSpdParams(p)
+    probes = ProbeSet(intensities, 100)
+    values = [
+        (params, "p", p),
+        (DiagonalPovm(click), "click", click),
+        (probes, "intensities", intensities),
+        (ClickRecord(clicks, 100), "clicks", clicks),
+        (MechanismLogVector(h, design), "h", h),
+        (MechanismLogVector(h, design), "binomial_design", design),
+        (FitReport(NonlinearSpdParams(p[:2]), (0, 1), 3e-4, residuals, h), "h", h),
+        (
+            FitReport(NonlinearSpdParams(p[:2]), (0, 1), 3e-4, residuals, h),
+            "per_probe_residuals",
+            residuals,
+        ),
+    ]
+    config = ExperimentConfig(truth=params, probes=probes, seed=5, trials=100)
+    document = config.to_dict()
+    kept = [getattr(value, name).copy() for value, name, _ in values]
+    for (value, name, given), before in zip(values, kept):
+        held = getattr(value, name)
+        assert given.flags.writeable, (type(value).__name__, name)
+        assert not held.flags.writeable and not np.shares_memory(held, given)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = held[-1]
+        given[0] = given[-1]
+        np.testing.assert_array_equal(held, before)
+    assert config.to_dict() == document
+    for name in ("seed", "trials", "probes"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, None)

@@ -34,6 +34,7 @@ from nlspd.povm import (
 )
 from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import geometric_probe_grid
+from nlspd.tomography import ProbeSet
 
 # Extended-precision click probabilities for mechanisms (P0, P1, P2) =
 # (0.01, 0.2, 0.05): click[m] = 1 - 0.99 * 0.8^m * 0.95^C(m,2).
@@ -170,9 +171,9 @@ def test_poisson_windows_bound_the_dropped_mass():
 
 def test_negative_means_are_refused_before_their_windows():
     # Bernstein's reach of a negative mean is the root of a negative
-    # variance; the rows refuse the mean before computing it.
+    # variance; a probe set refuses the mean before any window is built.
     with pytest.raises(ValueError, match=">= 0"):
-        _poisson_rows([-1e6])
+        ProbeSet([0.0, -1e6], 10)
 
 
 def _lambertw_window(mean_photons, mass):
@@ -228,7 +229,7 @@ def test_non_finite_means_are_refused(bad):
     with pytest.raises(ValueError, match="finite"):
         truncation_for(bad)
     with pytest.raises(ValueError, match="finite"):
-        _poisson_rows([1.0, bad])
+        ProbeSet([0.0, 1.0, bad], 10)
     with pytest.raises(ValueError, match="finite"):
         coherent_click_probability(PARAMS, bad)
 
@@ -238,7 +239,7 @@ def test_means_above_2_53_are_refused(mean):
     # Above 2**53 no double holds every photon number whole.
     for call in (
         lambda: truncation_for(mean),
-        lambda: _poisson_rows([0.0, mean]),
+        lambda: ProbeSet([0.0, mean], 10),
         lambda: coherent_click_probability(PARAMS, mean),
         lambda: povm_click_probability(spd_povm(0.1, 20), mean),
     ):
