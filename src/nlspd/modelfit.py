@@ -32,7 +32,6 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
 from .numerics import _binomial_table, _freeze, _transmissivity, _values_equal, _whole_number
-from .numerics import binomial_table
 from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
 
@@ -80,39 +79,32 @@ _H_FLOOR = -60.0
 
 @dataclass(frozen=True)
 class MechanismLogVector:
-    """Log-survival parameters h[n] = ln(1 - P_n) with their design matrix.
+    """Log-survival parameters h[n] = ln(1 - P_n) at a truncation N.
 
     Feasibility (h <= 0) is validated on construction; -inf entries encode
-    saturated mechanisms with P_n = 1.
+    saturated mechanisms with P_n = 1. ``truncation`` is the number N of
+    photon numbers 0..N-1 the parameters are read at, a whole number >= 1;
+    no design is built from it.
     """
 
     h: np.ndarray
-    binomial_design: np.ndarray
+    truncation: int
 
     __eq__ = _values_equal
 
     def __post_init__(self):
+        truncation = _whole_number(self.truncation, "truncation")
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 1 or h.size < 1:
             raise ValueError("h must be a nonempty vector")
         if np.any(np.isnan(h)) or np.any(h > _H_FUZZ):
             raise ValueError("h must satisfy h[n] <= 0 for every mechanism")
-        h = np.minimum(h, 0.0)
-        design = np.array(self.binomial_design, dtype=float)
-        if design.ndim != 2 or design.shape[0] < 1 or design.shape[1] != h.size:
-            raise ValueError(
-                f"design matrix shape {design.shape} does not match {h.size} mechanisms"
-            )
-        if not np.all(design[:, 0] == 1.0):
-            raise ValueError("design matrix column 0 must be all ones (C(m, 0) = 1)")
-        _freeze(self, h=h, binomial_design=design)
+        _freeze(self, h=np.minimum(h, 0.0), truncation=truncation)
 
     @classmethod
     def at_truncation(cls, h: np.ndarray, truncation: int) -> "MechanismLogVector":
-        """Build the design matrix for the given truncation, a whole number >= 1."""
-        h = np.asarray(h, dtype=float)
-        truncation = _whole_number(truncation, "truncation")
-        return cls(h=h, binomial_design=binomial_table(np.arange(truncation), h.size))
+        """The parameters h at the given truncation, a whole number >= 1."""
+        return cls(h=h, truncation=truncation)
 
     @property
     def params(self) -> NonlinearSpdParams:
@@ -130,7 +122,9 @@ class FitReport:
     start. ``_data`` keeps the fit data the report was solved on, for
     ``prune_mechanisms`` to reuse on the same probes and record; it takes
     no part in comparison, ``repr`` or ``to_dict``, and a report read with
-    ``from_dict`` has none.
+    ``from_dict`` has none. A non-finite or negative objective or residual,
+    and a kept order that repeats, are refused with ``ValueError``, so
+    ``to_dict`` writes only JSON numbers.
     """
 
     params: NonlinearSpdParams
@@ -150,8 +144,12 @@ class FitReport:
             raise ValueError("h length does not match the number of mechanisms")
         top = self.params.order - 1
         kept = tuple(sorted(_whole_number(n, "kept order", 0, top) for n in self.kept_orders))
-        if self.objective < 0 or residuals.size < 1 or residuals.min() < 0:
-            raise ValueError("objective and residuals must be nonnegative")
+        if len(set(kept)) < len(kept):
+            raise ValueError(f"kept orders must not repeat, got {kept}")
+        # NaN fails every comparison, so it is refused with the infinities.
+        finite = residuals.size >= 1 and 0 <= residuals.min() and residuals.max() < np.inf
+        if not (finite and 0 <= self.objective < np.inf):
+            raise ValueError("objective and residuals must be finite and nonnegative")
         objective = float(self.objective)
         _freeze(self, per_probe_residuals=residuals, h=h, kept_orders=kept, objective=objective)
 
@@ -211,16 +209,6 @@ class _FitData:
     included: np.ndarray
     probes: ProbeSet
     record: ClickRecord
-
-    def built_from(self, probes: ProbeSet, record: ClickRecord, order: int) -> bool:
-        """Whether this is the data of ``order`` mechanisms on these probes and record."""
-        return (
-            self.design.shape[0] == order
-            and self.probes.trials == probes.trials
-            and np.array_equal(self.probes.intensities, probes.intensities)
-            and self.record.trials == record.trials
-            and np.array_equal(self.record.clicks, record.clicks)
-        )
 
 
 def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
@@ -298,12 +286,12 @@ def fit_objective(
     """Squared norm of the normalized residual at the given parameters.
 
     Each probe sums over its full Poisson window, as ``fit_params`` does,
-    so at a report's h this is the report's objective for any design
+    so at a report's h this is the report's objective at any truncation
     that carries the largest probe. Probes with zero recorded clicks are
     excluded (their normalized residual is undefined); if every probe is
     excluded the data cannot score any parameter vector and
-    ``DegenerateDataError`` is raised. A design with too few rows to carry
-    the largest probe's Poisson mass raises ``TruncationError``.
+    ``DegenerateDataError`` is raised. A truncation too small to carry the
+    largest probe's Poisson mass raises ``TruncationError``.
 
     h is clipped into the fit's box [-60, 0] first, so a saturated
     mechanism (h = -inf) is evaluated at -60. That changes no click: where
@@ -311,9 +299,7 @@ def fit_objective(
     ``-expm1`` of it rounds to 1 exactly, as at -inf.
     """
     data = _fit_data(probes, record, h.h.size)
-    _check_carries(
-        h.binomial_design.shape[0], float(probes.intensities.max()), "design truncation"
-    )
+    _check_carries(h.truncation, float(probes.intensities.max()), "design truncation")
     r = _residual(data, np.clip(h.h, _H_FLOOR, 0.0))
     return float(r @ r)
 
@@ -490,8 +476,9 @@ def prune_mechanisms(
     produces the returned report.
 
     The fit data (Poisson windows, their union and the binomial table) is
-    the report's own when it was fitted to these probes and record, and is
-    built afresh otherwise, e.g. for a report read with ``from_dict``.
+    the report's own when it was fitted to probes and a record equal to
+    these (``numerics._values_equal``), and is built afresh otherwise, e.g.
+    for a report read with ``from_dict``.
 
     A trial refit is skipped when its start already passes the test. The
     start, the full report's h (clipped to the box) with h[n] = 0, is a
@@ -518,7 +505,9 @@ def prune_mechanisms(
         raise ValueError("the report keeps no mechanism order, so there is nothing to prune")
     order = report.params.order
     data = report._data
-    if data is None or not data.built_from(probes, record, order):
+    if data is None or not (
+        data.design.shape[0] == order and data.probes == probes and data.record == record
+    ):
         data = _fit_data(probes, record, order)
     kept = np.zeros(order, dtype=bool)
     kept[list(report.kept_orders)] = True

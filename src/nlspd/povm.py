@@ -373,12 +373,7 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
     ``-inf`` wherever a unit-efficiency mechanism applies. The truncation
     is a whole number >= 1; a whole float counts, a bool does not.
     """
-    return _log_survival_at(p, np.arange(_whole_number(truncation, "truncation")))
-
-
-def _log_survival_at(p: np.ndarray, m_values: np.ndarray) -> np.ndarray:
-    """``log_survival`` at the int64 photon numbers ``m_values``, all >= 0."""
-    return _LogSurvival.of(p).at(m_values)
+    return _LogSurvival.of(p).at(np.arange(_whole_number(truncation, "truncation")))
 
 
 def spd_povm(p1: float, truncation: int) -> DiagonalPovm:

@@ -63,13 +63,13 @@ def _dense_fit_terms(h, probes, record):
 
     r = (C - F (1 - exp(G h))) / C and J = F diag(exp(G h)) G / C over the
     probes that clicked, where F holds the full Poisson rows 0..N-1 at the
-    truncation N of ``h`` and G = ``h.binomial_design``. This shares no
+    truncation N of ``h`` and G = C(m, n) over m = 0..N-1. This shares no
     code with the fit's windowed probe rows, so certificates built on it do
     not depend on them; the dense rows miss the fit's row normalization
     only by their tail mass beyond N (below 1e-12).
     """
-    design = h.binomial_design
-    matrix = dense_probe_rows(probes.intensities, design.shape[0])
+    design = binomial_table(np.arange(h.truncation), h.h.size)
+    matrix = dense_probe_rows(probes.intensities, h.truncation)
     frequencies = record.frequencies
     included = frequencies > 0
     frequencies = frequencies[included]

@@ -458,27 +458,25 @@ def test_fit_rejects_all_zero_records():
 
 
 def test_log_vector_validation():
-    design = binomial_table(np.arange(6), 2)
-    MechanismLogVector(h=np.array([-1.0, -np.inf]), binomial_design=design)
-    clipped = MechanismLogVector(h=np.array([5e-13, -1.0]), binomial_design=design)
+    MechanismLogVector(h=np.array([-1.0, -np.inf]), truncation=6)
+    clipped = MechanismLogVector(h=np.array([5e-13, -1.0]), truncation=6)
     assert clipped.h[0] == 0.0
     with pytest.raises(ValueError):
-        MechanismLogVector(h=np.array([0.1, -1.0]), binomial_design=design)
+        MechanismLogVector(h=np.array([0.1, -1.0]), truncation=6)
     with pytest.raises(ValueError):
-        MechanismLogVector(h=np.array([np.nan, -1.0]), binomial_design=design)
+        MechanismLogVector(h=np.array([np.nan, -1.0]), truncation=6)
     with pytest.raises(ValueError):
-        MechanismLogVector(h=np.array([-1.0]), binomial_design=design)
+        MechanismLogVector(h=np.array([[-1.0]]), truncation=6)
     with pytest.raises(ValueError):
         MechanismLogVector.at_truncation(np.array([-1.0, -1.0]), 0)
+    # The truncation is a count, not a table: no design of N rows is built.
+    assert MechanismLogVector.at_truncation(np.zeros(2), 2**53).truncation == 2**53
 
 
 def test_modelfit_refuses_malformed_input():
     # Each refusal keeps its error type and names what it refuses.
-    design = binomial_table(np.arange(6), 2)
     with pytest.raises(ValueError, match="nonempty"):
-        MechanismLogVector(h=np.array([]), binomial_design=design[:, :0])
-    with pytest.raises(ValueError, match="column 0"):
-        MechanismLogVector(h=np.zeros(2), binomial_design=design + 1.0)
+        MechanismLogVector(h=np.array([]), truncation=6)
     vec = MechanismLogVector.at_truncation(np.array([0.0, -0.2]), 8)
     fields = dict(
         params=vec.params,
@@ -492,8 +490,20 @@ def test_modelfit_refuses_malformed_input():
         FitReport(**{**fields, "h": np.zeros(3)})
     with pytest.raises(ValueError, match="kept order"):
         FitReport(**{**fields, "kept_orders": (0, 2)})
-    with pytest.raises(ValueError, match="nonnegative"):
-        FitReport(**{**fields, "objective": -1.0})
+    with pytest.raises(ValueError, match="kept orders must not repeat"):
+        FitReport(**{**fields, "kept_orders": (1, 1)})
+    # A NaN or infinity would reach to_dict as a value JSON has no number
+    # for, and every pruning decision would compare against it.
+    for name, bad in [
+        ("objective", -1.0),
+        ("objective", np.nan),
+        ("objective", np.inf),
+        ("per_probe_residuals", np.array([np.nan, 0.15])),
+        ("per_probe_residuals", np.array([0.1, np.inf])),
+    ]:
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            FitReport(**{**fields, name: bad})
+    json.dumps(report.to_dict(), allow_nan=False)
     with pytest.raises(DataFormatError, match="malformed fit report"):
         FitReport.from_dict({"p": [0.1]})
     probes = ProbeSet(intensities=np.array([0.0, 1.0]), trials=10)

@@ -221,7 +221,7 @@ def test_truncation_for_rejects_bad_arguments():
         (lambda k: binomial_exponents(np.arange(4), k), 2),
         (lambda k: binomial_table(np.arange(4), k), 3),
         (lambda k: npd_povm(0.1, k, 10).click, 2),
-        (lambda k: MechanismLogVector.at_truncation(np.zeros(2), k).binomial_design, 5),
+        (lambda k: MechanismLogVector.at_truncation(np.zeros(2), k).truncation, 5),
         (lambda k: npd_povm(0.1, 1, 4).padded(k), 6),
     ],
     ids=[
@@ -320,7 +320,6 @@ def test_value_classes_own_read_only_copies_of_their_arrays():
     intensities = np.array([0.0, 1.0, 2.0])
     clicks = np.array([0, 40, 90], dtype=np.int64)
     h = np.array([-1e-3, -0.05])
-    design = binomial_table(np.arange(6), 2)
     residuals = np.array([0.0, 1e-4, 2e-4])
     params = NonlinearSpdParams(p)
     probes = ProbeSet(intensities, 100)
@@ -329,8 +328,7 @@ def test_value_classes_own_read_only_copies_of_their_arrays():
         (DiagonalPovm(click), "click", click),
         (probes, "intensities", intensities),
         (ClickRecord(clicks, 100), "clicks", clicks),
-        (MechanismLogVector(h, design), "h", h),
-        (MechanismLogVector(h, design), "binomial_design", design),
+        (MechanismLogVector(h, 6), "h", h),
         (FitReport(NonlinearSpdParams(p[:2]), (0, 1), 3e-4, residuals, h), "h", h),
         (
             FitReport(NonlinearSpdParams(p[:2]), (0, 1), 3e-4, residuals, h),

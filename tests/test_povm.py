@@ -22,7 +22,7 @@ from nlspd.povm import (
     NonlinearSpdParams,
     _check_carries,
     _coherent_clicks,
-    _log_survival_at,
+    _LogSurvival,
     _poisson_rows,
     coherent_click_probability,
     log_survival,
@@ -305,9 +305,9 @@ def test_probes_that_start_saturated_build_no_window(means, p):
     # ulps (eps) of the full sum.
     means, params = np.array(means), NonlinearSpdParams(np.array(p))
     rows = _poisson_rows(means)
-    full = np.minimum(rows @ -np.expm1(_log_survival_at(params.p, rows.m)), 1.0)
+    full = np.minimum(rows @ -np.expm1(_LogSurvival.of(params.p).at(rows.m)), 1.0)
     first = rows.m[rows.starts[:-1]]
-    skipped = _log_survival_at(params.p, first) <= -55 * math.log(2)
+    skipped = _LogSurvival.of(params.p).at(first) <= -55 * math.log(2)
     clicks = _coherent_clicks(params, means)
     np.testing.assert_array_equal(clicks[~skipped], full[~skipped])
     assert np.all(clicks[skipped] == 1.0)
