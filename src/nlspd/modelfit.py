@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DataFormatError, DegenerateDataError
+from .exceptions import ConvergenceError, DegenerateDataError
 from .numerics import _binomial_table, _freeze, _transmissivity, _values_equal, _whole_number
 from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
@@ -106,10 +106,6 @@ class MechanismLogVector:
         """The parameters h at the given truncation, a whole number >= 1."""
         return cls(h=h, truncation=truncation)
 
-    @property
-    def params(self) -> NonlinearSpdParams:
-        return NonlinearSpdParams(p=-np.expm1(self.h))
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -121,9 +117,9 @@ class FitReport:
     carries the raw log-survival vector, from which the pruning refits
     start. ``_data`` keeps the fit data the report was solved on, for
     ``prune_mechanisms`` to reuse on the same probes and record; it takes
-    no part in comparison, ``repr`` or ``to_dict``, and a report read with
-    ``from_dict`` has none. A non-finite or negative objective or residual,
-    and a kept order that repeats, are refused with ``ValueError``, so
+    no part in comparison, ``repr`` or ``to_dict``, and a report built
+    directly has none. A non-finite or negative objective or residual, and
+    a kept order that repeats, are refused with ``ValueError``, so
     ``to_dict`` writes only JSON numbers.
     """
 
@@ -161,25 +157,6 @@ class FitReport:
             "objective": float(self.objective),
             "per_probe_residuals": [float(r) for r in self.per_probe_residuals],
         }
-
-    @classmethod
-    def from_dict(cls, document: dict) -> "FitReport":
-        try:
-            params = NonlinearSpdParams(p=np.asarray(document["p"], dtype=float))
-            kept = tuple(document["kept_orders"])
-            objective = float(document["objective"])
-            residuals = np.asarray(document["per_probe_residuals"], dtype=float)
-        except (KeyError, TypeError) as err:
-            raise DataFormatError(f"malformed fit report: {err}") from err
-        with np.errstate(divide="ignore"):
-            h = np.log1p(-params.p)
-        return cls(
-            params=params,
-            kept_orders=kept,
-            objective=objective,
-            per_probe_residuals=residuals,
-            h=h,
-        )
 
 
 @dataclass(frozen=True)
@@ -478,7 +455,7 @@ def prune_mechanisms(
     The fit data (Poisson windows, their union and the binomial table) is
     the report's own when it was fitted to probes and a record equal to
     these (``numerics._values_equal``), and is built afresh otherwise, e.g.
-    for a report read with ``from_dict``.
+    for a report built directly or with ``_data=None``.
 
     A trial refit is skipped when its start already passes the test. The
     start, the full report's h (clipped to the box) with h[n] = 0, is a

@@ -4,20 +4,20 @@ and of the Poisson and binomial laws that weigh it.
 One kernel per job, shared by ``povm``, ``modelfit``, ``tomography`` and
 ``loss``: the binomial coefficients C(m, n) as falling factorials, each
 order one step past the one before (exact for m < 1142 at n <= 6 and
-within a few ulps beyond), as a table over orders (``binomial_table``)
-or one order, its last column (``binomial_exponents``);
-``poisson_log_pmf`` (log Poisson weights, ``-inf`` for impossible photon
-numbers, photon numbers and means broadcast or each mean repeated over a
-run of photon numbers, with ln m! read from a table below m = 1024 and
-from the Stirling series above). The recurrence is written once, in the
-private ``_binomial_table``, which checks nothing and builds every
-table in Fortran order: ``binomial_table`` checks its photon numbers and
-order count and calls it, and ``povm`` and the fit data of ``modelfit``
-call it directly on photon numbers they built themselves, so a one-probe
-click pays no check. The product of the binomial table with log
-survivals is left to its callers, each of which knows where a saturated
-mechanism lies: ``povm`` sets it apart, and the fit's box keeps its h
-finite.
+within a few ulps beyond), as a table over orders (the private
+``_binomial_table``) or one order, its last column
+(``binomial_exponents``); ``poisson_log_pmf`` (log Poisson weights,
+``-inf`` for impossible photon numbers, photon numbers and means
+broadcast or each mean repeated over a run of photon numbers, with ln m!
+read from a table below m = 1024 and from the Stirling series above).
+The recurrence is written once, in ``_binomial_table``, which checks
+nothing and builds every table in Fortran order: ``binomial_exponents``
+checks its photon numbers and order and calls it, and ``povm`` and the
+fit data of ``modelfit`` call it directly on photon numbers they built
+themselves, so a one-probe click pays no check. The product of the
+binomial table with log survivals is left to its callers, each of which
+knows where a saturated mechanism lies: ``povm`` sets it apart, and the
+fit's box keeps its h finite.
 
 Three private kernels serve the window operators of ``povm`` and
 ``loss``: ``_bernstein_reach``, the distance from a mean beyond which
@@ -34,7 +34,7 @@ and the ln m! of ``poisson_log_pmf``.
 The kernels take arbitrary photon numbers, so a caller can evaluate a
 window [m_lo, m_hi) only. ``poisson_log_weights`` is the Poisson form
 over the full range m = 0..truncation-1; the binomial one is
-``binomial_table(np.arange(truncation), order)``.
+``_binomial_table(np.arange(truncation), order)``.
 
 Two private checks hold rules for outside input that several modules
 read: ``_whole_number``, every count of the package as a whole number in
@@ -58,7 +58,6 @@ import numpy as np
 
 __all__ = [
     "binomial_exponents",
-    "binomial_table",
     "poisson_log_pmf",
     "poisson_log_weights",
 ]
@@ -309,30 +308,25 @@ def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
     """Binomial coefficients C(m, n) as floats, with C(m, n) = 0 for m < n.
 
     The n = 0 column is identically 1, so the zeroth mechanism order acts
-    on every photon number including vacuum. The order n is a whole
-    number >= 0. The last column of ``binomial_table(m_values, n + 1)``.
+    on every photon number including vacuum. The photon numbers are whole
+    numbers >= 0, and the order n a whole number in [0, 2**53 - 1]. The
+    last column of ``_binomial_table(m_values, n + 1)``.
     """
-    return binomial_table(m_values, _whole_number(n, "mechanism order", 0) + 1)[..., -1]
-
-
-def binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
-    """Table T[k, n] = C(m_values[k], n) for mechanism orders n = 0..order-1.
-
-    Column 0 is all ones (the dark-count mechanism sees every Fock state
-    once). Column n is the falling factorial ``m (m - 1) ... (m - n + 1) /
-    n!``, one step past column n - 1. The order count is a whole number
-    >= 1. The table is in Fortran order, each column contiguous.
-    """
-    order = _whole_number(order, "order count")
+    n = _whole_number(n, "mechanism order", 0, _WHOLE_LIMIT - 1)
     m_values = np.asarray(m_values, dtype=np.int64)
     if m_values.size and m_values.min() < 0:
-        raise ValueError("binomial_table requires m >= 0")
-    return _binomial_table(m_values, order)
+        raise ValueError("binomial_exponents requires m >= 0")
+    return _binomial_table(m_values, n + 1)[..., -1]
 
 
 def _binomial_table(m_values: np.ndarray, order: int) -> np.ndarray:
-    """``binomial_table`` of int64 photon numbers >= 0 and an int order
-    count >= 1, neither checked: the kernel of every binomial table.
+    """Table T[k, n] = C(m_values[k], n) for mechanism orders n = 0..order-1,
+    of int64 photon numbers >= 0 and an int order count >= 1, neither
+    checked: the kernel of every binomial table.
+
+    Column 0 is all ones (the dark-count mechanism sees every Fock state
+    once). Column n is the falling factorial ``m (m - 1) ... (m - n + 1) /
+    n!``, one step past column n - 1.
 
     The table is in Fortran order, each order's column contiguous: the
     layout ``povm``'s column gather gives, and its transpose is the

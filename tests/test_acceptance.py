@@ -27,7 +27,7 @@ from nlspd.modelfit import (
     loss_scaling_analysis,
     prune_mechanisms,
 )
-from nlspd.numerics import binomial_table, poisson_log_weights
+from nlspd.numerics import _binomial_table, poisson_log_weights
 from nlspd.povm import (
     MAX_DENSE_BYTES,
     NonlinearSpdParams,
@@ -68,7 +68,7 @@ def _dense_fit_terms(h, probes, record):
     not depend on them; the dense rows miss the fit's row normalization
     only by their tail mass beyond N (below 1e-12).
     """
-    design = binomial_table(np.arange(h.truncation), h.h.size)
+    design = _binomial_table(np.arange(h.truncation), h.h.size)
     matrix = dense_probe_rows(probes.intensities, h.truncation)
     frequencies = record.frequencies
     included = frequencies > 0
@@ -284,7 +284,7 @@ def _a7_instance():
     record = _simulated(truth, base, seed=0)
     n = truncation_for(float(base.intensities.max()))
     matrix = dense_probe_rows(base.intensities, n)
-    design = binomial_table(np.arange(n), 4)
+    design = _binomial_table(np.arange(n), 4)
     freq = record.frequencies
     included = freq > 0
     return base, record, n, matrix, design, freq, included
@@ -744,7 +744,7 @@ def test_fit_hessian_matches_gradient_differences():
         record = _simulated(truth, probes, seed)
         n = truncation_for(float(probes.intensities.max()))
         data = modelfit._fit_data(probes, record, 6)
-        steps = 1e-4 / binomial_table(np.arange(n), 6)[-1]
+        steps = 1e-4 / _binomial_table(np.arange(n), 6)[-1]
 
         def gradient(h):
             return fit_objective_gradient(

@@ -386,6 +386,17 @@ def test_figure_loss_scaling(tmp_path):
     assert len(rows) == 5
 
 
+def test_figure_loss_scaling_names_an_excluded_order(tmp_path, monkeypatch):
+    # Without dark counts every fitted P_0 is 0, which has no logarithm:
+    # order 0 gets no slope and is named as excluded.
+    monkeypatch.setattr(cli, "_LOSS_DEMO_TRUTH", NonlinearSpdParams([0.0, 0.1, 0.3]))
+    out = tmp_path / "fig3b.csv"
+    assert run_cli(["figure", "fig3b", out, "--seed", "7"]) == 0
+    comments = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    assert "# excluded_orders=[0]" in comments
+    assert not any(l.startswith("# slope_order_0=") for l in comments)
+
+
 def test_figure_unknown_id(tmp_path, capsys):
     assert run_cli(["figure", "fig9z", tmp_path / "out.csv"]) == 1
     assert "unknown figure id" in capsys.readouterr().err
@@ -393,6 +404,19 @@ def test_figure_unknown_id(tmp_path, capsys):
 
 def test_figure_unknown_bias_current(tmp_path):
     assert run_cli(["figure", "fig2b", tmp_path / "out.csv", "--bias-current", "19"]) == 1
+
+
+def test_a_failing_writer_leaves_no_partial_output(tmp_path, config_path, monkeypatch, capsys):
+    # The writer fails after writing part of its temporary file: exit 1,
+    # and neither the output, its manifest nor the temporary file remains.
+    def fail_midway(path, probes, record):
+        Path(path).write_text(",".join(CSV_HEADER) + "\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_click_data", fail_midway)
+    assert run_cli(["simulate", config_path, tmp_path / "clicks.csv"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_unexpected_failure_maps_to_exit_two(tmp_path, config_path, monkeypatch):

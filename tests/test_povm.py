@@ -15,7 +15,7 @@ from scipy.stats import poisson
 
 from nlspd import povm as povm_module
 from nlspd.exceptions import DataFormatError, TruncationError
-from nlspd.numerics import _bernstein_reach, binomial_table, poisson_log_pmf, poisson_log_weights
+from nlspd.numerics import _bernstein_reach, _binomial_table, poisson_log_pmf, poisson_log_weights
 from nlspd.povm import (
     _SATURATED_LOG_SURVIVAL,
     DiagonalPovm,
@@ -326,7 +326,7 @@ def _clicks_by_the_plain_formula(p, means):
     saturated = p >= 1
 
     def log_survival_at(m):
-        out = binomial_table(m, p.size)[:, used] @ np.log1p(-p[used])
+        out = _binomial_table(m, p.size)[:, used] @ np.log1p(-p[used])
         if saturated.any():
             out[m >= saturated.argmax()] = -np.inf
         return out
@@ -776,5 +776,5 @@ def test_log_survival_is_bitwise_the_plain_formula():
     # kept constants change no bit of the table product.
     p, n = UNSCALED_PARAMS[16].p, truncation_for(1e6)
     used = (p != 0) & (p < 1)
-    expected = binomial_table(np.arange(n), p.size)[:, used] @ np.log1p(-p[used])
+    expected = _binomial_table(np.arange(n), p.size)[:, used] @ np.log1p(-p[used])
     np.testing.assert_array_equal(log_survival(p, n), expected)

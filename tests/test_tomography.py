@@ -12,6 +12,7 @@ from scipy.stats import poisson
 
 from nlspd import cli, tomography
 from nlspd.exceptions import (
+    ConvergenceError,
     DataFormatError,
     TargetUnreachableError,
     TruncationError,
@@ -111,6 +112,45 @@ def test_reconstruct_matches_independent_box_solver():
     rhs = np.concatenate([record.frequencies, np.zeros(n - 1)])
     oracle = lsq_linear(stacked, rhs, bounds=(0.0, 1.0), tol=1e-14)
     assert np.max(np.abs(oracle.x - povm.click)) <= 1e-6
+
+
+def test_an_uncertified_active_set_stall_falls_back_to_bvls(monkeypatch):
+    # The rescaled 25 uA record of seed 0 has its minimizer inside the box,
+    # so the first step changes nothing. With no breach accepted as
+    # optimal, that step is not certified: the loop stalls after it, and
+    # bounded-variable least squares finishes to the same minimizer.
+    truth = SCALED_PARAMS[25]
+    probes = geometric_probe_grid(truth)
+    record = simulate(
+        ExperimentConfig(truth=truth, probes=probes, seed=0, trials=probes.trials)
+    )
+    F, photons = tomography._probe_matrix(probes, 146)
+    lengths = np.diff(photons).astype(float)
+    weight = tomography.default_smoothing_weight(probes)
+    certified = tomography._active_set_minimizer(F, record.frequencies, weight, lengths)
+    monkeypatch.setattr(tomography, "_KKT_TOLERANCE", 0.0)
+    stalled = tomography._active_set_minimizer(F, record.frequencies, weight, lengths)
+    assert (certified.steps, certified.fallback) == (1, False)
+    assert (stalled.steps, stalled.fallback) == (1, True)
+    np.testing.assert_allclose(stalled.y, certified.y, rtol=0, atol=1e-13)
+
+
+def test_an_exhausted_fallback_raises_with_its_result(monkeypatch):
+    # At w = 1e-10 the active-set steps of this record do not settle, and a
+    # one-iteration BVLS budget runs out: ConvergenceError carries scipy's
+    # result, of status 0.
+    def one_iteration(*args, **kwargs):
+        return lsq_linear(*args, **{**kwargs, "max_iter": 1})
+
+    monkeypatch.setattr("scipy.optimize.lsq_linear", one_iteration)
+    truth = SCALED_PARAMS[20]
+    probes = geometric_probe_grid(truth)
+    record = simulate(
+        ExperimentConfig(truth=truth, probes=probes, seed=0, trials=probes.trials)
+    )
+    with pytest.raises(ConvergenceError, match="stopped after") as excinfo:
+        reconstruct_povm(probes, record, 112, smoothing_weight=1e-10)
+    assert excinfo.value.result.status == 0
 
 
 def test_reconstruct_interior_matches_dense_least_squares():
