@@ -20,16 +20,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exceptions": (
-        "ConvergenceError",
-        "DataFormatError",
-        "DegenerateDataError",
-        "IllConditionedInversionError",
-        "SaturationCapError",
-        "TargetUnreachableError",
-        "TruncationError",
-        "UndefinedFidelityError",
-    ),
+    "exceptions": ("ConvergenceError", "IllConditionedInversionError"),
     "loss": ("lossy_click_probability", "scale_povm", "unscale_povm"),
     "modelfit": (
         "FitReport",

@@ -1,40 +1,19 @@
-"""Exception types raised across the toolkit.
+"""The two exception types of the toolkit that carry data.
 
-Input-validation problems derive from ``ValueError`` so callers can catch
-bad data with one handler; numerical breakdowns that occur on valid input
-derive from ``RuntimeError``.
+Every other refusal raises a builtin: ``ValueError`` for input the
+package does not take (a malformed file or document, a truncation too
+small for a probe, a target the data never reach, a fit with no probe
+left), ``RuntimeError`` for a probe sweep that reaches its intensity cap
+unsaturated. The two here are numerical breakdowns on valid input, so
+they derive from ``RuntimeError``, and each keeps what the caller needs
+to judge it: the best iterate of a solver that ran out of iterations, or
+the size of a loss inversion's excursion out of [0, 1].
 """
 
 __all__ = [
     "ConvergenceError",
-    "DataFormatError",
-    "DegenerateDataError",
     "IllConditionedInversionError",
-    "SaturationCapError",
-    "TargetUnreachableError",
-    "TruncationError",
-    "UndefinedFidelityError",
 ]
-
-
-class TruncationError(ValueError):
-    """Photon-number truncation too small for the requested intensities."""
-
-
-class DataFormatError(ValueError):
-    """Malformed click-data file or serialized document."""
-
-
-class UndefinedFidelityError(ValueError):
-    """Fidelity requested against an identically zero click vector."""
-
-
-class TargetUnreachableError(ValueError):
-    """Measured click probabilities never bracket the requested target."""
-
-
-class DegenerateDataError(ValueError):
-    """Every probe row was excluded, leaving nothing to fit."""
 
 
 class ConvergenceError(RuntimeError):
@@ -58,7 +37,3 @@ class IllConditionedInversionError(RuntimeError):
     def __init__(self, message, violation):
         super().__init__(message)
         self.violation = float(violation)
-
-
-class SaturationCapError(RuntimeError):
-    """Probe sweep hit the intensity cap before the detector saturated."""

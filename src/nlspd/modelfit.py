@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DegenerateDataError
+from .exceptions import ConvergenceError
 from .numerics import _binomial_table, _freeze, _transmissivity, _values_equal, _whole_number
 from .povm import NonlinearSpdParams, _check_carries, _check_dense_size, _poisson_rows, _WindowRows
 from .tomography import ClickRecord, ProbeSet, check_paired
@@ -201,7 +201,7 @@ def _fit_data(probes: ProbeSet, record: ClickRecord, order: int) -> _FitData:
     frequencies = record.frequencies
     included = frequencies > 0
     if not np.any(included):
-        raise DegenerateDataError(
+        raise ValueError(
             "every probe recorded zero clicks; the normalized objective is undefined"
         )
     rows = _poisson_rows(probes.intensities[included])
@@ -266,9 +266,9 @@ def fit_objective(
     so at a report's h this is the report's objective at any truncation
     that carries the largest probe. Probes with zero recorded clicks are
     excluded (their normalized residual is undefined); if every probe is
-    excluded the data cannot score any parameter vector and
-    ``DegenerateDataError`` is raised. A truncation too small to carry the
-    largest probe's Poisson mass raises ``TruncationError``.
+    excluded the data cannot score any parameter vector and ``ValueError``
+    is raised, as it is for a truncation too small to carry the largest
+    probe's Poisson mass.
 
     h is clipped into the fit's box [-60, 0] first, so a saturated
     mechanism (h = -inf) is evaluated at -60. That changes no click: where
@@ -423,9 +423,8 @@ def fit_params(
     ValueError
         If ``max_order`` is not a whole number >= 1; a whole float such as
         2.0 counts, a bool does not. Also if the windows' terms times
-        ``max_order`` would take more than ``MAX_DENSE_BYTES`` as doubles.
-    DegenerateDataError
-        If no probe recorded any click.
+        ``max_order`` would take more than ``MAX_DENSE_BYTES`` as doubles,
+        or if no probe recorded any click.
     ConvergenceError
         If the budget of 100 Newton iterations runs out first; the error
         carries the best-so-far ``FitReport`` as its ``result``.

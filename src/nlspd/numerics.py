@@ -1,23 +1,25 @@
 """The numerical kernels of ``click[m] = 1 - prod_n (1 - p[n]) ** C(m, n)``
-and of the Poisson and binomial laws that weigh it.
+and of the Poisson and binomial laws that weigh it, and the checks of
+the outside input they take.
 
 One kernel per job, shared by ``povm``, ``modelfit``, ``tomography`` and
 ``loss``: the binomial coefficients C(m, n) as falling factorials, each
 order one step past the one before (exact for m < 1142 at n <= 6 and
-within a few ulps beyond), as a table over orders (the private
-``_binomial_table``) or one order, its last column
-(``binomial_exponents``); ``poisson_log_pmf`` (log Poisson weights,
-``-inf`` for impossible photon numbers, photon numbers and means
-broadcast or each mean repeated over a run of photon numbers, with ln m!
-read from a table below m = 1024 and from the Stirling series above).
-The recurrence is written once, in ``_binomial_table``, which checks
-nothing and builds every table in Fortran order: ``binomial_exponents``
-checks its photon numbers and order and calls it, and ``povm`` and the
-fit data of ``modelfit`` call it directly on photon numbers they built
-themselves, so a one-probe click pays no check. The product of the
-binomial table with log survivals is left to its callers, each of which
-knows where a saturated mechanism lies: ``povm`` sets it apart, and the
-fit's box keeps its h finite.
+within a few ulps beyond), as a table over orders (``_binomial_table``);
+and the log Poisson weights (``_poisson_log_pmf``, ``-inf`` for
+impossible photon numbers, photon numbers and means broadcast or each
+mean repeated over a run of photon numbers, with ln m! read from a table
+below m = 1024 and from the Stirling series above). Both kernels are
+private and check nothing: ``povm`` and the fit data of ``modelfit``
+call them on photon numbers they built themselves and on means checked
+where they entered, so a one-probe click pays no check. Each is also
+public in one checked form: ``binomial_exponents``, one order of the
+table, and ``poisson_log_weights``, the Poisson form over the full range
+m = 0..truncation-1. The recurrence is written once, in
+``_binomial_table``, which builds every table in Fortran order. The
+product of the binomial table with log survivals is left to its callers,
+each of which knows where a saturated mechanism lies: ``povm`` sets it
+apart, and the fit's box keeps its h finite.
 
 Three private kernels serve the window operators of ``povm`` and
 ``loss``: ``_bernstein_reach``, the distance from a mean beyond which
@@ -29,23 +31,22 @@ Poisson rows of ``povm._poisson_rows``, the binomial rows of
 saddle-point pieces of a binomial weight, the Stirling gap
 ``_stirling_gap`` (ln k! - (k ln k - k)) and the deviance ``_deviance``.
 One table-or-series dispatcher, ``_tabled``, serves ``_stirling_gap``
-and the ln m! of ``poisson_log_pmf``.
+and the ln m! of ``_poisson_log_pmf``. The kernels take arbitrary
+photon numbers, so a caller can evaluate a window [m_lo, m_hi) only.
 
-The kernels take arbitrary photon numbers, so a caller can evaluate a
-window [m_lo, m_hi) only. ``poisson_log_weights`` is the Poisson form
-over the full range m = 0..truncation-1; the binomial one is
-``_binomial_table(np.arange(truncation), order)``.
-
-Two private checks hold rules for outside input that several modules
+Four private checks hold rules for outside input that several modules
 read: ``_whole_number``, every count of the package as a whole number in
 a range, at most 2**53 unless a caller sets another bound (seeds take
-2**64 - 1), and ``_transmissivity``, a loss channel's eta in (0, 1]. The
-module needs numpy alone, so ``modelfit`` checks a transmissivity
-without loading scipy. ``_values_equal`` is the one ``==`` of the
-package's frozen value classes that hold arrays, and ``_freeze`` the one
-way each of them stores the fields it checked: a value owns a read-only
-copy of its arrays, never the caller's array, so nothing downstream
-checks a value's fields again.
+2**64 - 1); ``_whole_numbers``, the same rule for an array of counts
+from 0; ``_check_means``, every mean photon number finite, >= 0 and at
+most 2**53, checked once where it enters the package; and
+``_transmissivity``, a loss channel's eta in (0, 1]. The module needs
+numpy alone, so ``modelfit`` checks a transmissivity without loading
+scipy. ``_values_equal`` is the one ``==`` of the package's frozen value
+classes that hold arrays, and ``_freeze`` the one way each of them
+stores the fields it checked: a value owns a read-only copy of its
+arrays, never the caller's array, so nothing downstream checks a value's
+fields again.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ import numpy as np
 
 __all__ = [
     "binomial_exponents",
-    "poisson_log_pmf",
     "poisson_log_weights",
 ]
 
@@ -85,6 +85,40 @@ def _whole_number(value, what: str, low: int = 1, high: int = _WHOLE_LIMIT) -> i
     if not (number and low <= value <= high and float(value).is_integer()):
         raise ValueError(f"{what} must be a whole number in [{low}, {high}], got {value!r}")
     return int(value)
+
+
+def _whole_numbers(values, what: str, high: int = _WHOLE_LIMIT, bound: str = "2**53") -> np.ndarray:
+    """``values`` as an int64 array of whole numbers in [0, high], ``bound``
+    naming ``high`` in the refusal.
+
+    The range is compared before any cast, so NaN and values int64 cannot
+    hold are refused rather than wrapped; the cast must then give back
+    every value. The rule of every array of counts: a record's click
+    counts, ``binomial_exponents``' photon numbers.
+    """
+    values = np.asarray(values)
+    if not (values.min(initial=0) >= 0 and values.max(initial=0) <= high):
+        raise ValueError(f"{what} must lie in [0, {bound}]")
+    rounded = values.astype(np.int64)
+    if not np.array_equal(rounded, values):
+        raise ValueError(f"{what} must be integers")
+    return rounded
+
+
+def _check_means(lowest: float, highest: float) -> None:
+    """Raise ``ValueError`` unless mean photon numbers from ``lowest`` to
+    ``highest`` are finite, >= 0 and at most 2**53.
+
+    Above 2**53 a double no longer holds every whole photon number, so no
+    window or tail of such a mean is exact. Python float compares: NaN
+    fails both, and a scalar check costs no numpy call.
+    """
+    if not (0 <= lowest and highest <= _WHOLE_LIMIT):
+        bad = highest if 0 <= lowest else lowest
+        raise ValueError(
+            f"mean photon numbers must be finite, >= 0 and not too large "
+            f"(at most 2**53), got {bad:g}"
+        )
 
 
 def _transmissivity(eta) -> float:
@@ -260,21 +294,20 @@ def _bernstein_reach(variance, log_mass):
     return log_mass / 3 + np.sqrt(log_mass * (log_mass / 9 + 2 * variance))
 
 
-def poisson_log_pmf(m_values: np.ndarray, mean_photons, repeats=None) -> np.ndarray:
+def _poisson_log_pmf(m_values: np.ndarray, mean_photons, repeats=None) -> np.ndarray:
     """Log Poisson weights ``m ln(mu) - mu - ln(m!)``, photon numbers and means broadcast.
 
-    The photon numbers are whole numbers >= 0 of an integer dtype.
-    ``m ln(mu)`` is 0 at m = 0 for every mean, so a mean of 0 weighs m = 0
-    by 1 and every other m by 0 (log weight ``-inf``). With ``repeats``,
-    mean i weighs the next ``repeats[i]`` photon numbers, as
+    The photon numbers are whole numbers >= 0 of an integer dtype, and the
+    means pass ``_check_means``; neither is checked here. ``m ln(mu)`` is
+    0 at m = 0 for every mean, so a mean of 0 weighs m = 0 by 1 and every
+    other m by 0 (log weight ``-inf``). With ``repeats``, mean i weighs
+    the next ``repeats[i]`` photon numbers, as
     ``mean_photons.repeat(repeats)`` would, and its logarithm is taken once.
     Only a mean of 0 enters a floating-point error state: where every mean
     is positive, neither ``log`` nor the product sets one up.
     """
     mu = np.asarray(mean_photons, dtype=float)
     lowest = mu.min(initial=np.inf)
-    if lowest < 0:
-        raise ValueError(f"mean photon numbers must not be negative, got {mean_photons}")
     m = np.asarray(m_values)
     if lowest > 0:
         log_mu = np.log(mu)
@@ -294,28 +327,32 @@ def poisson_log_pmf(m_values: np.ndarray, mean_photons, repeats=None) -> np.ndar
 
 
 def poisson_log_weights(mean_photons, truncation: int) -> np.ndarray:
-    """``poisson_log_pmf`` over m = 0..truncation-1.
+    """``_poisson_log_pmf`` over m = 0..truncation-1.
 
     A scalar mean gives one vector; an array of means gives one such
-    vector per mean along a new last axis. The truncation is a whole
-    number >= 1.
+    vector per mean along a new last axis. The means pass ``_check_means``
+    and the truncation is a whole number >= 1.
     """
     mu = np.asarray(mean_photons, dtype=float)
-    return poisson_log_pmf(np.arange(_whole_number(truncation, "truncation")), mu[..., None])
+    _check_means(mu.min(initial=0.0), mu.max(initial=0.0))
+    return _poisson_log_pmf(np.arange(_whole_number(truncation, "truncation")), mu[..., None])
 
 
 def binomial_exponents(m_values: np.ndarray, n: int) -> np.ndarray:
     """Binomial coefficients C(m, n) as floats, with C(m, n) = 0 for m < n.
 
     The n = 0 column is identically 1, so the zeroth mechanism order acts
-    on every photon number including vacuum. The photon numbers are whole
-    numbers >= 0, and the order n a whole number in [0, 2**53 - 1]. The
-    last column of ``_binomial_table(m_values, n + 1)``.
+    on every photon number including vacuum. The order n is a whole number
+    in [0, 2**53 - 1] and the photon numbers whole numbers in [0, 2**53]
+    (``_whole_numbers``). The last column of ``_binomial_table(m_values,
+    n + 1)``, or zeros where n is above every photon number: that column,
+    without the table, and without the NaN its columns make where they
+    overflow.
     """
     n = _whole_number(n, "mechanism order", 0, _WHOLE_LIMIT - 1)
-    m_values = np.asarray(m_values, dtype=np.int64)
-    if m_values.size and m_values.min() < 0:
-        raise ValueError("binomial_exponents requires m >= 0")
+    m_values = _whole_numbers(m_values, "photon numbers")
+    if n > m_values.max(initial=-1):
+        return np.zeros(m_values.shape)
     return _binomial_table(m_values, n + 1)[..., -1]
 
 

@@ -51,12 +51,13 @@ A truncation belongs to an explicit click vector (``DiagonalPovm``),
 whose length it is: ``truncation_for`` picks the default one, the
 smallest that carries all but ``DEFAULT_TAIL_MASS`` of a probe's
 Poisson mass, and every truncation check compares with it.
-Every mean photon number the package takes passes ``_check_means`` once,
-where it enters: finite, >= 0 and at most 2**53. A ``ProbeSet`` checks
-its intensities as it is built, and ``coherent_click_probability`` and
-``truncation_for`` their one mean; the rows and clicks made from them
-check none again. ``_detector_from_dict`` reads a detector,
-a POVM or mechanism parameters, from a JSON document.
+Every mean photon number the package takes passes
+``numerics._check_means`` once, where it enters: finite, >= 0 and at
+most 2**53. A ``ProbeSet`` checks its intensities as it is built, and
+``coherent_click_probability`` and ``truncation_for`` their one mean;
+the rows and clicks made from them, and the Poisson kernel
+``numerics._poisson_log_pmf``, check none again. ``_detector_from_dict``
+reads a detector, a POVM or mechanism parameters, from a JSON document.
 """
 
 from __future__ import annotations
@@ -67,15 +68,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DataFormatError, TruncationError
 from .numerics import (
     _WHOLE_LIMIT,
     _bernstein_reach,
     _binomial_table,
+    _check_means,
     _freeze,
+    _poisson_log_pmf,
     _values_equal,
     _whole_number,
-    poisson_log_pmf,
 )
 
 __all__ = [
@@ -144,22 +145,6 @@ def _check_dense_size(size: int, what) -> None:
         )
 
 
-def _check_means(lowest: float, highest: float) -> None:
-    """Raise ``ValueError`` unless mean photon numbers from ``lowest`` to
-    ``highest`` are finite, >= 0 and at most 2**53.
-
-    Above 2**53 a double no longer holds every whole photon number, so no
-    window or tail of such a mean is exact. Python float compares: NaN
-    fails both, and a scalar check costs no numpy call.
-    """
-    if not (0 <= lowest and highest <= _WHOLE_LIMIT):
-        bad = highest if 0 <= lowest else lowest
-        raise ValueError(
-            f"mean photon numbers must be finite, >= 0 and not too large "
-            f"(at most 2**53), got {bad:g}"
-        )
-
-
 def _validated_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 1:
@@ -209,7 +194,7 @@ class DiagonalPovm:
             truncation = document["truncation"]
             click = np.asarray(document["click"], dtype=float)
         except (KeyError, TypeError) as err:
-            raise DataFormatError(f"malformed POVM document: {err}") from err
+            raise ValueError(f"malformed POVM document: {err}") from err
         truncation = _whole_number(truncation, "truncation")
         if click.size != truncation:
             raise ValueError(f"click vector has length {click.size}, expected {truncation}")
@@ -347,21 +332,21 @@ class NonlinearSpdParams:
         try:
             p = np.asarray(document["p"], dtype=float)
         except (KeyError, TypeError) as err:
-            raise DataFormatError(f"malformed parameter document: {err}") from err
+            raise ValueError(f"malformed parameter document: {err}") from err
         return cls(p=p)
 
 
 def _detector_from_dict(document, what: str):
     """The ``DiagonalPovm`` (``click``) or ``NonlinearSpdParams`` (``p``) of a JSON document.
 
-    ``what`` names the document in the ``DataFormatError`` raised for
-    anything else.
+    ``what`` names the document in the ``ValueError`` raised for anything
+    else.
     """
     if isinstance(document, dict) and "click" in document:
         return DiagonalPovm.from_dict(document)
     if isinstance(document, dict) and "p" in document:
         return NonlinearSpdParams.from_dict(document)
-    raise DataFormatError(
+    raise ValueError(
         f"{what} must be an object with either 'click' (POVM) or 'p' (parameters)"
     )
 
@@ -370,10 +355,12 @@ def log_survival(p: np.ndarray, truncation: int) -> np.ndarray:
     """Log no-click probability per photon number for mechanism efficiencies p.
 
     Returns ``sum_n C(m, n) * log(1 - p[n])`` for m = 0..truncation-1, with
-    ``-inf`` wherever a unit-efficiency mechanism applies. The truncation
-    is a whole number >= 1; a whole float counts, a bool does not.
+    ``-inf`` wherever a unit-efficiency mechanism applies. The
+    efficiencies pass the checks of ``NonlinearSpdParams``, which takes
+    the constants; the truncation is a whole number >= 1; a whole float
+    counts, a bool does not.
     """
-    return _LogSurvival.of(p).at(np.arange(_whole_number(truncation, "truncation")))
+    return NonlinearSpdParams(p)._survival.at(np.arange(_whole_number(truncation, "truncation")))
 
 
 def spd_povm(p1: float, truncation: int) -> DiagonalPovm:
@@ -392,21 +379,21 @@ def npd_povm(pn: float, n: int, truncation: int) -> DiagonalPovm:
     probability ``pn``. For m < n no subset exists and the element is 0;
     n = 0 yields the constant dark-count response ``click[m] = pn``.
     """
-    if not 0 <= pn <= 1:
-        raise ValueError(f"efficiency must lie in [0, 1], got {pn}")
     n = _whole_number(n, "mechanism order", 0)
     p = np.zeros(n + 1)
     p[n] = pn
-    return DiagonalPovm(click=-np.expm1(log_survival(p, truncation)))
+    return nonlinear_povm(NonlinearSpdParams(p), truncation)
 
 
 def nonlinear_povm(params: NonlinearSpdParams, truncation: int) -> DiagonalPovm:
     """Composite detector: logical OR of one mechanism per order.
 
     ``click[m] = 1 - prod_n (1 - p[n]) ** C(m, n)``, the complement of the
-    joint no-fire probability of all mechanisms.
+    joint no-fire probability of all mechanisms, from the log-survival
+    constants ``params`` took when it was built.
     """
-    return DiagonalPovm(click=-np.expm1(log_survival(params.p, truncation)))
+    m_values = np.arange(_whole_number(truncation, "truncation"))
+    return DiagonalPovm(click=-np.expm1(params._survival.at(m_values)))
 
 
 def truncation_for(max_mean_photons: float) -> int:
@@ -435,12 +422,12 @@ def truncation_for(max_mean_photons: float) -> int:
         f"mean photon number {mu:g} is too large to truncate: its Poisson tail",
     )
     start, top = math.floor(mu) + 1, math.ceil(mu + reach)
-    tails = np.exp(poisson_log_pmf(np.arange(top - 1, start - 1, -1), mu)).cumsum()
+    tails = np.exp(_poisson_log_pmf(np.arange(top - 1, start - 1, -1), mu)).cumsum()
     return start + int(np.count_nonzero(tails >= DEFAULT_TAIL_MASS))
 
 
 def _check_carries(truncation: int, mean_photons: float, what: str = "truncation") -> None:
-    """Raise ``TruncationError`` if ``truncation`` is below ``truncation_for(mean_photons)``.
+    """Raise ``ValueError`` if ``truncation`` is below ``truncation_for(mean_photons)``.
 
     A sum truncated short of the probe's Poisson mass would silently miss
     response and bias any fit against that probe. A truncation of at
@@ -456,7 +443,7 @@ def _check_carries(truncation: int, mean_photons: float, what: str = "truncation
             return
     needed = truncation_for(mean_photons)
     if truncation < needed:
-        raise TruncationError(
+        raise ValueError(
             f"{what} {truncation} is too small for mean photon number "
             f"{mean_photons:g} (needs >= {needed})"
         )
@@ -530,10 +517,10 @@ def _poisson_rows(intensities) -> _WindowRows:
     weights sum to 1 - 5.5e-10 at mu = 1e6), and the error is nearly
     common to the window, so the normalization removes it.
 
-    Every weight comes from one ``poisson_log_pmf`` call, which takes the
-    logarithm of each row's mean once. The means are checked where they
-    entered the package: they are a ``ProbeSet``'s intensities or the
-    package's own grids, each finite, >= 0 and at most 2**53. Windows
+    Every weight comes from one ``numerics._poisson_log_pmf`` call, which
+    takes the logarithm of each row's mean once. The means are checked
+    where they entered the package: they are a ``ProbeSet``'s intensities
+    or the package's own grids, each finite, >= 0 and at most 2**53. Windows
     whose terms would take more than ``MAX_DENSE_BYTES`` as doubles (a
     probe of 1e15 photons has 5.4e8) raise ``ValueError`` before anything
     is allocated.
@@ -552,7 +539,7 @@ def _checked_poisson_rows(mu: np.ndarray, reach: np.ndarray, lo: np.ndarray) -> 
         reach,
         lo,
         np.inf,
-        lambda m, sizes: poisson_log_pmf(m, mu, repeats=sizes),
+        lambda m, sizes: _poisson_log_pmf(m, mu, repeats=sizes),
         lambda: f"the Poisson windows of means up to {mu.max():g}",
     )
 
@@ -644,9 +631,9 @@ def povm_click_probability(povm: DiagonalPovm, mean_photons: float) -> float:
     take the same reduction, so a click vector in [0, 1] gives a result in
     [0, 1]. The truncation must dominate the probe: if the Poisson tail
     beyond it exceeds ``DEFAULT_TAIL_MASS`` the result would silently miss
-    response, so a ``TruncationError`` is raised instead. A mean that is
-    negative, not finite or above 2**53 raises ``ValueError``.
+    response, so ``ValueError`` is raised instead, as it is for a mean
+    that is negative, not finite or above 2**53.
     """
     _check_carries(povm.truncation, mean_photons, "POVM truncation")
-    weights = np.exp(poisson_log_pmf(np.arange(povm.truncation), mean_photons))
+    weights = np.exp(_poisson_log_pmf(np.arange(povm.truncation), mean_photons))
     return float((weights * povm.click).sum() / weights.sum())

@@ -18,7 +18,6 @@ import numpy as np
 # importing scipy.stats; tests pin it against binom.ppf.
 from scipy.special._ufuncs import _binom_ppf
 
-from .exceptions import DataFormatError, SaturationCapError
 from .numerics import _freeze, _whole_number
 from .povm import DiagonalPovm, NonlinearSpdParams, _coherent_clicks, _detector_from_dict
 from .povm import povm_click_probability
@@ -109,7 +108,7 @@ class ExperimentConfig:
             intensities = np.asarray(probes_doc["intensities"], dtype=float)
             probe_trials = probes_doc.get("trials", trials)
         except (KeyError, TypeError) as err:
-            raise DataFormatError(f"malformed experiment config: {err}") from err
+            raise ValueError(f"malformed experiment config: {err}") from err
         truth = _detector_from_dict(truth_doc, "truth document")
         probes = ProbeSet(intensities=intensities, trials=probe_trials)
         return cls(truth=truth, probes=probes, seed=seed, trials=trials)
@@ -167,13 +166,13 @@ def _saturation_intensity(truth) -> float:
     ``1 - _SATURATION_TOLERANCE``, mimicking the lab procedure of raising
     the probe power until the response stops changing. A detector that
     cannot saturate (e.g. dark counts only) would march forever, so
-    passing ``_INTENSITY_CAP`` raises ``SaturationCapError``.
+    passing ``_INTENSITY_CAP`` raises ``RuntimeError``.
     """
     mu = _GRID_START
     while _noiseless_clicks(truth, [mu])[0] <= 1 - _SATURATION_TOLERANCE:
         mu *= _SWEEP_GROWTH
         if mu > _INTENSITY_CAP:
-            raise SaturationCapError(
+            raise RuntimeError(
                 f"click probability stayed below {1 - _SATURATION_TOLERANCE:g} "
                 f"up to the intensity cap {_INTENSITY_CAP:g}"
             )

@@ -34,15 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import (
-    ConvergenceError,
-    DataFormatError,
-    TargetUnreachableError,
-    UndefinedFidelityError,
-)
-from .numerics import _freeze, _values_equal, _whole_number
-from .povm import DiagonalPovm, _check_carries, _check_dense_size
-from .povm import _check_means, _poisson_rows, truncation_for
+from .exceptions import ConvergenceError
+from .numerics import _check_means, _freeze, _values_equal, _whole_number, _whole_numbers
+from .povm import DiagonalPovm, _check_carries, _check_dense_size, _poisson_rows, truncation_for
 
 __all__ = [
     "ClickRecord",
@@ -164,14 +158,8 @@ class ClickRecord:
         clicks = np.asarray(self.clicks)
         if clicks.ndim != 1 or clicks.size < 1:
             raise ValueError("click counts must form a nonempty vector")
-        # Against trials <= 2**53 before any cast, so that a count int64
-        # cannot hold, or NaN, is refused rather than wrapped.
-        if not (clicks.min() >= 0 and clicks.max() <= trials):
-            raise ValueError("click counts must lie in [0, trials]")
-        rounded = clicks.astype(np.int64)
-        if not np.array_equal(rounded, clicks):
-            raise ValueError("click counts must be integers")
-        _freeze(self, clicks=rounded, trials=trials)
+        clicks = _whole_numbers(clicks, "click counts", trials, "trials")
+        _freeze(self, clicks=clicks, trials=trials)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -280,10 +268,9 @@ def reconstruct_povm(
 
     Raises
     ------
-    TruncationError
-        If the truncation is too small for the largest probe.
     ValueError
-        If the truncation is not a whole number, or if the click vector
+        If the truncation is not a whole number or too small for the
+        largest probe, or if the click vector
         (8 N bytes) or the P x |U| probe matrix would exceed
         ``MAX_DENSE_BYTES``, where the message suggests rescaling; also if
         the fallback is needed and its (P + |U| - 1) x |U| stacked matrix
@@ -630,15 +617,15 @@ def _crossing_intensity(
     x = intensities[positive]
     y = frequencies[positive]
     if x.size < 2:
-        raise TargetUnreachableError("too few nonvacuum probes to interpolate")
+        raise ValueError("too few nonvacuum probes to interpolate")
     above = np.nonzero(y >= target)[0]
     if above.size == 0:
-        raise TargetUnreachableError(
+        raise ValueError(
             f"measured click probability never reaches {target:g} "
             f"(max {y.max():g})"
         )
     if above[0] == 0:
-        raise TargetUnreachableError(
+        raise ValueError(
             f"click probability already exceeds {target:g} at the smallest "
             "nonvacuum probe; no crossing can be bracketed"
         )
@@ -692,7 +679,7 @@ def scaled_fit_workflow(
 
     Raises
     ------
-    TargetUnreachableError
+    ValueError
         If the measured click probabilities never bracket the target.
     """
     check_paired(probes, record)
@@ -711,13 +698,13 @@ def fidelity(a: DiagonalPovm, b: DiagonalPovm) -> float:
     squared Bhattacharyya coefficient ``(sum_m sqrt(a~ b~))^2`` returned.
     Identical vectors (up to overall scale) give 1; disjoint supports give
     0. An identically zero operand has no normalization, so it raises
-    ``UndefinedFidelityError``.
+    ``ValueError``.
     """
     length = max(a.truncation, b.truncation)
     va, vb = a.padded(length), b.padded(length)
     sa, sb = va.sum(), vb.sum()
     if sa == 0.0 or sb == 0.0:
-        raise UndefinedFidelityError("fidelity is undefined for an all-zero click vector")
+        raise ValueError("fidelity is undefined for an all-zero click vector")
     overlap = float(np.sum(np.sqrt((va / sa) * (vb / sb))))
     return overlap * overlap
 
@@ -736,16 +723,17 @@ def read_click_data(path: str | Path) -> tuple[ProbeSet, ClickRecord]:
     """Read probe data written by ``write_click_data``.
 
     The header must match ``mean_photons,trials,clicks`` exactly and the
-    trial count must be constant across rows.
+    trial count must be constant across rows; a file that breaks either
+    rule, or holds a malformed or missing row, raises ``ValueError``.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataFormatError(f"{path}: empty click-data file") from None
+            raise ValueError(f"{path}: empty click-data file") from None
         if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataFormatError(
+            raise ValueError(
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
         intensities, trials, clicks = [], [], []
@@ -753,17 +741,17 @@ def read_click_data(path: str | Path) -> tuple[ProbeSet, ClickRecord]:
             if not row:
                 continue
             if len(row) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             try:
                 intensities.append(float(row[0]))
                 trials.append(int(row[1]))
                 clicks.append(int(row[2]))
             except ValueError as err:
-                raise DataFormatError(f"{path}:{lineno}: {err}") from err
+                raise ValueError(f"{path}:{lineno}: {err}") from err
     if not trials:
-        raise DataFormatError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     if len(set(trials)) != 1:
-        raise DataFormatError(f"{path}: trials must be constant across rows")
+        raise ValueError(f"{path}: trials must be constant across rows")
     probes = ProbeSet(intensities=np.array(intensities), trials=trials[0])
     record = ClickRecord(clicks=np.array(clicks), trials=trials[0])
     return probes, record

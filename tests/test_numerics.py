@@ -18,9 +18,9 @@ from scipy.special import gammaln, xlogy
 from nlspd.numerics import (
     _binomial_table,
     _log_factorial,
+    _poisson_log_pmf,
     _stirling_gap,
     binomial_exponents,
-    poisson_log_pmf,
     poisson_log_weights,
 )
 from nlspd.modelfit import FitReport, MechanismLogVector, fit_params
@@ -84,7 +84,7 @@ def test_poisson_log_pmf_matches_scipy_formula():
     m = np.arange(10_000)
     loose = 0
     for mu in np.r_[0.0, np.geomspace(1e-6, 1e5, 300)]:
-        got = poisson_log_pmf(m, mu)
+        got = _poisson_log_pmf(m, mu)
         expected = xlogy(m, mu) - mu - gammaln(m + 1)
         finite = np.isfinite(expected)
         np.testing.assert_array_equal(got[~finite], expected[~finite])
@@ -175,6 +175,8 @@ def test_binomial_table_is_bitwise_the_recurrence():
         (np.array([[0, 1, 2], [3, 4, 70]]), 6),
         (np.arange(2000), 80),
         (np.array([2**53 - 5, 2**53]), 25),
+        # binomial_exponents' order above every photon number: zeros.
+        (np.array([[0, 5], [11, 2]]), 14),
     ]
     with np.errstate(over="ignore"):
         for m, order in cases:
@@ -241,8 +243,11 @@ def test_count_arguments_are_whole_numbers(call, whole):
 
 
 def test_kernels_refuse_out_of_range_arguments():
-    with pytest.raises(ValueError, match="mean photon number"):
-        poisson_log_pmf(np.arange(3), -1.0)
+    # Means by the package's rule: NaN and inf used to give NaN weights,
+    # and 1e300 weights no window of the package could hold.
+    for mean in (-1.0, np.nan, np.inf, 1e300, [0.5, np.nan]):
+        with pytest.raises(ValueError, match="mean photon number"):
+            poisson_log_weights(mean, 3)
     with pytest.raises(ValueError, match="truncation"):
         poisson_log_weights(1.0, 0)
     # The message echoes the refused order.
@@ -250,8 +255,24 @@ def test_kernels_refuse_out_of_range_arguments():
         binomial_exponents(np.arange(3), -1)
     with pytest.raises(ValueError, match="whole number"):
         binomial_exponents(np.arange(3), 2**53)
-    with pytest.raises(ValueError, match="m >= 0"):
-        binomial_exponents(np.array([-1, 2]), 1)
+    # Photon numbers by the rule of click counts, before any cast: 2.5
+    # used to be read as 2, and NaN as whatever int64 made of it.
+    for m, message in (([-1, 2], "lie in"), ([np.nan], "lie in"), ([2**53 + 2], "lie in"),
+                       ([2.5], "be integers")):
+        with pytest.raises(ValueError, match=f"photon numbers must {message}"):
+            binomial_exponents(np.array(m), 1)
+
+
+def test_binomial_exponents_past_every_photon_number_are_zeros():
+    # An order above every photon number gives C(m, n) = 0 with no
+    # m.size x (n + 1) table: at n = 2**53 - 1 that table would take
+    # 192 PiB, and at m = 1030, n = 1031 its columns overflow to inf and
+    # its last one to NaN. Where the table's column is finite, the zeros
+    # are that column to the bit (test_binomial_table_is_bitwise_the_recurrence).
+    zeros = binomial_exponents(np.array([0, 3, 7]), 2**53 - 1)
+    assert zeros.dtype == float and zeros.tobytes() == np.zeros(3).tobytes()
+    assert binomial_exponents(np.array([1030]), 1031).tobytes() == np.zeros(1).tobytes()
+    assert binomial_exponents(np.array([], dtype=np.int64), 3).shape == (0,)
 
 
 def test_value_classes_compare_their_arrays_by_value(tmp_path):

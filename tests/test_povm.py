@@ -14,8 +14,7 @@ from scipy.special import gammainc, gammaincc, lambertw
 from scipy.stats import poisson
 
 from nlspd import povm as povm_module
-from nlspd.exceptions import DataFormatError, TruncationError
-from nlspd.numerics import _bernstein_reach, _binomial_table, poisson_log_pmf, poisson_log_weights
+from nlspd.numerics import _bernstein_reach, _binomial_table, _poisson_log_pmf, poisson_log_weights
 from nlspd.povm import (
     _SATURATED_LOG_SURVIVAL,
     DiagonalPovm,
@@ -123,7 +122,7 @@ def test_poisson_rows_take_each_mean_log_once_to_the_same_bits():
     for means in grids:
         rows = _poisson_rows(means)
         sizes = np.diff(rows.starts)
-        per_term = np.exp(poisson_log_pmf(rows.m, means.repeat(sizes)))
+        per_term = np.exp(_poisson_log_pmf(rows.m, means.repeat(sizes)))
         per_term /= np.add.reduceat(per_term, rows.starts[:-1]).repeat(sizes)
         np.testing.assert_array_equal(rows.weights, per_term)
 
@@ -565,14 +564,15 @@ def test_saturated_mechanism_gives_unit_clicks():
 
 def test_povm_click_probability_requires_adequate_truncation():
     povm = spd_povm(0.1, 6)
-    with pytest.raises(TruncationError):
+    with pytest.raises(ValueError, match="too small for mean photon number"):
         povm_click_probability(povm, 5.0)
 
 
 def _carried(truncation, mean_photons):
     try:
         _check_carries(truncation, mean_photons)
-    except TruncationError:
+    except ValueError as err:
+        assert "too small for mean photon number" in str(err)
         return False
     return True
 
@@ -580,7 +580,8 @@ def _carried(truncation, mean_photons):
 def _refused(truncation, mean_photons):
     try:
         povm_click_probability(DiagonalPovm(click=np.full(truncation, 0.5)), mean_photons)
-    except TruncationError:
+    except ValueError as err:
+        assert "too small for mean photon number" in str(err)
         return True
     return False
 
@@ -629,7 +630,7 @@ def test_truncation_check_agrees_with_truncation_for():
         n = truncation_for(mu)
         povm_click_probability(spd_povm(0.1, n), mu)
         if n > 1:
-            with pytest.raises(TruncationError, match=f"needs >= {n}"):
+            with pytest.raises(ValueError, match=f"needs >= {n}"):
                 povm_click_probability(spd_povm(0.1, n - 1), mu)
 
 
@@ -661,7 +662,12 @@ def test_povm_builders_refuse_out_of_range_arguments():
         DiagonalPovm(click=np.array([0.0, np.nan]))
     with pytest.raises(ValueError, match="truncation"):
         log_survival(np.array([0.1]), 0)
-    with pytest.raises(ValueError, match="efficiency"):
+    # Each efficiency is checked as NonlinearSpdParams checks it: not read
+    # as 0 (NaN), as a saturated order (1.5) or as a gain (-0.5).
+    for bad in (np.nan, -0.5, 1.5):
+        with pytest.raises(ValueError, match="efficiencies"):
+            log_survival(np.array([0.5, bad]), 4)
+    with pytest.raises(ValueError, match="efficiencies"):
         npd_povm(1.5, 1, 5)
     with pytest.raises(ValueError, match="mechanism order"):
         npd_povm(0.1, -1, 5)
@@ -721,9 +727,9 @@ def test_padded_refuses_a_length_below_the_truncation():
 
 
 def test_diagonal_povm_from_dict_rejects_malformed():
-    with pytest.raises(DataFormatError):
+    with pytest.raises(ValueError, match="malformed POVM document"):
         DiagonalPovm.from_dict({"click": [0.0, 0.5]})
-    with pytest.raises(DataFormatError):
+    with pytest.raises(ValueError, match="malformed POVM document"):
         DiagonalPovm.from_dict({"truncation": 2})
 
 
@@ -743,7 +749,7 @@ def test_params_dict_round_trip():
     assert set(doc) == {"p"}
     again = NonlinearSpdParams.from_dict(doc)
     np.testing.assert_array_equal(again.p, PARAMS.p)
-    with pytest.raises(DataFormatError):
+    with pytest.raises(ValueError, match="malformed parameter document"):
         NonlinearSpdParams.from_dict({})
 
 

@@ -11,13 +11,7 @@ from scipy.optimize import lsq_linear
 from scipy.stats import poisson
 
 from nlspd import cli, tomography
-from nlspd.exceptions import (
-    ConvergenceError,
-    DataFormatError,
-    TargetUnreachableError,
-    TruncationError,
-    UndefinedFidelityError,
-)
+from nlspd.exceptions import ConvergenceError
 from nlspd.povm import DiagonalPovm, nonlinear_povm, NonlinearSpdParams, spd_povm, truncation_for
 from nlspd.reference import SCALED_PARAMS, UNSCALED_PARAMS
 from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
@@ -62,7 +56,7 @@ def test_probe_matrix_rows_are_poisson():
 def test_probe_matrix_requires_adequate_truncation():
     probes = ProbeSet(intensities=np.array([0.0, 30.0]), trials=1000)
     record = ClickRecord(clicks=np.array([1, 900]), trials=1000)
-    with pytest.raises(TruncationError):
+    with pytest.raises(ValueError, match="too small for mean photon number"):
         reconstruct_povm(probes, record, 20)
     # the documented minimum is accepted
     reconstruct_povm(probes, record, truncation_for(30.0))
@@ -327,7 +321,7 @@ def test_scaled_workflow_rejects_unreachable_target():
     probes = ProbeSet(intensities=mu, trials=10**6)
     truth = spd_povm(0.001, truncation_for(5.0))
     record = _noiseless_record(probes, truth)
-    with pytest.raises(TargetUnreachableError):
+    with pytest.raises(ValueError, match="never reaches"):
         scaled_fit_workflow(probes, record)
 
 
@@ -344,7 +338,7 @@ def test_scaled_workflow_rejects_unreachable_target():
 def test_scaled_workflow_refuses_an_unbracketed_crossing(intensities, clicks, message):
     probes = ProbeSet(intensities=np.array(intensities), trials=1000)
     record = ClickRecord(clicks=np.array(clicks), trials=1000)
-    with pytest.raises(TargetUnreachableError, match=message):
+    with pytest.raises(ValueError, match=message):
         scaled_fit_workflow(probes, record)
 
 
@@ -471,7 +465,7 @@ def test_fidelity_pads_shorter_operand():
 def test_fidelity_undefined_for_zero_vector():
     zero = DiagonalPovm(click=np.zeros(5))
     other = spd_povm(0.2, 5)
-    with pytest.raises(UndefinedFidelityError):
+    with pytest.raises(ValueError, match="all-zero click vector"):
         fidelity(zero, other)
 
 
@@ -596,9 +590,8 @@ def test_click_data_csv_round_trip(positive, trials, fractions):
 def test_read_click_data_rejects_malformed(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text(body)
-    with pytest.raises(DataFormatError) as excinfo:
+    with pytest.raises(ValueError, match=r"bad\.csv"):
         read_click_data(path)
-    assert "bad.csv" in str(excinfo.value)
 
 
 def test_read_click_data_skips_blank_lines(tmp_path):

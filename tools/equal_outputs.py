@@ -20,6 +20,14 @@ It also writes the fig1b and fig2a click curves of the three reference
 detectors, for the whole grid in one call, as ``nlspd figure`` evaluates
 them, and one probe per ``coherent_click_probability`` call.
 
+Last come the calls of the public kernels that the benchmark times
+directly, at sizes that keep the file under about 2 MB: ``log_survival``
+and ``nonlinear_povm`` of the six reference detectors at truncations 77
+and 1,231 (those of means 30 and 1e3); ``spd_povm(0.4, 15)`` and
+``npd_povm`` at orders 0-3 with efficiencies 0 and 1; ``poisson_log_weights``
+of means from 0 to 1e4, each at its own default truncation; and
+``binomial_exponents(np.arange(1231), n)`` for n = 0-3.
+
 ``nlspd`` is imported from the Python path, so the same script writes the
 outputs of any checkout: put that checkout's ``src`` first on
 ``PYTHONPATH``. ``compare`` prints how many outputs are bitwise equal and,
@@ -62,7 +70,9 @@ def write(path: str) -> None:
     from nlspd.exceptions import IllConditionedInversionError
     from nlspd.loss import scale_povm, unscale_povm
     from nlspd.modelfit import fit_params, prune_mechanisms
-    from nlspd.povm import _coherent_clicks, coherent_click_probability, truncation_for
+    from nlspd.numerics import binomial_exponents, poisson_log_weights
+    from nlspd.povm import _coherent_clicks, coherent_click_probability, log_survival
+    from nlspd.povm import nonlinear_povm, npd_povm, spd_povm, truncation_for
     from nlspd.simulator import ExperimentConfig, geometric_probe_grid, simulate
     from nlspd.tomography import reconstruct_povm, scaled_fit_workflow
 
@@ -114,6 +124,27 @@ def write(path: str) -> None:
             outputs[f"{figure} {bias} uA/curve.per_call"] = np.array(
                 [coherent_click_probability(params, float(mu)) for mu in grid]
             )
+    truncations = [truncation_for(30.0), truncation_for(1e3)]
+    for kind, detectors in (
+        ("scaled", reference.SCALED_PARAMS),
+        ("raw", reference.UNSCALED_PARAMS),
+    ):
+        for bias, params in detectors.items():
+            for n in truncations:
+                outputs[f"{kind} {bias} uA N {n}/log_survival"] = log_survival(params.p, n)
+                outputs[f"{kind} {bias} uA N {n}/nonlinear_povm"] = nonlinear_povm(params, n).click
+    outputs["p1 0.4/spd_povm"] = spd_povm(0.4, 15).click
+    for order in range(4):
+        for pn in (0.0, 1.0):
+            outputs[f"order {order} pn {pn:g}/npd_povm"] = npd_povm(pn, order, 15).click
+    for mean in (0.0, 0.5, 30.0, 1e3, 1e4):
+        outputs[f"mean {mean:g}/poisson_log_weights"] = poisson_log_weights(
+            mean, truncation_for(mean)
+        )
+    for order in range(4):
+        outputs[f"order {order}/binomial_exponents"] = binomial_exponents(
+            np.arange(truncations[1]), order
+        )
     with open(path, "w") as handle:
         json.dump({name: _value(item) for name, item in outputs.items()}, handle, indent=1)
         handle.write("\n")
